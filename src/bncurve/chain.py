@@ -14,6 +14,7 @@ u == u', so a single integer offset identifies each fixed bundle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import product
 
 from .combinatorics import catalan, enumerate_ballot, generalized_catalan, is_admissible
@@ -106,7 +107,7 @@ class BNComponentId:
         if not 1 <= self.marked <= n + 1:
             raise ValueError(f"marked index {self.marked} out of range")
 
-    @property
+    @cached_property
     def label(self) -> str:
         return "".join(map(str, self.sequence)) + "|" + str(self.marked)
 
@@ -121,6 +122,16 @@ def rho(g: int, r: int, d: int) -> int:
     return g - (r + 1) * (g - d + r)
 
 
+_FREE = Bundle.free()
+
+
+@lru_cache(maxsize=None)
+def _fixed_bundles(d: int) -> tuple[Bundle, ...]:
+    """One shared :class:`Bundle` per offset 0..d; bundles are frozen, so
+    every walk on a degree-d chain can hand out the same instances."""
+    return tuple(Bundle.fixed(u) for u in range(d + 1))
+
+
 def propagate(chain: ChainSpec, comp: BNComponentId):
     """Walk the chain and resolve the bundle on every component.
 
@@ -131,37 +142,40 @@ def propagate(chain: ChainSpec, comp: BNComponentId):
     The walk starts from (u1, u2) = (0, 1).  On the marked component both
     orders step up by one and the bundle stays free.  On any other component
     the next sequence symbol picks the bundle O(u_sym P + (d-u_sym) Q) and the
-    *other* vanishing order steps up by one.
+    *other* vanishing order steps up by one.  Raises ValueError if an entry
+    pair leaves u1 < u2 <= d or an exit pair leaves u1 < u2 <= d + 1.
     """
     chain.a  # validates the rho=1 shape
     if len(comp.sequence) != chain.g - 1:
         raise ValueError(
             f"sequence length {len(comp.sequence)} != g-1 = {chain.g - 1}"
         )
+    d = chain.d
+    fixed = _fixed_bundles(d)
     u1, u2 = 0, 1
     vanishing: list[tuple[int, int]] = []
     bundles: list[Bundle] = []
     pos = 0
     for i in range(1, chain.g + 1):
+        if not u1 < u2 <= d:
+            raise ValueError(f"entry vanishing orders out of range at component {i}")
         vanishing.append((u1, u2))
         if i == comp.marked:
-            bundles.append(Bundle.free())
+            bundles.append(_FREE)
             u1, u2 = u1 + 1, u2 + 1
         else:
             sym = comp.sequence[pos]
             pos += 1
             if sym == 1:
-                bundles.append(Bundle.fixed(u1))
+                bundles.append(fixed[u1])
                 u2 += 1
             else:
-                bundles.append(Bundle.fixed(u2))
+                bundles.append(fixed[u2])
                 u1 += 1
-        if not (u1 < u2 <= chain.d + 1):
+        if not (u1 < u2 <= d + 1):
             raise ValueError(f"vanishing orders left range at component {i}")
     if pos != len(comp.sequence):
         raise ValueError("sequence not fully consumed")
-    for (u1, u2) in vanishing:
-        assert u1 < u2 <= chain.d
     return vanishing, bundles
 
 

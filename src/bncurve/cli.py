@@ -13,8 +13,8 @@ import sys
 
 from .chain import ChainSpec, UnsupportedShapeError, limit_series_census, render_tables
 from .combinatorics import catalan
-from .curve import build_bn_curve, eh_formula, export_graph, genus_closed
-from .curve import genus_from_graph
+from .curve import DEFAULT_MAX_A, build_bn_curve, eh_formula, export_graph
+from .curve import genus_closed, genus_from_graph
 from .gonality import (
     build_degree6_cover,
     build_w14_circuit,
@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-a",
         type=int,
         default=None,
-        help="override the pair-scan size guard",
+        help=f"override the size guard on --a (default {DEFAULT_MAX_A})",
     )
 
     p = sub.add_parser("gonality5", help="the genus-5 gonality pipeline")

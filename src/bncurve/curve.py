@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 
 from .chain import BNComponentId, ChainSpec, all_components, propagate
@@ -45,9 +46,6 @@ class IntersectionNode:
             return self.y_offset
         raise ValueError(f"{comp} is not an endpoint of this node")
 
-    def other(self, comp: BNComponentId) -> BNComponentId:
-        return self.y if comp == self.x else self.x
-
 
 @dataclass(frozen=True)
 class BNCurveGraph:
@@ -75,20 +73,53 @@ class BNCurveGraph:
         return len(self.nodes)
 
     def is_connected(self) -> bool:
-        parent = {c: c for c in self.components}
+        return self._connected
 
-        def find(c):
-            while parent[c] != c:
-                parent[c] = parent[parent[c]]
-                c = parent[c]
-            return c
+    # The graph is frozen, so connectivity and the per-component profiles are
+    # computed once per graph, on first use.
 
+    @cached_property
+    def _connected(self) -> bool:
+        index = {c: i for i, c in enumerate(self.components)}
+        parent = list(range(len(index)))
+
+        def find(i):
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        roots = len(parent)
         for node in self.nodes:
-            rx, ry = find(node.x), find(node.y)
+            rx, ry = find(index[node.x]), find(index[node.y])
             if rx != ry:
                 parent[rx] = ry
-        roots = {find(c) for c in self.components}
-        return len(roots) == 1
+                roots -= 1
+        return roots == 1
+
+    @cached_property
+    def _profiles(self) -> dict[BNComponentId, list[tuple[BNComponentId, int]]]:
+        profiles = {c: [] for c in self.components}
+        for node in self.nodes:
+            profiles[node.x].append((node.y, node.x_offset))
+            profiles[node.y].append((node.x, node.y_offset))
+        return profiles
+
+
+def _meet_key(offsets: tuple, slot: int) -> tuple:
+    """The offset tuple with the 1-based `slot` also blanked to None.
+
+    This is the one definition of "two components meet": x and y meet iff
+    _meet_key(bx, y.marked) == _meet_key(by, x.marked), i.e. their offsets
+    agree everywhere away from the two marked slots, which is everywhere both
+    are pinned.
+    """
+    return offsets[: slot - 1] + (None,) + offsets[slot:]
+
+
+def _offsets(chain: ChainSpec, comp: BNComponentId) -> tuple:
+    """Bundle offsets of comp along the chain, None on its marked slot."""
+    return tuple([b.u for b in propagate(chain, comp)[1]])
 
 
 def intersect(
@@ -96,18 +127,16 @@ def intersect(
 ) -> IntersectionNode | None:
     """Node between x and y, or None.
 
-    They meet iff the bundle tuples agree wherever both are pinned; the free
-    slot of each is then pinned by the other, yielding the node offsets.
+    They meet iff the bundle tuples agree wherever both are pinned (see
+    :func:`_meet_key`); the free slot of each is then pinned by the other,
+    yielding the node offsets.
     """
     if x == y:
         raise ValueError("intersect needs two distinct components")
-    bx = propagate(chain, x)[1]
-    by = propagate(chain, y)[1]
-    for i in range(chain.g):
-        if bx[i].is_free or by[i].is_free:
-            continue
-        if bx[i].u != by[i].u:
-            return None
+    bx = _offsets(chain, x)
+    by = _offsets(chain, y)
+    if _meet_key(bx, y.marked) != _meet_key(by, x.marked):
+        return None
     if x.marked == y.marked:
         # same free slot, all pinned entries equal: same component (excluded
         # above) -- cannot happen for distinct admissible sequences.
@@ -116,19 +145,20 @@ def intersect(
         x, y, bx, by = y, x, by, bx
     return IntersectionNode(
         x=x,
-        x_offset=by[x.marked - 1].u,
+        x_offset=by[x.marked - 1],
         y=y,
-        y_offset=bx[y.marked - 1].u,
+        y_offset=bx[y.marked - 1],
     )
 
 
 def build_bn_curve(a: int, *, max_a: int = DEFAULT_MAX_A) -> BNCurveGraph:
-    """Build the full curve graph by scanning all component pairs.
+    """Build the full curve graph from an index on the meet key.
 
-    The scan is indexed: two components intersect iff their bundle tuples
-    agree away from the two marked slots, so components are bucketed by the
-    masked tuple and only bucket mates pair up.  Guarded at a <= max_a; pass
-    a larger max_a to override.
+    A node joins x and y with x.marked < y.marked exactly when
+    _meet_key(bx, y.marked) == _meet_key(by, x.marked).  So every component
+    files its key under each slot after its own marked one, then looks up its
+    key under each slot before it; every hit is a node, found once.  Guarded
+    at a <= max_a; pass a larger max_a to override.
     """
     if a < 1:
         raise ValueError("a must be positive")
@@ -137,47 +167,35 @@ def build_bn_curve(a: int, *, max_a: int = DEFAULT_MAX_A) -> BNCurveGraph:
             f"a={a} exceeds the guard max_a={max_a}; pass max_a explicitly to override"
         )
     chain = ChainSpec.rho_one(a)
+    # ordered (sequence lex, marked), so index order is sort_key order
     components = all_components(chain)
-    bundles = {c: [b.u for b in propagate(chain, c)[1]] for c in components}
+    offsets = [_offsets(chain, c) for c in components]
 
-    # bucket[(i, j, masked)] lists components with marked == j whose offsets
-    # away from positions i, j (1-based) equal `masked`
-    bucket: dict[tuple, list[BNComponentId]] = {}
-    for comp in components:
-        us = bundles[comp]
-        j = comp.marked
-        for i in range(1, chain.g + 1):
-            if i == j:
-                continue
-            lo, hi = min(i, j), max(i, j)
-            masked = tuple(
-                u for k, u in enumerate(us, start=1) if k != lo and k != hi
-            )
-            bucket.setdefault((lo, hi, masked), []).append(comp)
+    bucket: dict[tuple, list[int]] = {}
+    for ix, comp in enumerate(components):
+        us = offsets[ix]
+        for slot in range(comp.marked + 1, chain.g + 1):
+            bucket.setdefault(_meet_key(us, slot), []).append(ix)
+    pairs = []
+    for iy, comp in enumerate(components):
+        us = offsets[iy]
+        for slot in range(1, comp.marked):
+            for ix in bucket.get(_meet_key(us, slot), ()):
+                pairs.append((ix, iy) if ix < iy else (iy, ix))
+    del bucket  # free the index before the nodes are allocated
+    pairs.sort()
 
     nodes = []
-    for comp in components:
-        us = bundles[comp]
-        i = comp.marked
-        for j in range(i + 1, chain.g + 1):
-            masked = tuple(
-                u for k, u in enumerate(us, start=1) if k != i and k != j
+    for ix, iy in pairs:
+        x, y = components[ix], components[iy]
+        nodes.append(
+            IntersectionNode(
+                x=x,
+                x_offset=offsets[iy][x.marked - 1],
+                y=y,
+                y_offset=offsets[ix][y.marked - 1],
             )
-            for mate in bucket.get((i, j, masked), ()):
-                if mate.marked != j or mate == comp:
-                    continue
-                x, y = comp, mate
-                if x.sort_key() > y.sort_key():
-                    x, y = y, x
-                nodes.append(
-                    IntersectionNode(
-                        x=x,
-                        x_offset=bundles[y][x.marked - 1],
-                        y=y,
-                        y_offset=bundles[x][y.marked - 1],
-                    )
-                )
-    nodes.sort(key=lambda n: (n.x.sort_key(), n.y.sort_key()))
+        )
     graph = BNCurveGraph(a=a, components=tuple(components), nodes=tuple(nodes))
     if not graph.is_connected():
         raise AssertionError("Brill-Noether curve graph came out disconnected")
@@ -225,14 +243,12 @@ def eh_formula(g: int, r: int, d: int) -> Fraction:
 def component_profile(
     graph: BNCurveGraph, comp: BNComponentId
 ) -> list[tuple[BNComponentId, int]]:
-    """All (neighbor, offset-on-comp) pairs at nodes through comp."""
-    if comp not in graph.components:
+    """All (neighbor, offset-on-comp) pairs at nodes through comp, in node
+    order."""
+    profile = graph._profiles.get(comp)
+    if profile is None:
         raise ValueError(f"{comp} is not a component of the graph")
-    return [
-        (node.other(comp), node.offset_on(comp))
-        for node in graph.nodes
-        if comp in (node.x, node.y)
-    ]
+    return list(profile)
 
 
 def export_graph(graph: BNCurveGraph, fmt: str) -> str:
@@ -267,7 +283,8 @@ def export_graph(graph: BNCurveGraph, fmt: str) -> str:
                 for n in graph.nodes
             ],
         }
-        return json.dumps(payload, indent=2) + "\n"
+        # a freshly built tree has no cycles to guard against
+        return json.dumps(payload, indent=2, check_circular=False) + "\n"
     if fmt == "dot":
         lines = ["graph bn_curve {"]
         for c in graph.components:

@@ -1,5 +1,3 @@
-from itertools import permutations
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,12 +10,32 @@ from bncurve.combinatorics import (
 )
 
 
+def multiset_permutations(items):
+    """Every distinct ordering of `items`, in lex order: step to the next
+    lexicographic permutation until there is none (Knuth's Algorithm L)."""
+    word = sorted(items)
+    n = len(word)
+    while True:
+        yield tuple(word)
+        j = n - 2
+        while j >= 0 and word[j] >= word[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        k = n - 1
+        while word[j] >= word[k]:
+            k -= 1
+        word[j], word[k] = word[k], word[j]
+        word[j + 1:] = word[:j:-1]
+
+
 def ballot_words_brute(a, m):
     """Independent oracle: filter all multiset permutations by an inline
     prefix check."""
-    words = set(permutations([s for s in range(1, m + 1) for _ in range(a)]))
     good = []
-    for word in sorted(words):
+    for word in multiset_permutations(
+        [s for s in range(1, m + 1) for _ in range(a)]
+    ):
         counts = [0] * (m + 1)
         ok = True
         for s in word:
@@ -28,6 +46,15 @@ def ballot_words_brute(a, m):
         if ok:
             good.append(word)
     return good
+
+
+def test_multiset_permutations_match_itertools():
+    from itertools import permutations
+
+    for items in ([1, 1, 2, 2], [1, 2, 2, 3, 3], [1, 1, 1, 2, 3, 3], [2], []):
+        assert list(multiset_permutations(items)) == sorted(
+            set(permutations(items))
+        )
 
 
 class TestCatalan:

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from bncurve.chain import BNComponentId, ChainSpec, all_components
+from bncurve.chain import BNComponentId, ChainSpec, all_components, propagate
 from bncurve.combinatorics import catalan
 from bncurve.curve import (
+    BNCurveGraph,
     build_bn_curve,
     component_profile,
     delta_closed,
@@ -22,16 +23,27 @@ C4PP = BNComponentId((1, 1, 2, 2), 4)
 
 
 def naive_nodes(a):
-    """Oracle: quadratic pair scan using intersect directly."""
+    """Oracle: quadratic pair scan over propagate's offset tuples, without
+    intersect.  Two components meet iff their offsets agree wherever both are
+    pinned; the node sits on each at the offset the other pins its free slot
+    to.  Returns (x label, y label, x offset, y offset) rows in component
+    order."""
     chain = ChainSpec.rho_one(a)
     comps = all_components(chain)
+    offsets = [[b.u for b in propagate(chain, c)[1]] for c in comps]
     nodes = []
     for i, x in enumerate(comps):
-        for y in comps[i + 1:]:
-            node = intersect(chain, x, y)
-            if node is not None:
-                nodes.append(node)
+        for j in range(i + 1, len(comps)):
+            y, bx, by = comps[j], offsets[i], offsets[j]
+            if all(u is None or v is None or u == v for u, v in zip(bx, by)):
+                nodes.append(
+                    (x.label, y.label, by[x.marked - 1], bx[y.marked - 1])
+                )
     return nodes
+
+
+def node_row(node):
+    return (node.x.label, node.y.label, node.x_offset, node.y_offset)
 
 
 class TestIntersect:
@@ -54,6 +66,19 @@ class TestIntersect:
         y = BNComponentId((1, 2), 3)
         assert intersect(chain, x, y) is None
 
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    def test_agrees_with_naive_scan_on_every_pair(self, a):
+        chain = ChainSpec.rho_one(a)
+        comps = all_components(chain)
+        expected = {frozenset(row[:2]): row for row in naive_nodes(a)}
+        for x in comps:
+            for y in comps:
+                if x == y:
+                    continue
+                node = intersect(chain, x, y)
+                got = None if node is None else node_row(node)
+                assert got == expected.get(frozenset((x.label, y.label)))
+
     def test_same_component_rejected(self):
         chain = ChainSpec.rho_one(1)
         with pytest.raises(ValueError):
@@ -67,18 +92,28 @@ class TestBuild:
         assert graph.nu == nu
         assert graph.delta == delta
 
-    @pytest.mark.parametrize("a", [1, 2, 3])
+    @pytest.mark.parametrize("a", [1, 2, 3, 4, 5])
     def test_matches_naive_scan(self, a):
         graph = build_bn_curve(a)
-        assert sorted(
-            (n.x.label, n.y.label, n.x_offset, n.y_offset) for n in graph.nodes
-        ) == sorted(
-            (n.x.label, n.y.label, n.x_offset, n.y_offset) for n in naive_nodes(a)
-        )
+        assert sorted(node_row(n) for n in graph.nodes) == sorted(naive_nodes(a))
 
     def test_connected(self):
         for a in (1, 2, 3):
             assert build_bn_curve(a).is_connected()
+
+    def test_disconnected_graph_is_caught(self):
+        graph = build_bn_curve(2)
+        cut = BNCurveGraph(
+            a=2,
+            components=graph.components,
+            nodes=tuple(n for n in graph.nodes if C1P not in (n.x, n.y)),
+        )
+        assert graph.is_connected()
+        assert cut.is_connected() is False
+        with pytest.raises(ValueError):
+            genus_from_graph(cut)
+        with pytest.raises(ValueError):
+            export_graph(cut, "json")
 
     def test_guard(self):
         with pytest.raises(ValueError):
