@@ -1,10 +1,10 @@
 """Invariants of the Brill-Noether curve as the chain grows.
 
-Builds the nodal curve graph for a = 1..5 and compares the scanned node
-count and genus with the closed formulas.  Also reproduces the discrepancy
-between the published genus formula and the chain computation: the two
-disagree at a = 1 and a = 2, and the package reports both values rather
-than picking one.
+Builds the nodal curve graph for a = 1..5 and compares the node count and
+genus with the closed formulas.  Also explains the discrepancy between the
+published genus formula and the chain computation: evaluated as printed it
+gives 6 and 2 where the chain gives 11 and 3, and with the factor (r+1) of
+the classical formula for a one-dimensional W^r_d it agrees.
 """
 
 from bncurve import (
@@ -12,6 +12,7 @@ from bncurve import (
     component_profile,
     delta_closed,
     eh_formula,
+    eh_formula_corrected,
     export_graph,
     genus_closed,
     genus_from_graph,
@@ -32,9 +33,10 @@ print("published genus formula vs chain computation:")
 for a in (1, 2):
     g, d = 2 * a + 1, a + 2
     print(
-        f"  (g={g}, r=1, d={d}): formula {eh_formula(g, 1, d)}, "
-        f"chain {genus_closed(a)}  <- DISCREPANT"
+        f"  (g={g}, r=1, d={d}): as printed {eh_formula(g, 1, d)} (DISCREPANT), "
+        f"with (r+1) {eh_formula_corrected(g, 1, d)}, chain {genus_closed(a)}"
     )
+    assert eh_formula_corrected(g, 1, d) == genus_closed(a) != eh_formula(g, 1, d)
 
 print()
 print("neighborhood of component 1212|2 in the a=2 curve:")

@@ -30,6 +30,7 @@ from .curve import (
     component_profile,
     delta_closed,
     eh_formula,
+    eh_formula_corrected,
     export_graph,
     genus_closed,
     genus_from_graph,

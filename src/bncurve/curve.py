@@ -6,14 +6,39 @@ position where both are pinned.  The node then sits, on each component, at
 the bundle offset the other component pins its free slot to.  From the graph
 we count nodes, compute the arithmetic genus, and compare against the closed
 formulas.
+
+The meet rule is local.  Components x = (s, i) and y = (t, j) with i < j
+meet exactly when one of these holds:
+
+* t = s and j = i + 1;
+* right after slot i, s reads a maximal run c^r (r >= 1) and then e = 3 - c,
+  t = head.e.c^r.tail is s with that e moved to the front of the run, and
+  j = i + r + 1.  t is then a ballot word unless e = 2 and head holds as
+  many 2s as 1s, in which case there is no such component.
+
+Proof sketch, from the walk in :func:`bncurve.chain.propagate`.  Both walks
+start at (0, 1).  Before slot i both read a symbol from the same state
+(u1, u2), and u1 < u2, so equal offsets force equal symbols: the heads agree.
+At slot i, x is marked (both orders step up) while y reads a symbol, so the
+states differ by one in a single coordinate.  Inside the window (i, j) the
+offsets must agree, and the only way is for both walks to read the symbol c
+whose offset is the coordinate they share; that keeps the difference, and
+it means y read e = 3 - c at slot i.  Every walk ends at (a+1, a+2), and
+agreement after slot j would again keep any difference, so the states must
+meet at slot j, where y is marked; that forces x to read e there, after
+which the tails agree as the heads did.  r = 0 is the first case.  So every
+component has at most two forward neighbours (:func:`_forward_meets`), and
+this rule, checked node for node against a pair scan of the offsets, is the
+one definition of "meet" that :func:`intersect` and :func:`build_bn_curve`
+share.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from math import factorial
 
 from .chain import BNComponentId, ChainSpec, all_components, propagate
@@ -106,15 +131,29 @@ class BNCurveGraph:
         return profiles
 
 
-def _meet_key(offsets: tuple, slot: int) -> tuple:
-    """The offset tuple with the 1-based `slot` also blanked to None.
+def _forward_meets(seq: tuple, i: int):
+    """Yield (t, j), j > i, for every component (t, j) that meets (seq, i).
 
-    This is the one definition of "two components meet": x and y meet iff
-    _meet_key(bx, y.marked) == _meet_key(by, x.marked), i.e. their offsets
-    agree everywhere away from the two marked slots, which is everywhere both
-    are pinned.
+    The local rule of the module docstring: (seq, i + 1) when i is not the
+    last slot, and, when right after slot i seq reads a maximal run c^r
+    followed by e = 3 - c, the sequence with that e moved to the front of the
+    run, marked at i + r + 1, if it is a ballot word.
     """
-    return offsets[: slot - 1] + (None,) + offsets[slot:]
+    n = len(seq)
+    if i > n:
+        return
+    yield seq, i + 1
+    p = i - 1  # sequence position read right after slot i
+    c = seq[p]
+    q = p + 1
+    while q < n and seq[q] == c:
+        q += 1
+    if q == n:
+        return
+    # moving a 2 to the front keeps the ballot property iff the head has
+    # more 1s than 2s
+    if c == 2 or 2 * seq[:p].count(1) > p:
+        yield seq[:p] + (3 - c,) + seq[p:q] + seq[q + 1 :], q + 2
 
 
 def _offsets(chain: ChainSpec, comp: BNComponentId) -> tuple:
@@ -127,22 +166,28 @@ def intersect(
 ) -> IntersectionNode | None:
     """Node between x and y, or None.
 
-    They meet iff the bundle tuples agree wherever both are pinned (see
-    :func:`_meet_key`); the free slot of each is then pinned by the other,
-    yielding the node offsets.
+    They meet iff the one of larger marked index is among the (at most two)
+    forward neighbours that the local rule of the module docstring gives the
+    other (:func:`_forward_meets`).  Only on a hit are the bundle tuples
+    walked: each component's free slot is pinned by the other, which yields
+    the node offsets.  Raises ValueError for x == y, a chain that is
+    not of the rho = 1 shape, or a sequence whose length is not g - 1.
     """
     if x == y:
         raise ValueError("intersect needs two distinct components")
+    chain.a  # validates the rho=1 shape
+    for comp in (x, y):
+        if len(comp.sequence) != chain.g - 1:
+            raise ValueError(
+                f"sequence length {len(comp.sequence)} != g-1 = {chain.g - 1}"
+            )
+    lo, hi = (x, y) if x.marked < y.marked else (y, x)
+    if (hi.sequence, hi.marked) not in _forward_meets(lo.sequence, lo.marked):
+        return None
+    if x.sort_key() > y.sort_key():
+        x, y = y, x
     bx = _offsets(chain, x)
     by = _offsets(chain, y)
-    if _meet_key(bx, y.marked) != _meet_key(by, x.marked):
-        return None
-    if x.marked == y.marked:
-        # same free slot, all pinned entries equal: same component (excluded
-        # above) -- cannot happen for distinct admissible sequences.
-        raise AssertionError("distinct components with identical bundle tuples")
-    if x.sort_key() > y.sort_key():
-        x, y, bx, by = y, x, by, bx
     return IntersectionNode(
         x=x,
         x_offset=by[x.marked - 1],
@@ -152,13 +197,17 @@ def intersect(
 
 
 def build_bn_curve(a: int, *, max_a: int = DEFAULT_MAX_A) -> BNCurveGraph:
-    """Build the full curve graph from an index on the meet key.
+    """Build the full curve graph from the local meet rule.
 
-    A node joins x and y with x.marked < y.marked exactly when
-    _meet_key(bx, y.marked) == _meet_key(by, x.marked).  So every component
-    files its key under each slot after its own marked one, then looks up its
-    key under each slot before it; every hit is a node, found once.  Guarded
-    at a <= max_a; pass a larger max_a to override.
+    Each component (s, i) meets at most two components of larger marked
+    index, both given by :func:`_forward_meets`: (s, i + 1), and, when s
+    reads a maximal run c^r and then e = 3 - c right after slot i, s with
+    that e moved to the front of the run, marked at i + r + 1, if that is a
+    ballot word (the module docstring has the proof sketch).  So every node
+    is found once, from its endpoint of smaller marked index.  Nodes are ordered by their
+    endpoints' component order; their offsets are read from one
+    :func:`propagate` walk per component.  Guarded at a <= max_a; pass a
+    larger max_a to override.
     """
     if a < 1:
         raise ValueError("a must be positive")
@@ -167,22 +216,18 @@ def build_bn_curve(a: int, *, max_a: int = DEFAULT_MAX_A) -> BNCurveGraph:
             f"a={a} exceeds the guard max_a={max_a}; pass max_a explicitly to override"
         )
     chain = ChainSpec.rho_one(a)
-    # ordered (sequence lex, marked), so index order is sort_key order
+    g = chain.g
+    # ordered (sequence lex, marked), so index order is sort_key order and
+    # the component (t, j) sits at index (rank of t) * g + j - 1
     components = all_components(chain)
     offsets = [_offsets(chain, c) for c in components]
+    rank = {c.sequence: k for k, c in enumerate(components[::g])}
 
-    bucket: dict[tuple, list[int]] = {}
-    for ix, comp in enumerate(components):
-        us = offsets[ix]
-        for slot in range(comp.marked + 1, chain.g + 1):
-            bucket.setdefault(_meet_key(us, slot), []).append(ix)
     pairs = []
-    for iy, comp in enumerate(components):
-        us = offsets[iy]
-        for slot in range(1, comp.marked):
-            for ix in bucket.get(_meet_key(us, slot), ()):
-                pairs.append((ix, iy) if ix < iy else (iy, ix))
-    del bucket  # free the index before the nodes are allocated
+    for ix, comp in enumerate(components):
+        for t, j in _forward_meets(comp.sequence, comp.marked):
+            iy = rank[t] * g + j - 1
+            pairs.append((ix, iy) if ix < iy else (iy, ix))
     pairs.sort()
 
     nodes = []
@@ -232,12 +277,24 @@ def eh_formula(g: int, r: int, d: int) -> Fraction:
     """The published determinantal genus formula, evaluated exactly as
     printed: 1 + (g-d+r)/(g-d+2r+1) * prod_{i=0}^r i!/(g-d+r+i)! * g!.
 
-    Reported as a cross-check only; see the discrepancy flag in the CLI.
+    Reported as a cross-check only: it disagrees with the chain computation
+    (6 and 2 where the chain gives 11 and 3) because the printed formula
+    drops the factor (r+1); see :func:`eh_formula_corrected`.
     """
     value = Fraction(g - d + r, g - d + 2 * r + 1)
     for i in range(r + 1):
         value *= Fraction(factorial(i), factorial(g - d + r + i))
     return 1 + value * factorial(g)
+
+
+def eh_formula_corrected(g: int, r: int, d: int) -> Fraction:
+    """The genus formula with the factor (r+1) the printed version drops:
+    1 + (r+1)(g-d+r)/(g-d+2r+1) * prod_{i=0}^r i!/(g-d+r+i)! * g!.
+
+    For the rho = 1 chain (g, r, d) = (2a+1, 1, a+2) this reduces to
+    1 + 2a(2a+1)c_a/(a+2) = :func:`genus_closed`, the genus of the graph.
+    """
+    return 1 + (r + 1) * (eh_formula(g, r, d) - 1)
 
 
 def component_profile(
@@ -251,40 +308,53 @@ def component_profile(
     return list(profile)
 
 
+def _json_array(items: list[str], indent: str) -> str:
+    """A JSON array of already-encoded items, laid out as json.dumps(...,
+    indent=2) lays it out when its opening bracket sits on a line indented
+    by `indent`."""
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
 def export_graph(graph: BNCurveGraph, fmt: str) -> str:
     """Serialize the graph as DOT or JSON, deterministically.
 
     Components appear in (sequence lex, marked) order; counts in JSON are
-    decimal strings.
+    decimal strings.  The JSON text is byte for byte what
+    ``json.dumps(payload, indent=2) + "\n"`` gives for the payload
+    {a, g, d, nu, delta, genus, components: [{id, sequence, marked}],
+    nodes: [{x, x_offset, y, y_offset}]}, written with string joins because
+    json.dumps falls back to its pure-Python encoder whenever it indents.
     """
     if fmt == "json":
-        payload = {
-            "a": graph.a,
-            "g": graph.g,
-            "d": graph.d,
-            "nu": str(graph.nu),
-            "delta": str(graph.delta),
-            "genus": str(genus_from_graph(graph)),
-            "components": [
-                {
-                    "id": c.label,
-                    "sequence": list(c.sequence),
-                    "marked": c.marked,
-                }
-                for c in graph.components
-            ],
-            "nodes": [
-                {
-                    "x": n.x.label,
-                    "x_offset": n.x_offset,
-                    "y": n.y.label,
-                    "y_offset": n.y_offset,
-                }
-                for n in graph.nodes
-            ],
-        }
-        # a freshly built tree has no cycles to guard against
-        return json.dumps(payload, indent=2, check_circular=False) + "\n"
+        enc = encode_basestring_ascii
+        genus = genus_from_graph(graph)
+        sequences: dict[tuple, str] = {}  # every sequence labels g components
+        components = []
+        for c in graph.components:
+            seq = sequences.get(c.sequence)
+            if seq is None:
+                seq = sequences[c.sequence] = _json_array(
+                    [str(v) for v in c.sequence], "      "
+                )
+            components.append(
+                f'{{\n      "id": {enc(c.label)},\n      "sequence": {seq},'
+                f'\n      "marked": {c.marked}\n    }}'
+            )
+        nodes = [
+            f'{{\n      "x": {enc(n.x.label)},\n      "x_offset": {n.x_offset},'
+            f'\n      "y": {enc(n.y.label)},\n      "y_offset": {n.y_offset}\n    }}'
+            for n in graph.nodes
+        ]
+        return (
+            f'{{\n  "a": {graph.a},\n  "g": {graph.g},\n  "d": {graph.d},'
+            f'\n  "nu": {enc(str(graph.nu))},\n  "delta": {enc(str(graph.delta))},'
+            f'\n  "genus": {enc(str(genus))},'
+            f'\n  "components": {_json_array(components, "  ")},'
+            f'\n  "nodes": {_json_array(nodes, "  ")}\n}}\n'
+        )
     if fmt == "dot":
         lines = ["graph bn_curve {"]
         for c in graph.components:

@@ -64,6 +64,7 @@ class TestCurve:
         assert payload["delta"] == "10"
         assert payload["genus"] == "11"
         assert "DISCREPANT" in captured.err
+        assert "with the (r+1) factor it gives 11 (agrees)" in captured.err
 
     def test_dot(self, capsys):
         assert main(["curve", "--a", "1", "--format", "dot"]) == 0

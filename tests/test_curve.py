@@ -11,6 +11,7 @@ from bncurve.curve import (
     component_profile,
     delta_closed,
     eh_formula,
+    eh_formula_corrected,
     export_graph,
     genus_closed,
     genus_from_graph,
@@ -42,6 +43,70 @@ def naive_nodes(a):
     return nodes
 
 
+def meet_key_nodes(a):
+    """Oracle: the meet-key bucket index that built the graph before the
+    local rule.  x and y with x.marked < y.marked meet iff their offset
+    tuples, each with the other's marked slot also blanked, are equal.  Every
+    component files that key under each slot after its marked one and looks
+    its own key up under each slot before it.  Returns (x label, y label,
+    x offset, y offset) rows in component order."""
+    chain = ChainSpec.rho_one(a)
+    comps = all_components(chain)
+    offsets = [tuple(b.u for b in propagate(chain, c)[1]) for c in comps]
+
+    def meet_key(us, slot):
+        return us[: slot - 1] + (None,) + us[slot:]
+
+    bucket = {}
+    for ix, comp in enumerate(comps):
+        for slot in range(comp.marked + 1, chain.g + 1):
+            bucket.setdefault(meet_key(offsets[ix], slot), []).append(ix)
+    pairs = []
+    for iy, comp in enumerate(comps):
+        for slot in range(1, comp.marked):
+            for ix in bucket.get(meet_key(offsets[iy], slot), ()):
+                pairs.append((min(ix, iy), max(ix, iy)))
+    return [
+        (
+            comps[i].label,
+            comps[j].label,
+            offsets[j][comps[i].marked - 1],
+            offsets[i][comps[j].marked - 1],
+        )
+        for i, j in sorted(pairs)
+    ]
+
+
+def reference_payload(graph):
+    """The object export_graph's JSON text encodes."""
+    return {
+        "a": graph.a,
+        "g": graph.g,
+        "d": graph.d,
+        "nu": str(graph.nu),
+        "delta": str(graph.delta),
+        "genus": str(genus_from_graph(graph)),
+        "components": [
+            {"id": c.label, "sequence": list(c.sequence), "marked": c.marked}
+            for c in graph.components
+        ],
+        "nodes": [
+            {
+                "x": n.x.label,
+                "x_offset": n.x_offset,
+                "y": n.y.label,
+                "y_offset": n.y_offset,
+            }
+            for n in graph.nodes
+        ],
+    }
+
+
+def reference_json(graph):
+    """export_graph's JSON as json.dumps itself lays it out."""
+    return json.dumps(reference_payload(graph), indent=2) + "\n"
+
+
 def node_row(node):
     return (node.x.label, node.y.label, node.x_offset, node.y_offset)
 
@@ -66,7 +131,7 @@ class TestIntersect:
         y = BNComponentId((1, 2), 3)
         assert intersect(chain, x, y) is None
 
-    @pytest.mark.parametrize("a", [1, 2, 3])
+    @pytest.mark.parametrize("a", [1, 2, 3, 4])
     def test_agrees_with_naive_scan_on_every_pair(self, a):
         chain = ChainSpec.rho_one(a)
         comps = all_components(chain)
@@ -84,6 +149,26 @@ class TestIntersect:
         with pytest.raises(ValueError):
             intersect(chain, C1P, C1P)
 
+    @pytest.mark.parametrize("x,y", [(C1P, C2P), (C1P, C4PP), (C4PP, C2P)])
+    def test_sequence_length_must_fit_chain(self, x, y):
+        # the a=2 components have length 4; the a=1 chain needs length 2,
+        # the a=3 chain length 6
+        for a in (1, 3):
+            with pytest.raises(ValueError):
+                intersect(ChainSpec.rho_one(a), x, y)
+
+    def test_one_component_of_wrong_length(self):
+        chain = ChainSpec.rho_one(2)
+        short = BNComponentId((1, 2), 1)
+        with pytest.raises(ValueError):
+            intersect(chain, C1P, short)
+        with pytest.raises(ValueError):
+            intersect(chain, short, C2P)
+
+    def test_chain_shape_rejected(self):
+        with pytest.raises(ValueError):
+            intersect(ChainSpec(g=5, d=3), C1P, C2P)
+
 
 class TestBuild:
     @pytest.mark.parametrize("a,nu,delta", [(1, 3, 2), (2, 10, 10), (3, 35, 42)])
@@ -95,7 +180,12 @@ class TestBuild:
     @pytest.mark.parametrize("a", [1, 2, 3, 4, 5])
     def test_matches_naive_scan(self, a):
         graph = build_bn_curve(a)
-        assert sorted(node_row(n) for n in graph.nodes) == sorted(naive_nodes(a))
+        assert [node_row(n) for n in graph.nodes] == naive_nodes(a)
+
+    @pytest.mark.parametrize("a", [6, 7])
+    def test_matches_meet_key_index(self, a):
+        graph = build_bn_curve(a, max_a=a)
+        assert [node_row(n) for n in graph.nodes] == meet_key_nodes(a)
 
     def test_connected(self):
         for a in (1, 2, 3):
@@ -178,6 +268,16 @@ class TestEhFormula:
         assert eh_formula(5, 1, 4) != genus_closed(2) == 11
         assert eh_formula(3, 1, 3) != genus_closed(1) == 3
 
+    def test_missing_r_plus_one_factor(self):
+        # with the factor (r+1) = 2 the formula is the chain genus
+        assert eh_formula_corrected(5, 1, 4) == 11
+        assert eh_formula_corrected(3, 1, 3) == 3
+        for a in range(1, 200):
+            g, d = 2 * a + 1, a + 2
+            printed = eh_formula(g, 1, d)
+            assert 1 + 2 * (printed - 1) == eh_formula_corrected(g, 1, d)
+            assert eh_formula_corrected(g, 1, d) == genus_closed(a) != printed
+
 
 class TestProfiles:
     def test_c2_prime_profile(self):
@@ -231,6 +331,23 @@ class TestExport:
             "sequence": [1, 1, 2, 2],
             "marked": 1,
         }
+
+    @pytest.mark.parametrize("a", [1, 2, 3, 4, 5, 6])
+    def test_json_matches_json_dumps(self, a):
+        graph = build_bn_curve(a)
+        assert export_graph(graph, "json") == reference_json(graph)
+
+    def test_json_empty_lists(self):
+        # one component with an empty sequence and no nodes: both lists
+        # must render as []
+        graph = BNCurveGraph(a=0, components=(BNComponentId((), 1),), nodes=())
+        text = export_graph(graph, "json")
+        assert text == reference_json(graph)
+        assert '"sequence": []' in text and '"nodes": []' in text
+
+    def test_json_round_trips_a7(self):
+        graph = build_bn_curve(7, max_a=7)
+        assert json.loads(export_graph(graph, "json")) == reference_payload(graph)
 
     def test_deterministic(self):
         g1, g2 = build_bn_curve(2), build_bn_curve(2)
