@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import combinations
 
 from .combinatorics import catalan, enumerate_ballot, generalized_catalan, is_admissible
 
@@ -235,17 +235,16 @@ def exhaustive_bound_search(g: int, r: int, d: int) -> list[tuple]:
     number of free components, independent of which presentations are picked.
     Configurations are therefore enumerated by their free-component subset,
     each class standing for (r+1)^(g-k) symbol assignments.  Returns the
-    passing classes as (free_positions, class_size) pairs; empty whenever
-    rho < 0, since every class has epsilon sum >= 0.
+    passing classes as (free_positions, class_size) pairs, by subset size and
+    then lexicographically.  Only the subsets of size <= rho are built, so
+    the result is empty, at no cost, whenever rho < 0.
     """
-    bound = rho(g, r, d)
-    passing = []
-    for free in product((False, True), repeat=g):
-        epsilon_sum = sum(free)
-        if epsilon_sum <= bound:
-            positions = tuple(i + 1 for i, f in enumerate(free) if f)
-            passing.append((positions, (r + 1) ** (g - epsilon_sum)))
-    return passing
+    bound = min(rho(g, r, d), g)
+    return [
+        (positions, (r + 1) ** (g - k))
+        for k in range(bound + 1)
+        for positions in combinations(range(1, g + 1), k)
+    ]
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,21 @@
 
 The a = 2 curve has ten elliptic components: a six-component circuit
 (C'2, C'3, C'4, C''2, C''3, C''4) with four elliptic tails (C'1, C'5, C''1,
-C''5) hanging off the 3-valent circuit members.  Divisor-class identities on
-the components are decided by a symbolic genericity oracle: each circuit
-component gets a rational vector space spanned by symbols y, z for its two
-circuit node points, the tail attachment point X has class (y+z)/2, and free
-points get fresh symbols.  The only relation ever imposed is 2X = Y + Z,
-which is exactly what holds on the actual curve; every other class equality
-fails, as it does for generic glue points.
+C''5) hanging off the 3-valent circuit members.  All of this is read from the
+a = 2 curve graph: the tails are its valence-1 components, the circuit is the
+rest, and the role points and the 2X = Y + Z relation come from the bundle
+offsets of component_profile.  CIRCUIT_ORDER is the one convention kept by
+hand (where the cycle starts and which way it runs, hence the node names
+n1..n6), and it is checked against the graph; the cover builders and the
+exclusion traces derive every table they use from the circuit.
+
+Divisor-class identities on the components are decided by a symbolic
+genericity oracle: each circuit component gets a rational vector space
+spanned by symbols y, z for its two circuit node points, the tail attachment
+point X has class (y+z)/2, and free points get fresh symbols.  The only
+relation ever imposed is 2X = Y + Z, which is exactly what holds on the
+actual curve; every other class equality fails, as it does for generic glue
+points.
 
 On top of the oracle we run the degree <= 5 exclusion case analysis and
 build and verify the degree-6 admissible cover and the unramified double
@@ -18,20 +26,19 @@ cover, machine-checking each genericity step.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 from .chain import BNComponentId
 from .curve import BNCurveGraph, build_bn_curve, component_profile
 
 HALF = Fraction(1, 2)
 
-# circuit in cycle order; D_k = CIRCUIT_ORDER[k-1], node n_k joins D_k, D_{k+1}
+# the circuit in cycle order: D_k = CIRCUIT_ORDER[k-1], node n_k joins D_k and
+# D_{k+1}.  Which components form the circuit is read from the a = 2 graph;
+# this tuple only fixes the start and direction of the cycle.
 CIRCUIT_ORDER = ("C'2", "C'3", "C'4", "C''2", "C''3", "C''4")
-THREE_VALENT = ("C'2", "C'4", "C''2", "C''4")
-TWO_VALENT = ("C'3", "C''3")
-TAIL_OF = {"C'2": "C'1", "C'4": "C'5", "C''2": "C''1", "C''4": "C''5"}
-TAILS = tuple(TAIL_OF.values())
 
 SEQ_PRIME = (1, 2, 1, 2)
 SEQ_DOUBLE_PRIME = (1, 1, 2, 2)
@@ -71,9 +78,6 @@ class Point:
     def make(cls, name: str, component: str, **coeffs) -> "Point":
         vec = tuple(sorted((s, Fraction(c)) for s, c in coeffs.items()))
         return cls(name, component, vec)
-
-    def coeffs(self) -> dict[str, Fraction]:
-        return dict(self.vector)
 
     def __str__(self):
         return self.name
@@ -162,134 +166,112 @@ class CircuitGraph:
     """The a = 2 Brill-Noether curve organized as circuit + tails.
 
     points[c] maps "Y"/"Z" (and "X" on 3-valent components) to the marked
-    node points of circuit component c; offsets[c] carries the bundle offset
-    each of those points sits at; role_neighbors[c] records which circuit
-    neighbor each Y/Z point glues to; tail_node[t] is the attachment point of
-    the elliptic tail t (the same geometric node as X on its circuit
-    neighbor).
+    node points of circuit component c, and facing[c] maps each neighbor of c
+    to the point of c glued to it; tail_of[c] is the elliptic tail hanging
+    off the 3-valent component c, and tail_node[t] is the attachment point of
+    tail t (the same geometric node as X on its circuit neighbor).
     """
 
     graph: BNCurveGraph
     points: dict[str, dict[str, Point]]
-    offsets: dict[str, dict[str, int]]
-    role_neighbors: dict[str, dict[str, str]]
+    facing: dict[str, dict[str, Point]]
+    tail_of: dict[str, str]
     tail_node: dict[str, Point]
-    cycle_nodes: tuple[tuple[str, str, str], ...]  # (node name, comp, comp)
 
     def point(self, comp: str, role: str) -> Point:
         return self.points[comp][role]
 
-    def node_incidence(self, node_name: str) -> tuple[str, str]:
-        for name, c1, c2 in self.cycle_nodes:
-            if name == node_name:
-                return c1, c2
-        raise KeyError(node_name)
-
     def node_point(self, node_name: str, comp: str) -> Point:
         """The marked point of `comp` sitting at cycle node `node_name`."""
-        c1, c2 = self.node_incidence(node_name)
+        if node_name not in {f"n{k}" for k in range(1, 7)}:
+            raise KeyError(node_name)
+        c1, c2 = _incident_components(int(node_name[1:]))
         if comp not in (c1, c2):
             raise ValueError(f"{comp} is not incident to {node_name}")
-        other = c2 if comp == c1 else c1
-        for role in ("Y", "Z"):
-            if self.role_neighbors[comp][role] == other:
-                return self.points[comp][role]
-        raise AssertionError("cycle node without matching Y/Z point")
+        return self.facing[comp][c2 if comp == c1 else c1]
 
 
-def _profile_by_name(graph: BNCurveGraph, name: str) -> dict[str, int]:
-    """neighbor name -> offset on `name`, from the curve graph."""
-    comp = component_id(name)
-    return {
-        component_name(nbr): off for nbr, off in component_profile(graph, comp)
-    }
+def _incident_components(node_index: int) -> tuple[str, str]:
+    """Components of cycle node n_k (1-based): D_k and D_{k+1}."""
+    return CIRCUIT_ORDER[node_index - 1], CIRCUIT_ORDER[node_index % 6]
 
 
 def build_w14_circuit() -> CircuitGraph:
-    """Reconstruct the circuit + tails from the a = 2 curve graph.
+    """Read the circuit + tails off the a = 2 curve graph.
 
-    Role assignment on a 3-valent circuit component: X meets the adjacent
-    tail, Y meets the adjacent circuit component of the same sequence (the
-    long-tail direction), Z meets the opposite-sequence component.  The
-    2-valent components carry Y toward the preceding cycle member and Z
-    toward the following one.  Cross-checks component and node counts and the
-    2X = Y + Z offset relation before returning.
+    The tails are the components meeting exactly one other component, each
+    hanging off the circuit component it meets; the circuit is the rest.
+    CIRCUIT_ORDER is the one hand-kept convention: it fixes where the cycle
+    starts and which way it runs, hence the node names n1..n6, and it is
+    checked against the graph (it must list the circuit components, each
+    meeting exactly its two cycle neighbors apart from tails).
+
+    Role points on a circuit component: X faces its tail, Y faces the
+    preceding cycle neighbor when that one has the same sequence and the
+    following one otherwise, Z faces the other cycle neighbor.  Raises
+    AssertionError unless the graph has 10 components and 10 nodes, matches
+    CIRCUIT_ORDER, and every tail attachment satisfies the offset relation
+    2X = Y + Z read from component_profile.
     """
     graph = build_bn_curve(2)
     if graph.nu != 10 or graph.delta != 10:
         raise AssertionError("a=2 graph does not have 10 components / 10 nodes")
 
-    profiles = {name: _profile_by_name(graph, name) for name in CIRCUIT_ORDER}
-    role_neighbors: dict[str, dict[str, str]] = {}
-    offsets: dict[str, dict[str, int]] = {}
-    for comp in CIRCUIT_ORDER:
-        prof = profiles[comp]
-        roles = dict(_circuit_role_neighbors(comp))
-        if comp in THREE_VALENT:
-            roles["X"] = TAIL_OF[comp]
-        if set(prof) != set(roles.values()):
-            raise AssertionError(
-                f"{comp} meets {set(prof)}, expected {set(roles.values())}"
-            )
-        role_neighbors[comp] = {
-            role: nbr for role, nbr in roles.items() if role != "X"
+    profiles = {
+        component_name(comp): {
+            component_name(nbr): off
+            for nbr, off in component_profile(graph, comp)
         }
-        offsets[comp] = {role: prof[nbr] for role, nbr in roles.items()}
-        if comp in THREE_VALENT:
-            x, y, z = offsets[comp]["X"], offsets[comp]["Y"], offsets[comp]["Z"]
-            if 2 * x != y + z:
-                raise AssertionError(f"offset relation 2X = Y + Z fails on {comp}")
-
-    # each tail meets exactly its circuit component
-    for circuit_comp, tail in TAIL_OF.items():
-        prof = _profile_by_name(graph, tail)
-        if set(prof) != {circuit_comp}:
-            raise AssertionError(f"tail {tail} does not hang off {circuit_comp}")
+        for comp in graph.components
+    }
+    host = {t: next(iter(p)) for t, p in profiles.items() if len(p) == 1}
+    if set(CIRCUIT_ORDER) != set(profiles) - set(host):
+        raise AssertionError(
+            f"circuit is {sorted(set(profiles) - set(host))}, "
+            f"expected {sorted(CIRCUIT_ORDER)}"
+        )
 
     points: dict[str, dict[str, Point]] = {}
-    for comp in CIRCUIT_ORDER:
+    facing: dict[str, dict[str, Point]] = {}
+    tail_of: dict[str, str] = {}
+    for k, comp in enumerate(CIRCUIT_ORDER):
+        prof = profiles[comp]
+        prev_c, next_c = CIRCUIT_ORDER[k - 1], CIRCUIT_ORDER[(k + 1) % 6]
+        tails = [t for t, c in host.items() if c == comp]
+        if set(prof) != {prev_c, next_c, *tails} or len(tails) > 1:
+            raise AssertionError(
+                f"{comp} meets {set(prof)}, expected {prev_c}, {next_c} "
+                "and at most one tail"
+            )
+        if component_id(prev_c).sequence == component_id(comp).sequence:
+            y_nbr, z_nbr = prev_c, next_c
+        else:
+            y_nbr, z_nbr = next_c, prev_c
         ys, zs = f"y_{comp}", f"z_{comp}"
         pts = {
             "Y": Point.make(f"Y[{comp}]", comp, **{ys: 1}),
             "Z": Point.make(f"Z[{comp}]", comp, **{zs: 1}),
         }
-        if comp in THREE_VALENT:
+        facing[comp] = {y_nbr: pts["Y"], z_nbr: pts["Z"]}
+        for tail in tails:
+            if 2 * prof[tail] != prof[y_nbr] + prof[z_nbr]:
+                raise AssertionError(f"offset relation 2X = Y + Z fails on {comp}")
             pts["X"] = Point.make(f"X[{comp}]", comp, **{ys: HALF, zs: HALF})
+            facing[comp][tail] = pts["X"]
+            tail_of[comp] = tail
         points[comp] = pts
 
     tail_node = {
         tail: Point.make(f"N[{tail}]", tail, **{f"n_{tail}": 1})
-        for tail in TAILS
+        for tail in tail_of.values()
     }
-
-    cycle_nodes = []
-    for k, comp in enumerate(CIRCUIT_ORDER):
-        nxt = CIRCUIT_ORDER[(k + 1) % 6]
-        cycle_nodes.append((f"n{k + 1}", comp, nxt))
-
     return CircuitGraph(
         graph=graph,
         points=points,
-        offsets=offsets,
-        role_neighbors=role_neighbors,
+        facing=facing,
+        tail_of=tail_of,
         tail_node=tail_node,
-        cycle_nodes=tuple(cycle_nodes),
     )
-
-
-def _circuit_role_neighbors(comp: str) -> dict[str, str]:
-    """Static role -> circuit-neighbor table (tails excluded)."""
-    i = CIRCUIT_ORDER.index(comp)
-    prev_c = CIRCUIT_ORDER[i - 1]
-    next_c = CIRCUIT_ORDER[(i + 1) % 6]
-    if comp in TWO_VALENT:
-        return {"Y": prev_c, "Z": next_c}
-    same_seq = [
-        n for n in (prev_c, next_c)
-        if component_id(n).sequence == component_id(comp).sequence
-    ]
-    opp_seq = [n for n in (prev_c, next_c) if n not in same_seq]
-    return {"Y": same_seq[0], "Z": opp_seq[0]}
 
 
 # ---------------------------------------------------------------------------
@@ -385,26 +367,20 @@ def max_ramified_nodes(circuit: CircuitGraph | None = None):
     return 3, trace
 
 
+def _ramified_needed(circuit_deg: int) -> int:
+    """Fewest ramified nodes a circuit cover of degree circuit_deg needs."""
+    return next(r for r in range(7) if circuit_degree_bound(r) <= circuit_deg)
+
+
 def _nonadjacent_node_triples() -> list[tuple[int, ...]]:
     """3-subsets of the 6 cycle nodes with no two adjacent; these are exactly
     the subsets hitting every component once."""
-    triples = []
-    for i in range(1, 7):
-        for j in range(i + 1, 7):
-            for k in range(j + 1, 7):
-                picks = (i, j, k)
-                hits = [0] * 6
-                for n in picks:
-                    hits[n - 1] += 1
-                    hits[n % 6] += 1
-                if all(h == 1 for h in hits):
-                    triples.append(picks)
-    return triples
-
-
-def _incident_components(node_index: int) -> tuple[str, str]:
-    """Components of cycle node n_k (1-based)."""
-    return CIRCUIT_ORDER[node_index - 1], CIRCUIT_ORDER[node_index % 6]
+    return [
+        picks
+        for picks in combinations(range(1, 7), 3)
+        if sorted(c for n in picks for c in _incident_components(n))
+        == sorted(CIRCUIT_ORDER)
+    ]
 
 
 def exclude_degree(deg: int, circuit: CircuitGraph | None = None) -> ProofTrace:
@@ -426,7 +402,7 @@ def exclude_degree(deg: int, circuit: CircuitGraph | None = None) -> ProofTrace:
     trace.steps.extend(ram_trace.steps)
 
     if deg <= 2:
-        need = 6 - deg
+        need = _ramified_needed(deg)
         step = TraceStep(
             claim=f"restricted circuit cover of degree <= {deg} needs "
             f"6 - ram_count <= {deg}, i.e. ram_count >= {need} > {max_ram}: "
@@ -492,26 +468,15 @@ def exclude_degree(deg: int, circuit: CircuitGraph | None = None) -> ProofTrace:
             "6 - ram_count <= degree"
         )
     )
-    scenarios = []
-    if deg >= 4:
-        scenarios.append((4, 2))  # circuit degree 4 needs ram_count >= 2
-    if deg == 5:
-        scenarios.append((5, 1))
-    for circuit_deg, min_ram in scenarios:
-        if circuit_deg > deg:
-            continue
-        node_sets = (
-            [(i,) for i in range(1, 7)]
-            if min_ram == 1
-            else [(i, j) for i in range(1, 7) for j in range(i + 1, 7)]
-        )
-        for nodes in node_sets:
+    for circuit_deg in range(4, deg + 1):
+        min_ram = _ramified_needed(circuit_deg)
+        for nodes in combinations(range(1, 7), min_ram):
             pencilled = sorted(
                 {
                     comp
                     for n in nodes
                     for comp in _incident_components(n)
-                    if comp in THREE_VALENT
+                    if comp in circuit.tail_of
                 }
             )
             step = TraceStep(
@@ -536,7 +501,8 @@ def exclude_degree(deg: int, circuit: CircuitGraph | None = None) -> ProofTrace:
                 x = circuit.point(comp, "X")
                 if _call(step, Divisor.of((x, 2)), Divisor.of((w, 2))):
                     step.verdict = f"unexpected equivalence 2X ~ 2W on {comp}"
-            if circuit_deg + min_ram <= 5:
+            # each pencilled component's tail adds one to the degree
+            if circuit_deg + len(pencilled) <= 5:
                 step.verdict = "tail contributions do not exceed degree 5"
             trace.steps.append(step)
     trace.conclusion = f"no admissible cover of degree {deg}"
@@ -801,31 +767,64 @@ def verify_cover(cover: CoverData) -> VerificationReport:
 # the degree-6 admissible cover
 
 
+def _source_nodes(
+    circuit: CircuitGraph, x_index: int, target_of
+) -> list[SourceNode]:
+    """The nodes of the a = 2 curve as source nodes: the six cycle nodes n_k,
+    unramified, then each tail attachment x[c] with index x_index on both
+    branches.  target_of(c1, c2) names the target node under the node joining
+    components c1 and c2."""
+    nodes = []
+    for k in range(1, 7):
+        name, (c1, c2) = f"n{k}", _incident_components(k)
+        nodes.append(
+            SourceNode(
+                name=name,
+                branches=(
+                    (c1, circuit.node_point(name, c1), 1),
+                    (c2, circuit.node_point(name, c2), 1),
+                ),
+                target_node=target_of(c1, c2),
+            )
+        )
+    for comp, tail in circuit.tail_of.items():
+        nodes.append(
+            SourceNode(
+                name=f"x[{comp}]",
+                branches=(
+                    (comp, circuit.point(comp, "X"), x_index),
+                    (tail, circuit.tail_node[tail], x_index),
+                ),
+                target_node=target_of(comp, tail),
+            )
+        )
+    return nodes
+
+
 def build_degree6_cover(circuit: CircuitGraph | None = None) -> CoverData:
     """The explicit degree-6 admissible cover of the a = 2 curve.
 
-    Targets R1 and R2 glue at one node; C'2, C'4, C''3 map to R1 and C'3,
-    C''2, C''4 map to R2, each of degree 2 by the pencil |Y+Z|, sending every
-    circuit node to the R1/R2 node.  The four elliptic tails map with degree
-    2 to new rational components hung at the images of the X points, by twice
-    their node.  Sixteen rational components of degree 1 fill the remaining
-    fiber slots over the four new target nodes.
+    Targets R1 and R2 glue at one node; the circuit components map to R1 and
+    R2 alternately around the cycle (C'2, C'4, C''3 to R1 and C'3, C''2,
+    C''4 to R2), each of degree 2 by the pencil |Y+Z|, sending every circuit
+    node to the R1/R2 node.  The four elliptic tails map with degree 2 to new
+    rational components hung at the images of the X points, by twice their
+    node.  Sixteen rational components of degree 1 fill the remaining fiber
+    slots over the four new target nodes.
     """
     if circuit is None:
         circuit = build_w14_circuit()
 
-    to_r1 = ("C'2", "C'4", "C''3")
-    to_r2 = ("C'3", "C''2", "C''4")
-    side_of = {c: "R1" for c in to_r1} | {c: "R2" for c in to_r2}
+    side_of = {c: f"R{k % 2 + 1}" for k, c in enumerate(CIRCUIT_ORDER)}
 
-    # tails hang over the image of the X point of their circuit component;
-    # the tail-side target component name mirrors the tail
-    tail_target = {"C'1": "R'1", "C'5": "R'5", "C''1": "R''1", "C''5": "R''5"}
-    x_node_name = {"C'2": "m'1", "C'4": "m'5", "C''2": "m''1", "C''4": "m''5"}
+    # the tail C'i (C''i) hangs over the image m'i (m''i) of the X point of
+    # its circuit component, on a new target component R'i (R''i)
+    tail_target = {t: "R" + t[1:] for t in circuit.tail_of.values()}
+    x_node_name = {c: "m" + t[1:] for c, t in circuit.tail_of.items()}
 
-    target_components = ["R1", "R2"] + [tail_target[t] for t in TAILS]
+    target_components = ["R1", "R2"] + list(tail_target.values())
     target_nodes = [TargetNode("n0", ("R1", "R2"))]
-    for circuit_comp, tail in TAIL_OF.items():
+    for circuit_comp, tail in circuit.tail_of.items():
         target_nodes.append(
             TargetNode(
                 x_node_name[circuit_comp],
@@ -835,34 +834,13 @@ def build_degree6_cover(circuit: CircuitGraph | None = None) -> CoverData:
     target = TargetTree(tuple(target_components), tuple(target_nodes))
 
     maps: list[ComponentMap] = []
-    source_nodes: list[SourceNode] = []
-
-    # circuit nodes all map to n0, unramified on both sides
-    for name, c1, c2 in circuit.cycle_nodes:
-        source_nodes.append(
-            SourceNode(
-                name=name,
-                branches=(
-                    (c1, circuit.node_point(name, c1), 1),
-                    (c2, circuit.node_point(name, c2), 1),
-                ),
-                target_node="n0",
-            )
-        )
-
-    # X nodes: circuit branch ramified (fiber 2X of |Y+Z|), tail branch
-    # ramified (map |2N| on the tail)
-    for circuit_comp, tail in TAIL_OF.items():
-        source_nodes.append(
-            SourceNode(
-                name=f"x[{circuit_comp}]",
-                branches=(
-                    (circuit_comp, circuit.point(circuit_comp, "X"), 2),
-                    (tail, circuit.tail_node[tail], 2),
-                ),
-                target_node=x_node_name[circuit_comp],
-            )
-        )
+    # circuit nodes all map to n0, unramified on both sides; X nodes have
+    # both branches ramified (fiber 2X of |Y+Z|, map |2N| on the tail)
+    source_nodes = _source_nodes(
+        circuit,
+        2,
+        lambda c1, c2: x_node_name[c1] if c2 in tail_target else "n0",
+    )
 
     # rational fillers: over each new target node, the two non-X circuit
     # components on the circuit side contribute two fiber points each, all of
@@ -870,13 +848,10 @@ def build_degree6_cover(circuit: CircuitGraph | None = None) -> CoverData:
     # side; the pair of fiber points of the pencil |Y+Z| over a point has
     # class y + z, realized as fresh s and (y + z) - s
     filler_points: dict[tuple[str, str], list[Point]] = {}
-    for circuit_comp in TAIL_OF:
-        node_name = x_node_name[circuit_comp]
-        side = side_of[circuit_comp]
-        others = [
-            c for c in (to_r1 if side == "R1" else to_r2) if c != circuit_comp
-        ]
-        for other in others:
+    for circuit_comp, node_name in x_node_name.items():
+        for other in CIRCUIT_ORDER:
+            if other == circuit_comp or side_of[other] != side_of[circuit_comp]:
+                continue
             ys, zs = f"y_{other}", f"z_{other}"
             s = f"s_{other}_{node_name}"
             p1 = Point.make(f"F1[{other}@{node_name}]", other, **{s: 1})
@@ -889,11 +864,6 @@ def build_degree6_cover(circuit: CircuitGraph | None = None) -> CoverData:
 
     filler_id = 0
     for (other, node_name), pts in sorted(filler_points.items()):
-        tail_side = next(
-            n.sides[1] if n.sides[0] in ("R1", "R2") else n.sides[0]
-            for n in target_nodes
-            if n.name == node_name
-        )
         for p in pts:
             filler_id += 1
             t_name = f"T{filler_id}"
@@ -909,7 +879,7 @@ def build_degree6_cover(circuit: CircuitGraph | None = None) -> CoverData:
                 ComponentMap(
                     source=t_name,
                     genus=0,
-                    target=tail_side,
+                    target="R" + node_name[1:],  # the tail side of m'i is R'i
                     degree=1,
                     node_fibers=((node_name, Divisor.of(t_point)),),
                     extra_ramification=0,
@@ -925,7 +895,7 @@ def build_degree6_cover(circuit: CircuitGraph | None = None) -> CoverData:
         for node in target.nodes_on(side):
             if node.name == "n0":
                 continue
-            if comp in TAIL_OF and x_node_name[comp] == node.name:
+            if x_node_name.get(comp) == node.name:
                 fibers.append(
                     (node.name, Divisor.of((circuit.point(comp, "X"), 2)))
                 )
@@ -945,7 +915,7 @@ def build_degree6_cover(circuit: CircuitGraph | None = None) -> CoverData:
         )
 
     # tail maps: degree 2 by twice the node
-    for circuit_comp, tail in TAIL_OF.items():
+    for circuit_comp, tail in circuit.tail_of.items():
         node_name = x_node_name[circuit_comp]
         n = circuit.tail_node[tail]
         maps.append(
@@ -996,41 +966,13 @@ def build_double_cover(circuit: CircuitGraph | None = None) -> CoverData:
         return f"C{component_id(name).marked}"
 
     # every source node maps to the target node its component indices dictate
-    source_nodes: list[SourceNode] = []
-    node_target = {
-        frozenset({"C2", "C3"}): "yz_23",
-        frozenset({"C3", "C4"}): "yz_34",
-        frozenset({"C4", "C2"}): "yz_42",
-        frozenset({"C1", "C2"}): "x_12",
-        frozenset({"C4", "C5"}): "x_45",
-    }
-    for name, c1, c2 in circuit.cycle_nodes:
-        source_nodes.append(
-            SourceNode(
-                name=name,
-                branches=(
-                    (c1, circuit.node_point(name, c1), 1),
-                    (c2, circuit.node_point(name, c2), 1),
-                ),
-                target_node=node_target[frozenset({base(c1), base(c2)})],
-            )
-        )
-    for circuit_comp, tail in TAIL_OF.items():
-        source_nodes.append(
-            SourceNode(
-                name=f"x[{circuit_comp}]",
-                branches=(
-                    (circuit_comp, circuit.point(circuit_comp, "X"), 1),
-                    (tail, circuit.tail_node[tail], 1),
-                ),
-                target_node=node_target[
-                    frozenset({base(circuit_comp), base(tail)})
-                ],
-            )
-        )
+    node_target = {frozenset(n.sides): n.name for n in target_nodes}
+    source_nodes = _source_nodes(
+        circuit, 1, lambda c1, c2: node_target[frozenset({base(c1), base(c2)})]
+    )
 
     maps: list[ComponentMap] = []
-    all_sources = list(CIRCUIT_ORDER) + list(TAILS)
+    all_sources = list(CIRCUIT_ORDER) + list(circuit.tail_of.values())
     for src in all_sources:
         fibers = []
         for node in source_nodes:
@@ -1129,7 +1071,7 @@ def gonality() -> GonalityResult:
     circuit = build_w14_circuit()
     traces = [exclude_degree(deg, circuit) for deg in range(1, 6)]
     for t in traces:
-        if not t.ok:
+        if not t.ok or not t.steps:
             raise AssertionError(f"exclusion trace failed: {t.subject}")
     report = verify_cover(build_degree6_cover(circuit))
     if not report.passed:

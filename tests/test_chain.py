@@ -1,3 +1,6 @@
+from itertools import product
+from math import comb
+
 import pytest
 
 from bncurve.chain import (
@@ -168,6 +171,28 @@ class TestBoundCheck:
 
     def test_positive_rho_search_nonempty(self):
         assert exhaustive_bound_search(5, 1, 4)
+
+    def test_search_matches_subset_walk(self):
+        # reference: walk all 2^g free subsets and keep those within rho
+        for g in range(1, 9):
+            for r in range(1, g + 1):
+                for d in range(1, 2 * g + 1):
+                    bound = rho(g, r, d)
+                    walk = {
+                        (
+                            tuple(i + 1 for i, f in enumerate(free) if f),
+                            (r + 1) ** (g - sum(free)),
+                        )
+                        for free in product((False, True), repeat=g)
+                        if sum(free) <= bound
+                    }
+                    found = exhaustive_bound_search(g, r, d)
+                    assert len(found) == len(set(found))
+                    assert set(found) == walk, (g, r, d)
+                    assert sum(size for _, size in found) == sum(
+                        comb(g, k) * (r + 1) ** (g - k)
+                        for k in range(min(bound, g) + 1)
+                    )
 
 
 class TestCensus:

@@ -105,6 +105,22 @@ class TestGonality5:
         assert main(["gonality5", "--degree", "7"]) == 1
 
 
+class TestSelftest:
+    def test_all_criteria_pass(self, capsys):
+        assert main(["selftest"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 10
+        assert all(line.startswith("[PASS] ") for line in lines)
+
+    def test_max_a_bounds_the_sized_checks(self, capsys):
+        assert main(["selftest", "--max-a", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        sized = ("component count", "node count", "genus", "nodal properties")
+        for prefix in sized:
+            (line,) = [s for s in lines if s.startswith(f"[PASS] {prefix}")]
+            assert line.endswith("a <= 3")
+
+
 class TestParsing:
     def test_missing_subcommand(self, capsys):
         assert main([]) == 1

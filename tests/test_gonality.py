@@ -1,13 +1,14 @@
 import json
+import sys
 from dataclasses import replace
 
 import pytest
 
+from bncurve.curve import build_bn_curve, component_profile
 from bncurve.gonality import (
     CIRCUIT_ORDER,
-    TAILS,
-    THREE_VALENT,
     Divisor,
+    ProofTrace,
     build_degree6_cover,
     build_double_cover,
     build_w14_circuit,
@@ -109,23 +110,61 @@ class TestOracle:
                 assert lin_equiv(divisor(m1), divisor(m2)) == expected
 
 
+def role_offsets(circuit, comp):
+    """role -> bundle offset on comp of the node at that role point, read
+    from component_profile."""
+    prof = {
+        component_name(nbr): off
+        for nbr, off in component_profile(circuit.graph, component_id(comp))
+    }
+    role_of = {point: role for role, point in circuit.points[comp].items()}
+    return {role_of[p]: prof[nbr] for nbr, p in circuit.facing[comp].items()}
+
+
+def a2_graph_with_c1_node(edit):
+    """The a = 2 graph with its C'1-C'2 node replaced by edit(node, side),
+    side being "x" or "y", whichever end of the node is C'2."""
+    graph = build_bn_curve(2)
+    nodes = []
+    for node in graph.nodes:
+        ends = (component_name(node.x), component_name(node.y))
+        if sorted(ends) == ["C'1", "C'2"]:
+            node = edit(node, "x" if ends[0] == "C'2" else "y")
+        nodes.append(node)
+    return replace(graph, nodes=tuple(nodes))
+
+
 class TestCircuit:
     def test_structure(self, circuit):
         assert CIRCUIT_ORDER == ("C'2", "C'3", "C'4", "C''2", "C''3", "C''4")
-        assert len(circuit.cycle_nodes) == 6
-        # the cycle closes
-        assert circuit.cycle_nodes[-1][1:] == ("C''4", "C'2")
+        assert circuit.tail_of == {
+            "C'2": "C'1",
+            "C'4": "C'5",
+            "C''2": "C''1",
+            "C''4": "C''5",
+        }
+        assert set(circuit.tail_node) == set(circuit.tail_of.values())
+        # the cycle closes: n6 joins C''4 and C'2
+        assert circuit.node_point("n6", "C''4") == circuit.facing["C''4"]["C'2"]
+        assert circuit.node_point("n6", "C'2") == circuit.point("C'2", "Z")
+        with pytest.raises(ValueError):
+            circuit.node_point("n6", "C'3")
+        for name in ("n0", "n7", "x[C'2]"):
+            with pytest.raises(KeyError):
+                circuit.node_point(name, "C'2")
 
-    def test_component_naming_roundtrip(self):
-        for name in list(CIRCUIT_ORDER) + list(TAILS):
+    def test_component_naming_roundtrip(self, circuit):
+        names = list(CIRCUIT_ORDER) + list(circuit.tail_of.values())
+        assert len(names) == 10
+        for name in names:
             assert component_name(component_id(name)) == name
 
     def test_c2_prime_offsets(self, circuit):
-        assert circuit.offsets["C'2"] == {"Y": 2, "Z": 0, "X": 1}
+        assert role_offsets(circuit, "C'2") == {"Y": 2, "Z": 0, "X": 1}
 
     def test_offset_relation_on_three_valent(self, circuit):
-        for comp in THREE_VALENT:
-            off = circuit.offsets[comp]
+        for comp in circuit.tail_of:
+            off = role_offsets(circuit, comp)
             assert 2 * off["X"] == off["Y"] + off["Z"]
 
     def test_two_valent_have_no_x(self, circuit):
@@ -134,6 +173,29 @@ class TestCircuit:
 
     def test_matches_curve_graph(self, circuit):
         assert circuit.graph.nu == 10 and circuit.graph.delta == 10
+
+    def test_moved_tail_offset_is_caught(self, monkeypatch):
+        def move(node, side):
+            key = f"{side}_offset"
+            return replace(node, **{key: getattr(node, key) + 1})
+
+        graph = a2_graph_with_c1_node(move)
+        monkeypatch.setattr(
+            sys.modules["bncurve.gonality"], "build_bn_curve", lambda a: graph
+        )
+        with pytest.raises(AssertionError):
+            build_w14_circuit()
+
+    def test_reattached_tail_is_caught(self, monkeypatch):
+        def reattach(node, side):
+            return replace(node, **{side: component_id("C'3")})
+
+        graph = a2_graph_with_c1_node(reattach)
+        monkeypatch.setattr(
+            sys.modules["bncurve.gonality"], "build_bn_curve", lambda a: graph
+        )
+        with pytest.raises(AssertionError):
+            build_w14_circuit()
 
 
 class TestDegreeBound:
@@ -302,6 +364,16 @@ class TestGonality:
         assert len(result.lower_certificate) == 5
         assert all(t.ok for t in result.lower_certificate)
         assert result.upper_certificate.passed
+
+    def test_empty_exclusion_trace_is_rejected(self, monkeypatch):
+        def empty_trace(deg, circuit=None):
+            return ProofTrace(subject=f"no admissible cover of degree {deg}")
+
+        monkeypatch.setattr(
+            sys.modules["bncurve.gonality"], "exclude_degree", empty_trace
+        )
+        with pytest.raises(AssertionError, match="exclusion trace failed"):
+            gonality()
 
     def test_serializes(self):
         payload = gonality().to_json()
