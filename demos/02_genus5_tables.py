@@ -10,6 +10,7 @@ from bncurve import (
     BNComponentId,
     ChainSpec,
     all_components,
+    bundle_name,
     propagate,
     render_tables,
 )
@@ -22,10 +23,10 @@ print(render_tables(chain, "text"))
 print()
 print("vanishing orders (u1, u2) down the chain for two sample components:")
 for comp in [BNComponentId((1, 2, 1, 2), 2), BNComponentId((1, 1, 2, 2), 4)]:
-    vanishing, bundles = propagate(chain, comp)
+    vanishing, offsets = propagate(chain, comp)
     print(f"  {comp.label}:")
-    for i, ((u1, u2), b) in enumerate(zip(vanishing, bundles), start=1):
-        print(f"    C_{i}: ({u1}, {u2})  bundle {b.render(chain.d)}")
+    for i, ((u1, u2), u) in enumerate(zip(vanishing, offsets), start=1):
+        print(f"    C_{i}: ({u1}, {u2})  bundle {bundle_name(u, chain.d)}")
 
 print()
 print("all ten labels, in the canonical order used everywhere:")

@@ -11,12 +11,12 @@ from .combinatorics import (
 )
 from .chain import (
     BNComponentId,
-    Bundle,
     Census,
     ChainSpec,
     UnsupportedShapeError,
     all_components,
     bn_bound_check,
+    bundle_name,
     component_tables,
     limit_series_census,
     propagate,

@@ -14,7 +14,7 @@ u == u', so a single integer offset identifies each fixed bundle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 
 from .combinatorics import catalan, enumerate_ballot, generalized_catalan, is_admissible
@@ -53,45 +53,6 @@ class ChainSpec:
 
 
 @dataclass(frozen=True)
-class Bundle:
-    """Line bundle on one elliptic component: O(uP + (d-u)Q), or free.
-
-    `u is None` means the bundle is arbitrary (the table entry "L").
-    """
-
-    u: int | None
-
-    @classmethod
-    def fixed(cls, u: int) -> "Bundle":
-        if u < 0:
-            raise ValueError("offset must be nonnegative")
-        return cls(u)
-
-    @classmethod
-    def free(cls) -> "Bundle":
-        return cls(None)
-
-    @property
-    def is_free(self) -> bool:
-        return self.u is None
-
-    def render(self, d: int) -> str:
-        """Conventional name: "aP+bQ" with zero terms dropped, "L" if free."""
-        if self.u is None:
-            return "L"
-        if not 0 <= self.u <= d:
-            raise ValueError(f"offset {self.u} out of range for degree {d}")
-        p, q = self.u, d - self.u
-        if p == 0:
-            return f"{q}Q"
-        if q == 0:
-            return f"{p}P"
-        pp = "P" if p == 1 else f"{p}P"
-        qq = "Q" if q == 1 else f"{q}Q"
-        return f"{pp}+{qq}"
-
-
-@dataclass(frozen=True)
 class BNComponentId:
     """One component of the Brill-Noether curve: a ballot sequence of 1s and
     2s attached to the non-marked chain components, plus the marked component
@@ -122,28 +83,37 @@ def rho(g: int, r: int, d: int) -> int:
     return g - (r + 1) * (g - d + r)
 
 
-_FREE = Bundle.free()
-
-
-@lru_cache(maxsize=None)
-def _fixed_bundles(d: int) -> tuple[Bundle, ...]:
-    """One shared :class:`Bundle` per offset 0..d; bundles are frozen, so
-    every walk on a degree-d chain can hand out the same instances."""
-    return tuple(Bundle.fixed(u) for u in range(d + 1))
+def bundle_name(u: int | None, d: int) -> str:
+    """Conventional name of the bundle O(uP + (d-u)Q) on a degree-d chain:
+    "aP+bQ" with zero terms dropped and, in a sum, unit coefficients too;
+    "L" for the free bundle (u None).  Raises ValueError unless 0 <= u <= d."""
+    if u is None:
+        return "L"
+    if not 0 <= u <= d:
+        raise ValueError(f"offset {u} out of range for degree {d}")
+    p, q = u, d - u
+    if p == 0:
+        return f"{q}Q"
+    if q == 0:
+        return f"{p}P"
+    pp = "P" if p == 1 else f"{p}P"
+    qq = "Q" if q == 1 else f"{q}Q"
+    return f"{pp}+{qq}"
 
 
 def propagate(chain: ChainSpec, comp: BNComponentId):
     """Walk the chain and resolve the bundle on every component.
 
-    Returns (vanishing, bundles), both of length g.  vanishing[i] is the pair
-    (u1, u2) of vanishing orders at the entry node of component i+1; bundles[i]
-    is the resolved :class:`Bundle`.
+    Returns (vanishing, offsets), both of length g.  vanishing[i] is the pair
+    (u1, u2) of vanishing orders at the entry node of component i+1;
+    offsets[i] is the u of its bundle O(uP + (d-u)Q), or None on the marked
+    component, whose bundle is free.
 
     The walk starts from (u1, u2) = (0, 1).  On the marked component both
-    orders step up by one and the bundle stays free.  On any other component
-    the next sequence symbol picks the bundle O(u_sym P + (d-u_sym) Q) and the
-    *other* vanishing order steps up by one.  Raises ValueError if an entry
-    pair leaves u1 < u2 <= d or an exit pair leaves u1 < u2 <= d + 1.
+    orders step up by one.  On any other component the next sequence symbol
+    picks the offset u_sym and the *other* vanishing order steps up by one.
+    Raises ValueError if an entry pair leaves u1 < u2 <= d or an exit pair
+    leaves u1 < u2 <= d + 1.
     """
     chain.a  # validates the rho=1 shape
     if len(comp.sequence) != chain.g - 1:
@@ -151,32 +121,31 @@ def propagate(chain: ChainSpec, comp: BNComponentId):
             f"sequence length {len(comp.sequence)} != g-1 = {chain.g - 1}"
         )
     d = chain.d
-    fixed = _fixed_bundles(d)
     u1, u2 = 0, 1
     vanishing: list[tuple[int, int]] = []
-    bundles: list[Bundle] = []
+    offsets: list[int | None] = []
     pos = 0
     for i in range(1, chain.g + 1):
         if not u1 < u2 <= d:
             raise ValueError(f"entry vanishing orders out of range at component {i}")
         vanishing.append((u1, u2))
         if i == comp.marked:
-            bundles.append(_FREE)
+            offsets.append(None)
             u1, u2 = u1 + 1, u2 + 1
         else:
             sym = comp.sequence[pos]
             pos += 1
             if sym == 1:
-                bundles.append(fixed[u1])
+                offsets.append(u1)
                 u2 += 1
             else:
-                bundles.append(fixed[u2])
+                offsets.append(u2)
                 u1 += 1
         if not (u1 < u2 <= d + 1):
             raise ValueError(f"vanishing orders left range at component {i}")
     if pos != len(comp.sequence):
         raise ValueError("sequence not fully consumed")
-    return vanishing, bundles
+    return vanishing, offsets
 
 
 def all_components(chain: ChainSpec) -> list[BNComponentId]:
@@ -189,21 +158,25 @@ def all_components(chain: ChainSpec) -> list[BNComponentId]:
     ]
 
 
-def component_tables(chain: ChainSpec) -> dict[BNComponentId, tuple[Bundle, ...]]:
-    """Bundle tuple for every component, keyed in deterministic order."""
+def component_tables(chain: ChainSpec) -> dict[BNComponentId, tuple[int | None, ...]]:
+    """Offset tuple (None on the marked slot) for every component, keyed in
+    deterministic order."""
     return {comp: tuple(propagate(chain, comp)[1]) for comp in all_components(chain)}
 
 
 def render_tables(chain: ChainSpec, fmt: str = "text") -> str:
-    """Render the component tables, one row per chain component.
+    """Render the component tables, one row per chain component and one
+    column per component, each cell the :func:`bundle_name` of its offset.
 
     fmt "csv" emits comma-separated values; "text" emits aligned columns.
     """
     tables = component_tables(chain)
+    names = {u: bundle_name(u, chain.d) for u in (None, *range(chain.d + 1))}
     headers = ["C_i"] + [comp.label for comp in tables]
-    rows = []
-    for i in range(chain.g):
-        rows.append([str(i + 1)] + [bs[i].render(chain.d) for bs in tables.values()])
+    rows = [
+        [str(i)] + [names[u] for u in row]
+        for i, row in enumerate(zip(*tables.values()), start=1)
+    ]
     if fmt == "csv":
         return "\n".join(",".join(row) for row in [headers] + rows) + "\n"
     if fmt == "text":
@@ -216,13 +189,13 @@ def render_tables(chain: ChainSpec, fmt: str = "text") -> str:
     raise ValueError(f"unknown table format: {fmt!r}")
 
 
-def bn_bound_check(chain: ChainSpec, bundles) -> tuple[int, int, bool]:
+def bn_bound_check(chain: ChainSpec, offsets) -> tuple[int, int, bool]:
     """Check the existence bound sum(eps_i) <= 2d - g - 2.
 
     eps_i is 0 on components carrying a pinned O(uP + (d-u)Q) bundle and 1
-    otherwise.  Returns (epsilon_sum, bound, ok).
+    on free ones, whose offset is None.  Returns (epsilon_sum, bound, ok).
     """
-    epsilon_sum = sum(1 for b in bundles if b.is_free)
+    epsilon_sum = sum(u is None for u in offsets)
     bound = 2 * chain.d - chain.g - 2
     return epsilon_sum, bound, epsilon_sum <= bound
 

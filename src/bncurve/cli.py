@@ -21,7 +21,6 @@ from .gonality import (
     exclude_degree,
     gonality,
     verify_cover,
-    verify_double_cover,
 )
 from .selfcheck import run_selftest
 
@@ -148,12 +147,11 @@ def _cmd_gonality5(args) -> int:
         print("--degree must be between 1 and 6", file=sys.stderr)
         return 1
     result = gonality()
-    double = verify_double_cover()
     summary = {
         "gonality": result.value,
         "excluded_degrees": [t.subject for t in result.lower_certificate],
         "degree6_cover_checks": len(result.upper_certificate.checks),
-        "double_cover_passed": double.passed,
+        "double_cover_passed": result.double_cover.passed,
     }
     print(json.dumps(summary, indent=2))
     print(f"gonality = {result.value}")

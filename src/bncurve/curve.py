@@ -156,11 +156,6 @@ def _forward_meets(seq: tuple, i: int):
         yield seq[:p] + (3 - c,) + seq[p:q] + seq[q + 1 :], q + 2
 
 
-def _offsets(chain: ChainSpec, comp: BNComponentId) -> tuple:
-    """Bundle offsets of comp along the chain, None on its marked slot."""
-    return tuple([b.u for b in propagate(chain, comp)[1]])
-
-
 def intersect(
     chain: ChainSpec, x: BNComponentId, y: BNComponentId
 ) -> IntersectionNode | None:
@@ -168,9 +163,9 @@ def intersect(
 
     They meet iff the one of larger marked index is among the (at most two)
     forward neighbours that the local rule of the module docstring gives the
-    other (:func:`_forward_meets`).  Only on a hit are the bundle tuples
-    walked: each component's free slot is pinned by the other, which yields
-    the node offsets.  Raises ValueError for x == y, a chain that is
+    other (:func:`_forward_meets`).  Only on a hit are the offsets walked:
+    each component's free slot is pinned by the other, which yields the node
+    offsets.  Raises ValueError for x == y, a chain that is
     not of the rho = 1 shape, or a sequence whose length is not g - 1.
     """
     if x == y:
@@ -186,8 +181,8 @@ def intersect(
         return None
     if x.sort_key() > y.sort_key():
         x, y = y, x
-    bx = _offsets(chain, x)
-    by = _offsets(chain, y)
+    bx = propagate(chain, x)[1]
+    by = propagate(chain, y)[1]
     return IntersectionNode(
         x=x,
         x_offset=by[x.marked - 1],
@@ -220,7 +215,7 @@ def build_bn_curve(a: int, *, max_a: int = DEFAULT_MAX_A) -> BNCurveGraph:
     # ordered (sequence lex, marked), so index order is sort_key order and
     # the component (t, j) sits at index (rank of t) * g + j - 1
     components = all_components(chain)
-    offsets = [_offsets(chain, c) for c in components]
+    offsets = [propagate(chain, c)[1] for c in components]
     rank = {c.sequence: k for k, c in enumerate(components[::g])}
 
     pairs = []

@@ -1000,7 +1000,7 @@ def verify_double_cover(cover: CoverData | None = None) -> VerificationReport:
     Verifies: two degree-1 source components over each target component, two
     source-node preimages over each target node, matching unramified indices,
     target graph genus 6, and the Riemann-Hurwitz identity against the source
-    genus 11.
+    genus 11, read off the cover's own source components and nodes.
     """
     if cover is None:
         cover = build_double_cover()
@@ -1037,8 +1037,12 @@ def verify_double_cover(cover: CoverData | None = None) -> VerificationReport:
     target_genus = n_comp * 1 + n_nodes - n_comp + 1
     rep.record("target graph genus 6", target_genus == 6, f"got {target_genus}")
 
-    source = build_bn_curve(2)
-    source_genus = source.delta + 1
+    source_genus = (
+        sum(m.genus for m in cover.maps)
+        + len(cover.source_nodes)
+        - len(cover.maps)
+        + 1
+    )
     rep.record("source genus 11", source_genus == 11, f"got {source_genus}")
     rep.record(
         "etale Riemann-Hurwitz 2g_source - 2 = 2(2g_target - 2)",
@@ -1056,18 +1060,22 @@ class GonalityResult:
     value: int
     lower_certificate: list[ProofTrace]
     upper_certificate: VerificationReport
+    double_cover: VerificationReport
 
     def to_json(self):
         return {
             "gonality": self.value,
             "lower_certificate": [t.to_json() for t in self.lower_certificate],
             "upper_certificate": self.upper_certificate.to_json(),
+            "double_cover": self.double_cover.to_json(),
         }
 
 
 def gonality() -> GonalityResult:
     """gon = 6: degrees 1..5 are excluded and a verified degree-6 cover
-    exists.  Raises if any sub-certificate fails (an implementation bug)."""
+    exists; the etale double cover of the same circuit is verified too.
+    Raises AssertionError if any sub-certificate fails (an implementation
+    bug)."""
     circuit = build_w14_circuit()
     traces = [exclude_degree(deg, circuit) for deg in range(1, 6)]
     for t in traces:
@@ -1078,4 +1086,9 @@ def gonality() -> GonalityResult:
         raise AssertionError(
             f"degree-6 cover failed verification: {report.first_failure}"
         )
-    return GonalityResult(6, traces, report)
+    double = verify_double_cover(build_double_cover(circuit))
+    if not double.passed:
+        raise AssertionError(
+            f"double cover failed verification: {double.first_failure}"
+        )
+    return GonalityResult(6, traces, report, double)

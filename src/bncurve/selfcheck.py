@@ -11,7 +11,7 @@ from itertools import permutations
 from math import inf
 
 from .chain import ChainSpec, component_tables, exhaustive_bound_search, rho
-from .chain import limit_series_census
+from .chain import bundle_name, limit_series_census
 from .combinatorics import catalan, enumerate_ballot, generalized_catalan
 from .curve import (
     build_bn_curve,
@@ -23,7 +23,7 @@ from .curve import (
     genus_closed,
     genus_from_graph,
 )
-from .gonality import gonality, verify_double_cover
+from .gonality import gonality
 
 # the two a = 2 tables, columns keyed (sequence, marked), rows components 1..5
 GOLDEN_TABLES_G5 = {
@@ -101,8 +101,8 @@ def check_table_fidelity():
     chain = ChainSpec.rho_one(2)
     tables = component_tables(chain)
     rendered = {
-        (comp.sequence, comp.marked): tuple(b.render(chain.d) for b in bs)
-        for comp, bs in tables.items()
+        (comp.sequence, comp.marked): tuple(bundle_name(u, chain.d) for u in us)
+        for comp, us in tables.items()
     }
     if rendered != GOLDEN_TABLES_G5:
         return False, "g=5 tables differ from the golden tables"
@@ -143,12 +143,12 @@ def check_bn_emptiness(max_g: int = 9):
 
 def check_gonality():
     try:
-        value = gonality().value
+        result = gonality()
     except AssertionError as exc:
         return False, str(exc)
-    if value != 6:
+    if result.value != 6:
         return False, "gonality aggregate != 6"
-    if not verify_double_cover().passed:
+    if not result.double_cover.passed:
         return False, "double cover failed verification"
     return True, "degrees 1..5 excluded, degree-6 cover and double cover verified"
 

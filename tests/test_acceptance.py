@@ -14,6 +14,7 @@ from itertools import permutations
 from bncurve.chain import (
     ChainSpec,
     all_components,
+    bundle_name,
     component_tables,
     exhaustive_bound_search,
     limit_series_census,
@@ -69,7 +70,7 @@ def pair_scan_delta(a):
     """Brute-force quadratic pair scan over precomputed bundle tuples."""
     chain = ChainSpec.rho_one(a)
     comps = all_components(chain)
-    tuples = [tuple(b.u for b in propagate(chain, c)[1]) for c in comps]
+    tuples = [tuple(propagate(chain, c)[1]) for c in comps]
     delta = 0
     for i, ti in enumerate(tuples):
         for tj in tuples[i + 1:]:
@@ -136,9 +137,9 @@ def test_06_table_fidelity():
         chain = ChainSpec.rho_one(2)
         rendered = {
             (comp.sequence, comp.marked): tuple(
-                b.render(chain.d) for b in bundles
+                bundle_name(u, chain.d) for u in offsets
             )
-            for comp, bundles in component_tables(chain).items()
+            for comp, offsets in component_tables(chain).items()
         }
         assert rendered == GOLDEN_TABLES_G5
         assert rendered[((1, 2, 1, 2), 2)] == (
@@ -218,7 +219,7 @@ def test_10_property_suite():
             chain = ChainSpec.rho_one(a)
             seen = set()
             for comp in all_components(chain):
-                key = tuple(b.u for b in propagate(chain, comp)[1])
+                key = tuple(propagate(chain, comp)[1])
                 assert key not in seen
                 seen.add(key)
         # oracle equivalence-relation laws on a circuit component

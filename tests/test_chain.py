@@ -5,11 +5,11 @@ import pytest
 
 from bncurve.chain import (
     BNComponentId,
-    Bundle,
     ChainSpec,
     UnsupportedShapeError,
     all_components,
     bn_bound_check,
+    bundle_name,
     component_tables,
     exhaustive_bound_search,
     limit_series_census,
@@ -21,7 +21,7 @@ from bncurve.combinatorics import catalan, enumerate_ballot, generalized_catalan
 
 
 def rendered(chain, comp):
-    return tuple(b.render(chain.d) for b in propagate(chain, comp)[1])
+    return tuple(bundle_name(u, chain.d) for u in propagate(chain, comp)[1])
 
 
 class TestRho:
@@ -50,8 +50,8 @@ class TestPropagate:
         # hand-propagated: (0,1) -> choice 1 -> (0,2) -> choice 2 -> (1,2)
         chain = ChainSpec.rho_one(1)
         comp = BNComponentId((1, 2), 3)
-        _, bundles = propagate(chain, comp)
-        assert [b.u for b in bundles] == [0, 2, None]
+        _, offsets = propagate(chain, comp)
+        assert offsets == [0, 2, None]
 
     def test_vanishing_monotone_and_bounded(self):
         for a in (1, 2, 3):
@@ -90,7 +90,7 @@ class TestPropagate:
                 seen = {}
                 for seq in enumerate_ballot(a, 2):
                     comp = BNComponentId(seq.symbols, marked)
-                    key = tuple(b.u for b in propagate(chain, comp)[1])
+                    key = tuple(propagate(chain, comp)[1])
                     assert key not in seen
                     seen[key] = comp
 
@@ -110,7 +110,7 @@ class TestComponentTables:
         chain = ChainSpec.rho_one(2)
         tables = component_tables(chain)
         comp = BNComponentId((1, 2, 1, 2), 2)
-        assert tuple(b.render(4) for b in tables[comp]) == (
+        assert tuple(bundle_name(u, 4) for u in tables[comp]) == (
             "4Q", "L", "3P+Q", "2P+2Q", "4P",
         )
 
@@ -118,7 +118,7 @@ class TestComponentTables:
         chain = ChainSpec.rho_one(2)
         tables = component_tables(chain)
         comp = BNComponentId((1, 1, 2, 2), 4)
-        assert tuple(b.render(4) for b in tables[comp]) == (
+        assert tuple(bundle_name(u, 4) for u in tables[comp]) == (
             "4Q", "4Q", "3P+Q", "L", "4P",
         )
 
@@ -138,31 +138,53 @@ class TestComponentTables:
 
 class TestBundle:
     def test_render(self):
-        assert Bundle.fixed(0).render(4) == "4Q"
-        assert Bundle.fixed(4).render(4) == "4P"
-        assert Bundle.fixed(1).render(4) == "P+3Q"
-        assert Bundle.free().render(4) == "L"
+        assert bundle_name(0, 4) == "4Q"
+        assert bundle_name(4, 4) == "4P"
+        assert bundle_name(1, 4) == "P+3Q"
+        assert bundle_name(None, 4) == "L"
 
     def test_fixed_range(self):
         with pytest.raises(ValueError):
-            Bundle.fixed(-1)
+            bundle_name(-1, 4)
         with pytest.raises(ValueError):
-            Bundle.fixed(5).render(4)
+            bundle_name(5, 4)
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_every_offset_names_its_divisor(self, d):
+        # parse each name back into the coefficients of uP + (d-u)Q: terms
+        # in P, Q order, no zero term; a lone term always writes its
+        # coefficient, a sum drops unit ones
+        for u in range(d + 1):
+            terms = bundle_name(u, d).split("+")
+            points = [term[-1] for term in terms]
+            assert points == sorted(set(points))
+            coeffs = {"P": 0, "Q": 0}
+            for term in terms:
+                digits, point = term[:-1], term[-1]
+                assert point in coeffs
+                assert digits if len(terms) == 1 else digits != "1"
+                coeffs[point] = int(digits) if digits else 1
+                assert coeffs[point] > 0
+            assert (coeffs["P"], coeffs["Q"]) == (u, d - u)
+        assert bundle_name(None, d) == "L"
+        for u in (-1, d + 1):
+            with pytest.raises(ValueError):
+                bundle_name(u, d)
 
 
 class TestBoundCheck:
     def test_propagate_outputs_satisfy_bound(self):
         chain = ChainSpec.rho_one(2)
         for comp in all_components(chain):
-            _, bundles = propagate(chain, comp)
-            eps, bound, ok = bn_bound_check(chain, bundles)
+            _, offsets = propagate(chain, comp)
+            eps, bound, ok = bn_bound_check(chain, offsets)
             assert eps == 1 and bound == 1 and ok
 
     def test_rho_zero_forbids_free_components(self):
         chain = ChainSpec(g=4, d=3)
-        eps, bound, ok = bn_bound_check(chain, [Bundle.free()] + [Bundle.fixed(0)] * 3)
+        eps, bound, ok = bn_bound_check(chain, [None] + [0] * 3)
         assert bound == 0 and not ok
-        eps, bound, ok = bn_bound_check(chain, [Bundle.fixed(0)] * 4)
+        eps, bound, ok = bn_bound_check(chain, [0] * 4)
         assert ok
 
     def test_negative_rho_empty_search(self):

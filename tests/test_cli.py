@@ -1,8 +1,10 @@
 import json
+import sys
 
 import pytest
 
 from bncurve.cli import main
+from bncurve.gonality import VerificationReport
 
 
 class TestCatalan:
@@ -103,6 +105,34 @@ class TestGonality5:
 
     def test_out_of_range_degree(self, capsys):
         assert main(["gonality5", "--degree", "7"]) == 1
+
+    def test_failing_double_cover_exits_2(self, monkeypatch, capsys):
+        failing = VerificationReport()
+        failing.record("forced failure", False)
+        monkeypatch.setattr(
+            sys.modules["bncurve.gonality"],
+            "verify_double_cover",
+            lambda cover=None: failing,
+        )
+        assert main(["gonality5"]) == 2
+        assert "double cover failed verification" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["gonality5"], ["selftest"]])
+def test_certificates_build_the_circuit_once(monkeypatch, capsys, argv):
+    # counted at the certificate layer's own bindings; selftest's other
+    # checks build their graphs through bncurve.selfcheck
+    module = sys.modules["bncurve.gonality"]
+    calls = []
+    for name in ("build_bn_curve", "build_w14_circuit"):
+
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls.append((_name, args))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    assert main(argv) == 0
+    assert sorted(calls) == [("build_bn_curve", (2,)), ("build_w14_circuit", ())]
 
 
 class TestSelftest:

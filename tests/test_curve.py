@@ -31,7 +31,7 @@ def naive_nodes(a):
     order."""
     chain = ChainSpec.rho_one(a)
     comps = all_components(chain)
-    offsets = [[b.u for b in propagate(chain, c)[1]] for c in comps]
+    offsets = [propagate(chain, c)[1] for c in comps]
     nodes = []
     for i, x in enumerate(comps):
         for j in range(i + 1, len(comps)):
@@ -52,7 +52,7 @@ def meet_key_nodes(a):
     x offset, y offset) rows in component order."""
     chain = ChainSpec.rho_one(a)
     comps = all_components(chain)
-    offsets = [tuple(b.u for b in propagate(chain, c)[1]) for c in comps]
+    offsets = [tuple(propagate(chain, c)[1]) for c in comps]
 
     def meet_key(us, slot):
         return us[: slot - 1] + (None,) + us[slot:]

@@ -9,6 +9,7 @@ from bncurve.gonality import (
     CIRCUIT_ORDER,
     Divisor,
     ProofTrace,
+    VerificationReport,
     build_degree6_cover,
     build_double_cover,
     build_w14_circuit,
@@ -356,6 +357,16 @@ class TestDoubleCover:
         report = verify_double_cover(bad)
         assert not report.passed
 
+    def test_genus_zero_sheet_fails(self, circuit):
+        # the source genus is read off the cover: a rational sheet drops it
+        # to 10, so the cover is no longer etale onto the genus-6 target
+        cover = build_double_cover(circuit)
+        maps = list(cover.maps)
+        maps[0] = replace(maps[0], genus=0)
+        report = verify_double_cover(replace(cover, maps=tuple(maps)))
+        assert not report.passed
+        assert report.first_failure == ("source genus 11", "got 10")
+
 
 class TestGonality:
     def test_value_and_certificates(self):
@@ -364,6 +375,7 @@ class TestGonality:
         assert len(result.lower_certificate) == 5
         assert all(t.ok for t in result.lower_certificate)
         assert result.upper_certificate.passed
+        assert result.double_cover.passed
 
     def test_empty_exclusion_trace_is_rejected(self, monkeypatch):
         def empty_trace(deg, circuit=None):
@@ -375,7 +387,19 @@ class TestGonality:
         with pytest.raises(AssertionError, match="exclusion trace failed"):
             gonality()
 
+    def test_failing_double_cover_is_rejected(self, monkeypatch):
+        failing = VerificationReport()
+        failing.record("forced failure", False)
+        monkeypatch.setattr(
+            sys.modules["bncurve.gonality"],
+            "verify_double_cover",
+            lambda cover=None: failing,
+        )
+        with pytest.raises(AssertionError, match="double cover failed"):
+            gonality()
+
     def test_serializes(self):
         payload = gonality().to_json()
         assert payload["gonality"] == 6
         assert len(payload["lower_certificate"]) == 5
+        assert payload["double_cover"]["passed"] is True

@@ -1,8 +1,10 @@
-"""The certificate commands print byte-for-byte what the benchmark recorded.
+"""The CLI prints byte-for-byte what the benchmark recorded.
 
 perfbench/expected.json holds the sha256 and byte length of the stdout of
-`selftest`, `gonality5` and `gonality5 --degree 1..6`; this test reruns each
-through `bncurve.cli.main` and compares.  It only reads that file.
+`selftest`, `gonality5`, `gonality5 --degree 1..6`, the g=17 csv and g=15
+text tables, the a=7 DOT export and the a=8 JSON export; this test reruns
+each through `bncurve.cli.main`, with the argv the benchmark uses, and
+compares stdout.  It only reads that file.
 """
 
 import hashlib
@@ -24,6 +26,10 @@ COMMANDS = {
         f"gonality5_degree{k}": ["gonality5", "--degree", str(k)]
         for k in range(1, 7)
     },
+    "tables_g17_csv": ["tables", "--g", "17", "--d", "10", "--format", "csv"],
+    "tables_g15_text": ["tables", "--g", "15", "--d", "9", "--format", "text"],
+    "curve_a7_dot": ["curve", "--a", "7", "--max-a", "7", "--format", "dot"],
+    "curve_a8_json": ["curve", "--a", "8", "--max-a", "8", "--format", "json"],
 }
 
 
