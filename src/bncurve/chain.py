@@ -13,6 +13,8 @@ u == u', so a single integer offset identifies each fixed bundle.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -67,6 +69,17 @@ class BNComponentId:
             raise ValueError(f"sequence {self.sequence} is not admissible")
         if not 1 <= self.marked <= n + 1:
             raise ValueError(f"marked index {self.marked} out of range")
+
+    @classmethod
+    def _trusted(cls, sequence: tuple[int, ...], marked: int) -> "BNComponentId":
+        """Build an id whose sequence `enumerate_ballot` made and whose marked
+        index lies in 1..g, without re-checking them.  Sets the fields as the
+        frozen dataclass `__init__` does and skips `__post_init__`; outside
+        input goes through the public constructor, which validates."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "sequence", sequence)
+        object.__setattr__(self, "marked", marked)
+        return self
 
     @cached_property
     def label(self) -> str:
@@ -151,16 +164,32 @@ def propagate(chain: ChainSpec, comp: BNComponentId):
 def all_components(chain: ChainSpec) -> list[BNComponentId]:
     """Every component id for the chain, ordered (sequence lex, marked)."""
     a = chain.a
+    trusted = BNComponentId._trusted
     return [
-        BNComponentId(seq.symbols, marked)
+        trusted(seq.symbols, marked)
         for seq in enumerate_ballot(a, 2)
         for marked in range(1, chain.g + 1)
     ]
 
 
+TABLE_CELL_BUDGET = 10**7
+
+
 def component_tables(chain: ChainSpec) -> dict[BNComponentId, tuple[int | None, ...]]:
     """Offset tuple (None on the marked slot) for every component, keyed in
-    deterministic order."""
+    deterministic order.
+
+    Raises ValueError, before any enumeration, when the tables would hold
+    more than TABLE_CELL_BUDGET cells: nu * g = g^2 * catalan(a), so g <= 21
+    fits and g >= 23 does not.
+    """
+    c = 1
+    for k in range(chain.a):  # c = catalan(k + 1), stopped once over budget
+        c = c * (4 * k + 2) // (k + 2)
+        if chain.g * chain.g * c > TABLE_CELL_BUDGET:
+            raise ValueError(
+                f"tables for g={chain.g} exceed {TABLE_CELL_BUDGET} cells"
+            )
     return {comp: tuple(propagate(chain, comp)[1]) for comp in all_components(chain)}
 
 
@@ -229,12 +258,45 @@ class Census:
     count: int = 0
 
 
+def _refuse_unprintable(log10_count: float) -> None:
+    """Raise ValueError when a count of about 10**log10_count is clearly,
+    by a digit's margin, too long for `str` under the interpreter's
+    int-to-str limit (`sys.get_int_max_str_digits()`, 0 for none).  Counts
+    near the limit are left to be computed exactly."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and log10_count > limit + 1:
+        raise ValueError(
+            f"the count has at least {int(log10_count)} digits, more than "
+            f"the {limit} that can be printed"
+        )
+
+
+def _log10_generalized_catalan(a: int, m: int) -> float:
+    """log10 of generalized_catalan(a, m), estimated with math.lgamma.
+
+    The count is symmetric in a and m (it counts the standard tableaux of an
+    a-by-m rectangle), so the sum runs over the shorter side.  Both sides
+    are capped at 10**4, so no input costs more than 10**4 lgamma calls;
+    the count never shrinks as a side grows, so past the cap the estimate
+    is a lower bound.
+    """
+    a, m = min(a, 10**4), min(m, 10**4)
+    if m > a:
+        a, m = m, a
+    ln = math.lgamma(a * m + 1) + sum(
+        math.lgamma(i + 1) - math.lgamma(a + i + 1) for i in range(m)
+    )
+    return ln / math.log(10)
+
+
 def limit_series_census(g: int, r: int, d: int) -> Census:
     """Classify W^r_d on a chain of g elliptic curves, for supported shapes.
 
     Supported: rho < 0 (empty); rho = 0 with g = a(r+1), d = r(a+1) (finite,
     counted by the generalized Catalan number); rho = 1 with r = 1, g = 2a+1,
-    d = a+2 (a curve with (2a+1) * catalan(a) components).
+    d = a+2 (a curve with (2a+1) * catalan(a) components).  Raises
+    ValueError, before computing it, when a count has clearly more digits
+    than the interpreter lets `str` print.
     """
     p = rho(g, r, d)
     if p < 0:
@@ -243,6 +305,7 @@ def limit_series_census(g: int, r: int, d: int) -> Census:
         if g % (r + 1) == 0:
             a = g // (r + 1)
             if a >= 1 and d == r * (a + 1):
+                _refuse_unprintable(_log10_generalized_catalan(a, r + 1))
                 return Census("finite", generalized_catalan(a, r + 1))
         raise UnsupportedShapeError(
             f"rho=0 shape (g={g}, r={r}, d={d}) is out of modeled range"
@@ -250,6 +313,9 @@ def limit_series_census(g: int, r: int, d: int) -> Census:
     if p == 1 and r == 1 and g % 2 == 1 and g >= 3:
         a = (g - 1) // 2
         if d == a + 2:
+            _refuse_unprintable(
+                math.log10(2 * a + 1) + _log10_generalized_catalan(a, 2)
+            )
             return Census("curve", (2 * a + 1) * catalan(a))
     raise UnsupportedShapeError(
         f"(g={g}, r={r}, d={d}) with rho={p} is out of modeled range"

@@ -1,9 +1,12 @@
 """Command-line entry point.
 
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success, 1
-invalid input, 2 internal consistency failure or an input too large to
-compute (recursion depth or memory exhausted), reported in one line on
-stderr.  All numeric output is exact decimal text.
+invalid input, including input over a size budget checked before any work
+(more than `chain.TABLE_CELL_BUDGET` table cells, or a count with more
+digits than the interpreter prints), 2 internal consistency failure, an
+arithmetic error, or an input too large to compute (recursion depth or
+memory exhausted).  Errors are reported in one line on stderr.  All numeric
+output is exact decimal text.
 """
 
 from __future__ import annotations
@@ -186,6 +189,9 @@ def main(argv=None) -> int:
         return 1
     except AssertionError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        print(f"arithmetic failure: {exc!r}", file=sys.stderr)
         return 2
     except (RecursionError, MemoryError) as exc:
         print(f"input too large to compute: {exc!r}", file=sys.stderr)

@@ -27,6 +27,18 @@ class BallotSequence:
                 f"not an admissible ({self.a}, {self.m}) sequence: {self.symbols}"
             )
 
+    @classmethod
+    def _trusted(cls, symbols: tuple[int, ...], a: int, m: int) -> "BallotSequence":
+        """Build a word the library made admissible by construction, without
+        re-checking it.  Sets the fields as the frozen dataclass `__init__`
+        does and skips `__post_init__`; outside input goes through the
+        public constructor, which validates."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "m", m)
+        return self
+
     def __len__(self) -> int:
         return len(self.symbols)
 
@@ -81,28 +93,52 @@ def is_admissible(symbols, a: int, m: int) -> bool:
 
 
 def enumerate_ballot(a: int, m: int = 2) -> Iterator[BallotSequence]:
-    """Yield every admissible (a, m) sequence once, in lexicographic order."""
+    """Yield every admissible (a, m) sequence once, in lexicographic order.
+
+    The walk starts at the lex-smallest word 1^a 2^a ... m^a and steps each
+    word in place to its lexicographic successor.  To step, it walks back
+    from the end, un-counting each symbol, until some position p can take a
+    larger symbol t that the prefix before p allows: t occurs there fewer
+    times than t-1, and so fewer than `a` times.  It writes the smallest
+    such t at p and refills the rest with the remaining symbols in increasing
+    order.  That refill completes every ballot prefix, since it adds each
+    symbol only once all smaller ones are used `a` times, and it is the
+    lex-smallest completion, since each slot gets the smallest symbol still
+    unused.  So the successor keeps the longest possible prefix and then the
+    smallest allowed symbol, which is the lexicographic order.  The walk
+    uses no recursion, so a*m is not limited by the recursion limit.
+    """
     if a < 1:
         raise ValueError("a must be positive")
     if m < 2:
         raise ValueError("m must be at least 2")
-    counts = [0] * (m + 1)
-    word: list[int] = []
-    total = a * m
-
-    def extend() -> Iterator[BallotSequence]:
-        if len(word) == total:
-            yield BallotSequence(tuple(word), a, m)
-            return
-        for s in range(1, m + 1):
-            if counts[s] == a:
-                continue
-            if s > 1 and counts[s] + 1 > counts[s - 1]:
-                continue
-            counts[s] += 1
-            word.append(s)
-            yield from extend()
-            word.pop()
+    word = [s for s in range(1, m + 1) for _ in range(a)]
+    n = len(word)
+    # counts[s] is the number of s before the walk's position
+    counts = [a] * (m + 1)
+    full = counts[1:]
+    larger = [range(s + 1, m + 1) for s in range(m + 1)]
+    trusted = BallotSequence._trusted
+    while True:
+        yield trusted(tuple(word), a, m)
+        p = n
+        while p:
+            p -= 1
+            s = word[p]
             counts[s] -= 1
-
-    yield from extend()
+            for t in larger[s]:
+                if counts[t] < counts[t - 1]:
+                    break
+            else:
+                continue
+            # the un-counted symbols, less t, in increasing order; t is
+            # among them because counts[t] < a
+            tail = word[p:]
+            tail.remove(t)
+            tail.sort()
+            word[p] = t
+            word[p + 1:] = tail
+            counts[1:] = full
+            break
+        else:
+            return

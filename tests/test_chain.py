@@ -1,3 +1,4 @@
+import sys
 from itertools import product
 from math import comb
 
@@ -100,6 +101,26 @@ class TestPropagate:
             propagate(chain, BNComponentId((1, 2), 1))
 
 
+class TestComponentId:
+    def test_rejects_inadmissible_input(self):
+        BNComponentId((1, 2, 1, 2), 1)
+        BNComponentId((1, 2, 1, 2), 5)
+        for sequence, marked in [
+            ((2, 1, 1, 2), 1),  # not a ballot word
+            ((1, 2, 1), 1),  # odd length
+            ((1, 2, 1, 2), 0),
+            ((1, 2, 1, 2), 6),  # n + 2
+        ]:
+            with pytest.raises(ValueError):
+                BNComponentId(sequence, marked)
+
+    @pytest.mark.parametrize("a", range(1, 7))
+    def test_all_components_pass_the_public_constructor(self, a):
+        comps = all_components(ChainSpec.rho_one(a))
+        assert comps == [BNComponentId(c.sequence, c.marked) for c in comps]
+        assert len(comps) == (2 * a + 1) * catalan(a)
+
+
 class TestComponentTables:
     def test_g5_has_ten_columns(self):
         chain = ChainSpec.rho_one(2)
@@ -125,6 +146,21 @@ class TestComponentTables:
     def test_g3_has_three_columns(self):
         chain = ChainSpec.rho_one(1)
         assert len(component_tables(chain)) == 3
+
+    def test_cell_budget_is_checked_before_enumerating(self, monkeypatch):
+        def no_enumeration(chain):
+            raise AssertionError("enumerated")
+
+        module = sys.modules["bncurve.chain"]
+        monkeypatch.setattr(module, "all_components", no_enumeration)
+        # nu * g = 21^2 * catalan(10) = 7,407,036 cells fits the budget
+        with pytest.raises(AssertionError, match="enumerated"):
+            component_tables(ChainSpec(21, 12))
+        for g in (23, 31, 2001):
+            with pytest.raises(ValueError, match="cells"):
+                component_tables(ChainSpec(g, (g - 1) // 2 + 2))
+            with pytest.raises(ValueError, match="cells"):
+                render_tables(ChainSpec(g, (g - 1) // 2 + 2))
 
     def test_render_formats(self):
         chain = ChainSpec.rho_one(1)
@@ -238,3 +274,34 @@ class TestCensus:
     def test_empty(self):
         assert limit_series_census(3, 1, 2).kind == "empty"
         assert limit_series_census(9, 2, 3).kind == "empty"
+
+    def test_unprintable_count_is_refused_before_computing(self, monkeypatch):
+        module = sys.modules["bncurve.chain"]
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+
+        def not_computed(*args):
+            raise AssertionError("computed")
+
+        monkeypatch.setattr(module, "generalized_catalan", not_computed)
+        monkeypatch.setattr(module, "catalan", not_computed)
+        a = 5 * 10**399
+        for g, r, d in [
+            (153000, 50, 150050),  # castelnuovo --a 3000 --r 50
+            (2000001, 1, 1000002),
+            (2 * a + 1, 1, a + 2),
+        ]:
+            with pytest.raises(ValueError, match="can be printed"):
+                limit_series_census(g, r, d)
+
+    def test_counts_near_the_digit_limit_are_computed(self, monkeypatch):
+        # (2a+1) catalan(a) has 4300 digits at a=7145, 4301 at a=7146 and
+        # 4302 at a=7148; only the last is clearly over a 4300-digit limit
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+        for a in (7145, 7146):
+            count = limit_series_census(2 * a + 1, 1, a + 2).count
+            assert count == (2 * a + 1) * catalan(a)
+        with pytest.raises(ValueError, match="at least 4301 digits"):
+            limit_series_census(2 * 7148 + 1, 1, 7150)
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        count = limit_series_census(2 * 7148 + 1, 1, 7150).count
+        assert count == (2 * 7148 + 1) * catalan(7148)

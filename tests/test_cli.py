@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -162,20 +165,45 @@ class TestParsing:
         assert main(["catalan"]) == 1
 
 
-# hostile argv: each returns a documented exit code within seconds, with at
-# most one line on stderr and never a traceback
+def test_arithmetic_error_exits_2(monkeypatch, capsys):
+    def fails(a):
+        raise ArithmeticError("closed form did not divide exactly")
+
+    monkeypatch.setattr(sys.modules["bncurve.cli"], "genus_closed", fails)
+    assert main(["curve", "--a", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert "did not divide exactly" in err
+
+
+# hostile argv: each exits with a documented code within seconds, with at
+# most one line on stderr and never a traceback.  Each row runs in its own
+# interpreter under a timeout, so a hang fails its row instead of the suite;
+# the int-to-str digit limit is pinned to CPython's default.
 HOSTILE = [
-    (["tables", "--g", "2001", "--d", "1002"], {2}),  # recursion depth
+    (["tables", "--g", "2001", "--d", "1002"], {1}),  # over the cell budget
+    (["tables", "--g", "31", "--d", "17"], {1}),
+    (["tables", "--g", "23", "--d", "13"], {1}),
     (["castelnuovo", "--a", "3000", "--r", "50"], {0, 1}),  # 4300-digit cap
+    (["census", "--g", "14293", "--r", "1", "--d", "7148"], {1}),  # 4301 digits
     (["curve", "--a", "0"], {1}),
     (["gonality5", "--degree", "7"], {1}),
 ]
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.mark.parametrize(
     "argv,codes", HOSTILE, ids=[" ".join(argv) for argv, _ in HOSTILE]
 )
-def test_hostile_argv_exits_with_a_documented_code(capsys, argv, codes):
-    assert main(argv) in codes
-    err = capsys.readouterr().err
-    assert "Traceback" not in err and len(err.splitlines()) <= 1
+def test_hostile_argv_exits_with_a_documented_code(argv, codes):
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONINTMAXSTRDIGITS": "4300"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bncurve", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
+    )
+    assert proc.returncode in codes, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) <= 1

@@ -1,3 +1,6 @@
+from itertools import islice
+from math import factorial
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -151,13 +154,38 @@ class TestEnumerateBallot:
             for s in seqs:
                 assert is_admissible(s, a, m)
 
-    def test_matches_brute_force(self):
-        assert [s.symbols for s in enumerate_ballot(2, 3)] == ballot_words_brute(
-            2, 3
+    # every shape with a*m <= 12 whose multiset permutations number under 1e5
+    @pytest.mark.parametrize(
+        "a,m",
+        [
+            (a, m)
+            for a in range(1, 7)
+            for m in range(2, 13)
+            if a * m <= 12 and factorial(a * m) // factorial(a) ** m < 10**5
+        ],
+    )
+    def test_matches_brute_force(self, a, m):
+        assert [s.symbols for s in enumerate_ballot(a, m)] == ballot_words_brute(
+            a, m
         )
+
+    @pytest.mark.parametrize("a,m", [(3, 2), (2, 3), (4, 3), (3, 4), (2, 6)])
+    def test_words_pass_the_public_constructor(self, a, m):
+        for w in enumerate_ballot(a, m):
+            assert w == BallotSequence(w.symbols, a, m)
+
+    def test_long_words_need_no_recursion(self):
+        # a*m = 1400 is past the default recursion limit of 1000
+        a = 700
+        words = [w.symbols for w in islice(enumerate_ballot(a, 2), 5)]
+        assert words[0] == (1,) * a + (2,) * a
+        for k in range(1, 5):
+            assert words[k] == (1,) * (a - 1) + (2,) * k + (1,) + (2,) * (a - k)
 
 
 def test_ballot_sequence_validates():
     BallotSequence((1, 2, 1, 2), 2, 2)
     with pytest.raises(ValueError):
         BallotSequence((2, 1, 1, 2), 2, 2)
+    with pytest.raises(ValueError):
+        BallotSequence((1, 2, 1), 2, 2)
