@@ -71,14 +71,23 @@ class BNComponentId:
             raise ValueError(f"marked index {self.marked} out of range")
 
     @classmethod
-    def _trusted(cls, sequence: tuple[int, ...], marked: int) -> "BNComponentId":
+    def _trusted(
+        cls, sequence: tuple[int, ...], marked: int, label: str
+    ) -> "BNComponentId":
         """Build an id whose sequence `enumerate_ballot` made and whose marked
         index lies in 1..g, without re-checking them.  Sets the fields as the
         frozen dataclass `__init__` does and skips `__post_init__`; outside
-        input goes through the public constructor, which validates."""
+        input goes through the public constructor, which validates.
+
+        `label` must be what the `label` property would compute, the
+        sequence's digits, "|", then the marked index; it is stored where
+        that cached_property caches it, so a caller that formats each word's
+        digits once (as :func:`all_components` does, for the g ids of a
+        word) saves a join per id."""
         self = object.__new__(cls)
         object.__setattr__(self, "sequence", sequence)
         object.__setattr__(self, "marked", marked)
+        object.__setattr__(self, "label", label)
         return self
 
     @cached_property
@@ -162,14 +171,21 @@ def propagate(chain: ChainSpec, comp: BNComponentId):
 
 
 def all_components(chain: ChainSpec) -> list[BNComponentId]:
-    """Every component id for the chain, ordered (sequence lex, marked)."""
-    a = chain.a
+    """Every component id for the chain, ordered (sequence lex, marked).
+
+    The g ids of a ballot word differ only in the marked slot, so the word's
+    digit string is formatted once and each id gets its label, digits + "|"
+    + marked, ready-made."""
     trusted = BNComponentId._trusted
-    return [
-        trusted(seq.symbols, marked)
-        for seq in enumerate_ballot(a, 2)
-        for marked in range(1, chain.g + 1)
-    ]
+    marks = [(marked, "|" + str(marked)) for marked in range(1, chain.g + 1)]
+    components = []
+    for seq in enumerate_ballot(chain.a, 2):
+        symbols = seq.symbols
+        digits = "".join(map(str, symbols))
+        components += [
+            trusted(symbols, marked, digits + mark) for marked, mark in marks
+        ]
+    return components
 
 
 TABLE_CELL_BUDGET = 10**7
@@ -178,6 +194,15 @@ TABLE_CELL_BUDGET = 10**7
 def component_tables(chain: ChainSpec) -> dict[BNComponentId, tuple[int | None, ...]]:
     """Offset tuple (None on the marked slot) for every component, keyed in
     deterministic order.
+
+    One :func:`propagate` walk per ballot word s gives all g rows of s.
+    Marking slot i leaves the walk before slot i alone.  After it, (s, i)
+    reads the rest of s one slot later than (s, g) does, from a state whose
+    two vanishing orders the marked step raised by one each, so each later
+    offset is the one (s, g) had a slot earlier, plus one.  So with W_s the
+    offsets of (s, g), less its final None, the row of (s, i) is
+    W_s[:i-1], then None, then each entry of W_s[i-1:] plus one: catalan(a)
+    walks instead of nu.
 
     Raises ValueError, before any enumeration, when the tables would hold
     more than TABLE_CELL_BUDGET cells: nu * g = g^2 * catalan(a), so g <= 21
@@ -190,7 +215,16 @@ def component_tables(chain: ChainSpec) -> dict[BNComponentId, tuple[int | None, 
             raise ValueError(
                 f"tables for g={chain.g} exceed {TABLE_CELL_BUDGET} cells"
             )
-    return {comp: tuple(propagate(chain, comp)[1]) for comp in all_components(chain)}
+    g = chain.g
+    components = all_components(chain)
+    tables = {}
+    for k in range(0, len(components), g):
+        word = components[k : k + g]  # marked 1..g, in order
+        walk = tuple(propagate(chain, word[-1])[1][:-1])
+        shifted = tuple(u + 1 for u in walk)
+        for i, comp in enumerate(word):
+            tables[comp] = walk[:i] + (None,) + shifted[i:]
+    return tables
 
 
 def render_tables(chain: ChainSpec, fmt: str = "text") -> str:

@@ -2,11 +2,11 @@
 
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success, 1
 invalid input, including input over a size budget checked before any work
-(more than `chain.TABLE_CELL_BUDGET` table cells, or a count with more
-digits than the interpreter prints), 2 internal consistency failure, an
-arithmetic error, or an input too large to compute (recursion depth or
-memory exhausted).  Errors are reported in one line on stderr.  All numeric
-output is exact decimal text.
+(more than `chain.TABLE_CELL_BUDGET` table cells, or a `catalan`,
+`castelnuovo` or `census` count with more digits than the interpreter
+prints), 2 internal consistency failure, an arithmetic error, or an input
+too large to compute (recursion depth or memory exhausted).  Errors are
+reported in one line on stderr.  All numeric output is exact decimal text.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import json
 import sys
 
 from .chain import ChainSpec, UnsupportedShapeError, limit_series_census, render_tables
+from .chain import _log10_generalized_catalan, _refuse_unprintable
 from .combinatorics import catalan
 from .curve import DEFAULT_MAX_A, build_bn_curve, eh_formula, export_graph
 from .curve import eh_formula_corrected, genus_closed, genus_from_graph
@@ -85,6 +86,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_catalan(args) -> int:
+    # catalan(a) = generalized_catalan(a, 2); catalan itself rejects a < 0
+    if args.a >= 0:
+        _refuse_unprintable(_log10_generalized_catalan(args.a, 2))
     print(catalan(args.a))
     return 0
 

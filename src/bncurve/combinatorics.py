@@ -53,18 +53,26 @@ def catalan(a: int) -> int:
 def generalized_catalan(a: int, m: int) -> int:
     """Number of ballot words with `a` copies of each of m symbols.
 
-    Closed form (a*m)! * prod_{i=0}^{m-1} i!/(a+i)!; reduces to catalan(a)
-    when m = 2.
+    Closed form (a*m)! / prod_{i=0}^{m-1} (a+i)!/i!; reduces to catalan(a)
+    when m = 2.  The count is symmetric in a and m (it counts the standard
+    tableaux of an a-by-m rectangle), so the product runs over the shorter
+    side with factors (a+i)!/i! = perm(a+i, a); the denominator divides
+    (a*m)!, so the work is bounded by the size of (a*m)!.  A shorter side
+    of 1 (a = 1: one copy of each symbol) admits only the word 1 2 ... m,
+    so that count is 1 with no factorial at all.
     """
     if a < 1:
         raise ValueError("a must be positive")
     if m < 2:
         raise ValueError("m must be at least 2")
+    if m > a:
+        a, m = m, a
+    if m == 1:
+        return 1
     num = math.factorial(a * m)
     den = 1
     for i in range(m):
-        num *= math.factorial(i)
-        den *= math.factorial(a + i)
+        den *= math.perm(a + i, a)
     if num % den:
         raise ArithmeticError("generalized Catalan formula did not divide exactly")
     return num // den

@@ -64,6 +64,22 @@ class IntersectionNode:
         if self.x.sort_key() > self.y.sort_key():
             raise ValueError("endpoints must be canonically ordered")
 
+    @classmethod
+    def _trusted(
+        cls, x: BNComponentId, x_offset: int, y: BNComponentId, y_offset: int
+    ) -> "IntersectionNode":
+        """Build a node whose endpoints the caller already holds distinct and
+        in sort_key order, without re-checking them.  Sets the fields as the
+        frozen dataclass `__init__` does and skips `__post_init__`; only
+        :func:`build_bn_curve` calls it, and outside input goes through the
+        public constructor, which validates."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "x_offset", x_offset)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "y_offset", y_offset)
+        return self
+
     def offset_on(self, comp: BNComponentId) -> int:
         if comp == self.x:
             return self.x_offset
@@ -199,10 +215,12 @@ def build_bn_curve(a: int, *, max_a: int = DEFAULT_MAX_A) -> BNCurveGraph:
     reads a maximal run c^r and then e = 3 - c right after slot i, s with
     that e moved to the front of the run, marked at i + r + 1, if that is a
     ballot word (the module docstring has the proof sketch).  So every node
-    is found once, from its endpoint of smaller marked index.  Nodes are ordered by their
-    endpoints' component order; their offsets are read from one
-    :func:`propagate` walk per component.  Guarded at a <= max_a; pass a
-    larger max_a to override.
+    is found once, from its endpoint of smaller marked index.  Nodes are
+    ordered by their endpoints' component order; their offsets are read from
+    one :func:`propagate` walk per component.  Each node joins two distinct
+    indices ix < iy, and index order is sort_key order, so the nodes are
+    built without the public constructor's re-check.  Guarded at
+    a <= max_a; pass a larger max_a to override.
     """
     if a < 1:
         raise ValueError("a must be positive")
@@ -225,16 +243,12 @@ def build_bn_curve(a: int, *, max_a: int = DEFAULT_MAX_A) -> BNCurveGraph:
             pairs.append((ix, iy) if ix < iy else (iy, ix))
     pairs.sort()
 
+    node = IntersectionNode._trusted
     nodes = []
     for ix, iy in pairs:
         x, y = components[ix], components[iy]
         nodes.append(
-            IntersectionNode(
-                x=x,
-                x_offset=offsets[iy][x.marked - 1],
-                y=y,
-                y_offset=offsets[ix][y.marked - 1],
-            )
+            node(x, offsets[iy][x.marked - 1], y, offsets[ix][y.marked - 1])
         )
     graph = BNCurveGraph(a=a, components=tuple(components), nodes=tuple(nodes))
     if not graph.is_connected():

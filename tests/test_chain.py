@@ -117,7 +117,10 @@ class TestComponentId:
     @pytest.mark.parametrize("a", range(1, 7))
     def test_all_components_pass_the_public_constructor(self, a):
         comps = all_components(ChainSpec.rho_one(a))
-        assert comps == [BNComponentId(c.sequence, c.marked) for c in comps]
+        public = [BNComponentId(c.sequence, c.marked) for c in comps]
+        assert comps == public
+        # the ready-made labels are the ones the label property computes
+        assert [c.label for c in comps] == [p.label for p in public]
         assert len(comps) == (2 * a + 1) * catalan(a)
 
 
@@ -146,6 +149,27 @@ class TestComponentTables:
     def test_g3_has_three_columns(self):
         chain = ChainSpec.rho_one(1)
         assert len(component_tables(chain)) == 3
+
+    @pytest.mark.parametrize("a", range(1, 8))
+    def test_rows_match_a_walk_per_component(self, a):
+        chain = ChainSpec.rho_one(a)
+        assert list(component_tables(chain).items()) == [
+            (c, tuple(propagate(chain, c)[1])) for c in all_components(chain)
+        ]
+
+    @pytest.mark.parametrize("a", range(1, 6))
+    def test_one_walk_per_ballot_word(self, monkeypatch, a):
+        module = sys.modules["bncurve.chain"]
+        walked = []
+
+        def counted(chain, comp, _original=module.propagate):
+            walked.append(comp)
+            return _original(chain, comp)
+
+        monkeypatch.setattr(module, "propagate", counted)
+        tables = component_tables(ChainSpec.rho_one(a))
+        assert len(walked) == catalan(a)
+        assert len(tables) == (2 * a + 1) * catalan(a)
 
     def test_cell_budget_is_checked_before_enumerating(self, monkeypatch):
         def no_enumeration(chain):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from bncurve.cli import main
+from bncurve.combinatorics import catalan
 from bncurve.gonality import VerificationReport
 
 
@@ -18,6 +20,30 @@ class TestCatalan:
     def test_negative_is_invalid_input(self, capsys):
         assert main(["catalan", "--a", "-1"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_counts_near_the_digit_limit_are_computed(self, monkeypatch, capsys):
+        # catalan(a) has 4300 digits at a=7152, 4301 at a=7153 and 4302 at
+        # a=7154; only the last is clearly over a 4300-digit limit
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+        computed = []
+
+        def counted(a):
+            computed.append(a)
+            return catalan(a)
+
+        monkeypatch.setattr(sys.modules["bncurve.cli"], "catalan", counted)
+        assert main(["catalan", "--a", "7152"]) == 0
+        assert capsys.readouterr().out == f"{catalan(7152)}\n"
+        main(["catalan", "--a", "7153"])
+        assert computed == [7152, 7153]
+        capsys.readouterr()
+        assert main(["catalan", "--a", "7154"]) == 1
+        err = capsys.readouterr().err
+        assert "at least 4301 digits" in err and len(err.splitlines()) == 1
+        assert computed == [7152, 7153]
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        main(["catalan", "--a", "7154"])
+        assert computed == [7152, 7153, 7154]
 
 
 class TestCastelnuovo:
@@ -177,25 +203,31 @@ def test_arithmetic_error_exits_2(monkeypatch, capsys):
 
 
 # hostile argv: each exits with a documented code within seconds, with at
-# most one line on stderr and never a traceback.  Each row runs in its own
+# most one line on stderr and never a traceback, and, where a row gives a
+# pattern, prints a stdout that matches it.  Each row runs in its own
 # interpreter under a timeout, so a hang fails its row instead of the suite;
 # the int-to-str digit limit is pinned to CPython's default.
 HOSTILE = [
-    (["tables", "--g", "2001", "--d", "1002"], {1}),  # over the cell budget
-    (["tables", "--g", "31", "--d", "17"], {1}),
-    (["tables", "--g", "23", "--d", "13"], {1}),
-    (["castelnuovo", "--a", "3000", "--r", "50"], {0, 1}),  # 4300-digit cap
-    (["census", "--g", "14293", "--r", "1", "--d", "7148"], {1}),  # 4301 digits
-    (["curve", "--a", "0"], {1}),
-    (["gonality5", "--degree", "7"], {1}),
+    (["tables", "--g", "2001", "--d", "1002"], {1}, None),  # over the cell budget
+    (["tables", "--g", "31", "--d", "17"], {1}, None),
+    (["tables", "--g", "23", "--d", "13"], {1}, None),
+    (["castelnuovo", "--a", "3000", "--r", "50"], {0, 1}, None),  # 4300-digit cap
+    (["castelnuovo", "--a", "2", "--r", "3000"], {0}, r"[1-9]\d{1801}\n"),
+    (["castelnuovo", "--a", "1", "--r", "100000"], {0}, r"1\n"),
+    (["castelnuovo", "--a", "1", "--r", "10000000"], {0}, r"1\n"),
+    (["census", "--g", "14293", "--r", "1", "--d", "7148"], {1}, None),  # 4301 digits
+    (["catalan", "--a", "1000000"], {1}, None),
+    (["catalan", "--a", "100000"], {1}, None),
+    (["curve", "--a", "0"], {1}, None),
+    (["gonality5", "--degree", "7"], {1}, None),
 ]
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.mark.parametrize(
-    "argv,codes", HOSTILE, ids=[" ".join(argv) for argv, _ in HOSTILE]
+    "argv,codes,stdout", HOSTILE, ids=[" ".join(argv) for argv, _, _ in HOSTILE]
 )
-def test_hostile_argv_exits_with_a_documented_code(argv, codes):
+def test_hostile_argv_exits_with_a_documented_code(argv, codes, stdout):
     env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONINTMAXSTRDIGITS": "4300"}
     proc = subprocess.run(
         [sys.executable, "-m", "bncurve", *argv],
@@ -207,3 +239,5 @@ def test_hostile_argv_exits_with_a_documented_code(argv, codes):
     assert proc.returncode in codes, proc.stderr
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) <= 1
+    if stdout is not None:
+        assert re.fullmatch(stdout, proc.stdout)

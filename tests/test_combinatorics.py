@@ -1,3 +1,4 @@
+import math
 from itertools import islice
 from math import factorial
 
@@ -96,6 +97,40 @@ class TestGeneralizedCatalan:
     )
     def test_matches_brute_force(self, a, m):
         assert generalized_catalan(a, m) == len(ballot_words_brute(a, m))
+
+    @pytest.mark.parametrize("a", range(1, 8))
+    def test_matches_the_factorial_product(self, a):
+        # the closed form as first written, m whole factorials on each side
+        for m in range(2, 8):
+            num, den = factorial(a * m), 1
+            for i in range(m):
+                num *= factorial(i)
+                den *= factorial(a + i)
+            assert generalized_catalan(a, m) == num // den
+
+    @pytest.mark.parametrize("a,m", [(1, 9), (3, 4), (4, 3), (5, 5), (2, 30), (30, 2)])
+    def test_matches_the_hook_length_count(self, a, m):
+        # standard tableaux of the m x a rectangle; the cell in row i and
+        # column j has hook length (a - j) + (m - i) - 1
+        hooks = 1
+        for i in range(m):
+            for j in range(a):
+                hooks *= (a - j) + (m - i) - 1
+        assert generalized_catalan(a, m) == factorial(a * m) // hooks
+
+    def test_product_runs_over_the_shorter_side(self, monkeypatch):
+        factors = []
+
+        def counted(n, k, _perm=math.perm):
+            factors.append((n, k))
+            return _perm(n, k)
+
+        monkeypatch.setattr(math, "perm", counted)
+        # one factor per row of the shorter side, whichever side that is
+        for a, m in [(2, 50), (50, 2)]:
+            factors.clear()
+            generalized_catalan(a, m)
+            assert factors == [(50, 50), (51, 50)]
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from bncurve.chain import BNComponentId, ChainSpec, all_components, propagate
 from bncurve.combinatorics import catalan
 from bncurve.curve import (
     BNCurveGraph,
+    IntersectionNode,
     build_bn_curve,
     component_profile,
     delta_closed,
@@ -186,6 +187,13 @@ class TestBuild:
     def test_matches_meet_key_index(self, a):
         graph = build_bn_curve(a, max_a=a)
         assert [node_row(n) for n in graph.nodes] == meet_key_nodes(a)
+
+    @pytest.mark.parametrize("a", range(1, 7))
+    def test_nodes_pass_the_public_constructor(self, a):
+        nodes = build_bn_curve(a).nodes
+        assert list(nodes) == [
+            IntersectionNode(n.x, n.x_offset, n.y, n.y_offset) for n in nodes
+        ]
 
     def test_connected(self):
         for a in (1, 2, 3):

@@ -4,11 +4,16 @@ perfbench/expected.json holds the sha256 and byte length of the stdout of
 `selftest`, `gonality5`, `gonality5 --degree 1..6`, the g=17 csv and g=15
 text tables, the a=7 DOT export and the a=8 JSON export; this test reruns
 each through `bncurve.cli.main`, with the argv the benchmark uses, and
-compares stdout.  It only reads that file.
+compares stdout.  It only reads that file.  Each command also runs under
+`python -O`, which strips `assert` statements, and must print the same
+bytes there: no result relies on an `assert`.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -17,7 +22,8 @@ import pytest
 
 from bncurve.cli import main
 
-EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+ROOT = Path(__file__).resolve().parents[1]
+EXPECTED = ROOT / "perfbench" / "expected.json"
 
 COMMANDS = {
     "selftest": ["selftest"],
@@ -33,6 +39,10 @@ COMMANDS = {
 }
 
 
+def digest(data: bytes) -> dict:
+    return {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+
+
 @pytest.fixture(scope="module")
 def expected():
     return json.loads(EXPECTED.read_text())
@@ -43,8 +53,17 @@ def test_stdout_matches_recorded_digest(expected, name):
     out = StringIO()
     with redirect_stdout(out):
         assert main(COMMANDS[name]) == 0
-    data = out.getvalue().encode()
-    assert {
-        "sha256": hashlib.sha256(data).hexdigest(),
-        "bytes": len(data),
-    } == expected[name]
+    assert digest(out.getvalue().encode()) == expected[name]
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_optimized_stdout_matches_recorded_digest(expected, name):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "bncurve", *COMMANDS[name]],
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert digest(proc.stdout) == expected[name]
