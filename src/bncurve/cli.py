@@ -6,13 +6,16 @@ invalid input, including input over a size budget checked before any work
 `castelnuovo` or `census` count with more digits than the interpreter
 prints), 2 internal consistency failure, an arithmetic error, or an input
 too large to compute (recursion depth or memory exhausted).  Errors are
-reported in one line on stderr.  All numeric output is exact decimal text.
+reported in one line on stderr.  A reader that closes stdout early (as
+`bncurve selftest | head -1` does) ends the command with exit 1 and nothing
+on stderr.  All numeric output is exact decimal text.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .chain import ChainSpec, UnsupportedShapeError, limit_series_census, render_tables
@@ -187,7 +190,14 @@ def main(argv=None) -> int:
         "selftest": _cmd_selftest,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the flush at
+        # interpreter exit does not raise again (the Python docs' idiom)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (UnsupportedShapeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

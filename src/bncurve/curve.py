@@ -31,6 +31,12 @@ component has at most two forward neighbours (:func:`_forward_meets`), and
 this rule, checked node for node against a pair scan of the offsets, is the
 one definition of "meet" that :func:`intersect` and :func:`build_bn_curve`
 share.
+
+Two more nodal-curve rules are defined here once, for this graph and the
+genus-5 covers of :mod:`bncurve.gonality` alike: :func:`arithmetic_genus`
+(genus_from_graph, TargetTree.genus, CoverData.source_genus) and the
+union-find :func:`edges_connect` (BNCurveGraph.is_connected,
+TargetTree.is_tree).
 """
 
 from __future__ import annotations
@@ -121,22 +127,7 @@ class BNCurveGraph:
 
     @cached_property
     def _connected(self) -> bool:
-        index = {c: i for i, c in enumerate(self.components)}
-        parent = list(range(len(index)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        roots = len(parent)
-        for node in self.nodes:
-            rx, ry = find(index[node.x]), find(index[node.y])
-            if rx != ry:
-                parent[rx] = ry
-                roots -= 1
-        return roots == 1
+        return edges_connect(self.components, ((n.x, n.y) for n in self.nodes))
 
     @cached_property
     def _profiles(self) -> dict[BNComponentId, list[tuple[BNComponentId, int]]]:
@@ -145,6 +136,37 @@ class BNCurveGraph:
             profiles[node.x].append((node.y, node.x_offset))
             profiles[node.y].append((node.x, node.y_offset))
         return profiles
+
+
+def edges_connect(vertices, edges) -> bool:
+    """True when the edges, pairs of vertices, join every vertex into one
+    piece (union-find); an edge with an unknown end, or no vertex, gives
+    False."""
+    index = {v: i for i, v in enumerate(vertices)}
+    parent = list(range(len(index)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    roots = len(parent)
+    for u, v in edges:
+        iu, iv = index.get(u), index.get(v)
+        if iu is None or iv is None:
+            return False
+        ru, rv = find(iu), find(iv)
+        if ru != rv:
+            parent[ru] = rv
+            roots -= 1
+    return roots == 1
+
+
+def arithmetic_genus(genera, delta: int) -> int:
+    """Arithmetic genus sum(g_i) + delta - nu + 1 of a connected nodal curve
+    with component genera g_1..g_nu and delta nodes."""
+    return sum(genera) + delta - len(genera) + 1
 
 
 def _forward_meets(seq: tuple, i: int):
@@ -274,12 +296,12 @@ def genus_closed(a: int) -> int:
 
 
 def genus_from_graph(graph: BNCurveGraph) -> int:
-    """Arithmetic genus sum(g_i) + delta - nu + 1 of the nodal curve.
+    """:func:`arithmetic_genus` of the nodal curve.
 
     Every component is elliptic, so this is delta + 1."""
     if not graph.is_connected():
         raise ValueError("genus formula requires a connected curve")
-    return graph.nu * 1 + graph.delta - graph.nu + 1
+    return arithmetic_genus([1] * graph.nu, graph.delta)
 
 
 def eh_formula(g: int, r: int, d: int) -> Fraction:

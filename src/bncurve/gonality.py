@@ -22,8 +22,12 @@ On top of the oracle we run the degree <= 5 exclusion case analysis,
 machine-checking each genericity step, and build two covers of the curve that
 one verifier, verify_cover, checks: the degree-6 admissible cover of a
 rational tree, and the unramified double cover of the genus-6 quotient by the
-sheet swap C'i <-> C''i, computed from the graph.  Every ramification count,
-in the builders and in the verifier, comes from one Riemann-Hurwitz rule.
+sheet swap C'i <-> C''i, computed from the graph.  The builders give only
+where each source component goes and the source nodes with the target node
+each lies over; _cover derives the target curve and every fiber from them.
+Every ramification count, in _cover and in the verifier, comes from one
+Riemann-Hurwitz rule, and the genus and tree checks use curve.py's
+arithmetic_genus and edges_connect.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .chain import BNComponentId
-from .curve import BNCurveGraph, build_bn_curve, component_profile
+from .curve import BNCurveGraph, arithmetic_genus, build_bn_curve
+from .curve import component_profile, edges_connect
 
 HALF = Fraction(1, 2)
 
@@ -536,31 +541,15 @@ class TargetTree:
 
     @property
     def genus(self) -> int:
-        """Arithmetic genus: the component genera plus the independent
-        cycles of the (connected) dual graph."""
-        cycles = len(self.nodes) - len(self.components) + 1
-        return sum(self.genus_of(c) for c in self.components) + cycles
+        """Arithmetic genus of the (connected) target curve."""
+        genera = [self.genus_of(c) for c in self.components]
+        return arithmetic_genus(genera, len(self.nodes))
 
     def is_tree(self) -> bool:
-        if len(self.nodes) != len(self.components) - 1:
-            return False
-        parent = {c: c for c in self.components}
-
-        def find(c):
-            while parent[c] != c:
-                parent[c] = parent[parent[c]]
-                c = parent[c]
-            return c
-
-        for node in self.nodes:
-            a, b = node.sides
-            if a not in parent or b not in parent:
-                return False
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                return False  # cycle
-            parent[ra] = rb
-        return len({find(c) for c in self.components}) == 1
+        """Connected with one node fewer than components, so no cycle."""
+        return len(self.nodes) == len(self.components) - 1 and edges_connect(
+            self.components, (n.sides for n in self.nodes)
+        )
 
     def nodes_on(self, comp: str) -> list[TargetNode]:
         return [n for n in self.nodes if comp in n.sides]
@@ -605,13 +594,8 @@ class CoverData:
     @property
     def source_genus(self) -> int:
         """Source arithmetic genus, read off its components and nodes."""
-        return sum(m.genus - 1 for m in self.maps) + len(self.source_nodes) + 1
-
-    def map_of(self, source: str) -> ComponentMap:
-        for m in self.maps:
-            if m.source == source:
-                return m
-        raise KeyError(source)
+        genera = [m.genus for m in self.maps]
+        return arithmetic_genus(genera, len(self.source_nodes))
 
 
 @dataclass
@@ -803,15 +787,40 @@ def verify_cover(cover: CoverData) -> VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# the degree-6 admissible cover
+# covers derived from placements and source nodes
 
 
-def _component_map(target: TargetTree, source, genus, onto, degree, fibers):
-    """The map of source onto target component onto; its smooth ramification
-    is the Riemann-Hurwitz total less the node ramification in its fibers."""
-    node_ram = sum(mult - 1 for _, fib in fibers for _, mult in fib.terms)
-    total = riemann_hurwitz(genus, target.genus_of(onto), degree)
-    return ComponentMap(source, genus, onto, degree, fibers, total - node_ram)
+def _cover(components, genera, onto, source_nodes) -> CoverData:
+    """The cover mapping each source component c, of genus onto[c][0], onto
+    target component onto[c][1] with degree onto[c][2], glued at source_nodes.
+
+    The target has the given components and genera and one node per
+    target_node the source nodes name, in order of first appearance, joining
+    the sorted target components of its first source node's two branches.
+    Each map's fiber over a target node on its component is that component's
+    branch points over the node, each with multiplicity its index; its smooth
+    ramification is the Riemann-Hurwitz total less its node ramification.
+    """
+    sides: dict[str, tuple[str, ...]] = {}
+    over: dict[str, dict[str, list[tuple[Point, int]]]] = {c: {} for c in onto}
+    for node in source_nodes:
+        pair = tuple(sorted(onto[c][1] for c, _, _ in node.branches))
+        sides.setdefault(node.target_node, pair)
+        for comp, point, e in node.branches:
+            over[comp].setdefault(node.target_node, []).append((point, e))
+    nodes = tuple(TargetNode(name, pair) for name, pair in sides.items())
+    target = TargetTree(tuple(components), nodes, genera)
+    maps = []
+    for src, (genus, comp, degree) in onto.items():
+        fibers = tuple(
+            (n.name, Divisor.of(*over[src][n.name]))
+            for n in target.nodes_on(comp)
+            if n.name in over[src]
+        )
+        node_ram = sum(e - 1 for pts in over[src].values() for _, e in pts)
+        total = riemann_hurwitz(genus, target.genus_of(comp), degree)
+        maps.append(ComponentMap(src, genus, comp, degree, fibers, total - node_ram))
+    return CoverData(target, tuple(maps), tuple(source_nodes))
 
 
 def _source_nodes(
@@ -824,69 +833,43 @@ def _source_nodes(
     nodes = []
     for k in range(1, 7):
         name, (c1, c2) = f"n{k}", _incident_components(k)
-        nodes.append(
-            SourceNode(
-                name=name,
-                branches=(
-                    (c1, circuit.node_point(name, c1), 1),
-                    (c2, circuit.node_point(name, c2), 1),
-                ),
-                target_node=target_of(c1, c2),
-            )
-        )
+        p1, p2 = circuit.node_point(name, c1), circuit.node_point(name, c2)
+        branches = ((c1, p1, 1), (c2, p2, 1))
+        nodes.append(SourceNode(name, branches, target_of(c1, c2)))
     for comp, tail in circuit.tail_of.items():
-        nodes.append(
-            SourceNode(
-                name=f"x[{comp}]",
-                branches=(
-                    (comp, circuit.point(comp, "X"), x_index),
-                    (tail, circuit.tail_node[tail], x_index),
-                ),
-                target_node=target_of(comp, tail),
-            )
-        )
+        x, n = circuit.point(comp, "X"), circuit.tail_node[tail]
+        branches = ((comp, x, x_index), (tail, n, x_index))
+        nodes.append(SourceNode(f"x[{comp}]", branches, target_of(comp, tail)))
     return nodes
+
+
+# ---------------------------------------------------------------------------
+# the degree-6 admissible cover
 
 
 def build_degree6_cover(circuit: CircuitGraph | None = None) -> CoverData:
     """The explicit degree-6 admissible cover of the a = 2 curve.
 
-    Targets R1 and R2 glue at one node; the circuit components map to R1 and
-    R2 alternately around the cycle (C'2, C'4, C''3 to R1 and C'3, C''2,
+    Targets R1 and R2 glue at one node n0; the circuit components map to R1
+    and R2 alternately around the cycle (C'2, C'4, C''3 to R1 and C'3, C''2,
     C''4 to R2), each of degree 2 by the pencil |Y+Z|, sending every circuit
-    node to the R1/R2 node.  The four elliptic tails map with degree 2 to new
-    rational components hung at the images of the X points, by twice their
-    node.  Sixteen rational components of degree 1 fill the remaining fiber
-    slots over the four new target nodes.
+    node to n0.  The tail C'i (C''i) maps with degree 2, by twice its node,
+    to a new rational component R'i (R''i) hung at the image m'i (m''i) of
+    its X point.  Sixteen rational components of degree 1 fill the remaining
+    fiber slots over those four target nodes.  Only these placements and the
+    glue nodes are stated here; :func:`_cover` derives targets and fibers.
     """
     if circuit is None:
         circuit = build_w14_circuit()
 
     side_of = {c: f"R{k % 2 + 1}" for k, c in enumerate(CIRCUIT_ORDER)}
-
-    # the tail C'i (C''i) hangs over the image m'i (m''i) of the X point of
-    # its circuit component, on a new target component R'i (R''i)
-    tail_target = {t: "R" + t[1:] for t in circuit.tail_of.values()}
     x_node_name = {c: "m" + t[1:] for c, t in circuit.tail_of.items()}
-
-    target_components = ["R1", "R2"] + list(tail_target.values())
-    target_nodes = [TargetNode("n0", ("R1", "R2"))]
-    for circuit_comp, tail in circuit.tail_of.items():
-        target_nodes.append(
-            TargetNode(
-                x_node_name[circuit_comp],
-                (side_of[circuit_comp], tail_target[tail]),
-            )
-        )
-    target = TargetTree(tuple(target_components), tuple(target_nodes))
-
-    maps: list[ComponentMap] = []
     # circuit nodes all map to n0, unramified on both sides; X nodes have
     # both branches ramified (fiber 2X of |Y+Z|, map |2N| on the tail)
     source_nodes = _source_nodes(
         circuit,
         2,
-        lambda c1, c2: x_node_name[c1] if c2 in tail_target else "n0",
+        lambda c1, c2: x_node_name[c1] if c2 in circuit.tail_node else "n0",
     )
 
     # rational fillers: over each new target node, the two non-X circuit
@@ -894,65 +877,28 @@ def build_degree6_cover(circuit: CircuitGraph | None = None) -> CoverData:
     # which must be nodes gluing degree-1 rational components on the tail
     # side; the pair of fiber points of the pencil |Y+Z| over a point has
     # class y + z, realized as fresh s and (y + z) - s
-    filler_points: dict[tuple[str, str], list[Point]] = {}
-    for circuit_comp, node_name in x_node_name.items():
-        for other in CIRCUIT_ORDER:
-            if other == circuit_comp or side_of[other] != side_of[circuit_comp]:
-                continue
-            ys, zs = f"y_{other}", f"z_{other}"
-            s = f"s_{other}_{node_name}"
-            p1 = Point.make(f"F1[{other}@{node_name}]", other, **{s: 1})
-            p2 = Point.make(
-                f"F2[{other}@{node_name}]",
-                other,
-                **{ys: 1, zs: 1, s: -1},
-            )
-            filler_points[(other, node_name)] = [p1, p2]
-
-    filler_id = 0
-    for (other, node_name), pts in sorted(filler_points.items()):
-        for p in pts:
-            filler_id += 1
-            t_name = f"T{filler_id}"
-            t_point = Point.make(f"N[{t_name}]", t_name, **{f"t_{t_name}": 1})
-            source_nodes.append(
-                SourceNode(
-                    name=f"glue[{t_name}]",
-                    branches=((other, p, 1), (t_name, t_point, 1)),
-                    target_node=node_name,
-                )
-            )
-            onto = "R" + node_name[1:]  # the tail side of m'i is R'i
-            fiber = ((node_name, Divisor.of(t_point)),)
-            maps.append(_component_map(target, t_name, 0, onto, 1, fiber))
-
-    # circuit component maps
-    for comp in CIRCUIT_ORDER:
-        side = side_of[comp]
-        y, z = circuit.point(comp, "Y"), circuit.point(comp, "Z")
-        fibers: list[tuple[str, Divisor]] = [("n0", Divisor.of(y, z))]
-        for node in target.nodes_on(side):
-            if node.name == "n0":
-                continue
-            if x_node_name.get(comp) == node.name:
-                fibers.append(
-                    (node.name, Divisor.of((circuit.point(comp, "X"), 2)))
-                )
-            else:
-                p1, p2 = filler_points[(comp, node.name)]
-                fibers.append((node.name, Divisor.of(p1, p2)))
-        maps.append(_component_map(target, comp, 1, side, 2, tuple(fibers)))
-
-    # tail maps: degree 2 by twice the node
-    for circuit_comp, tail in circuit.tail_of.items():
-        node_name = x_node_name[circuit_comp]
-        fiber = ((node_name, Divisor.of((circuit.tail_node[tail], 2))),)
-        onto = tail_target[tail]
-        maps.append(_component_map(target, tail, 1, onto, 2, fiber))
-
-    return CoverData(
-        target=target, maps=tuple(maps), source_nodes=tuple(source_nodes)
+    slots = sorted(
+        (other, node_name)
+        for comp, node_name in x_node_name.items()
+        for other in CIRCUIT_ORDER
+        if other != comp and side_of[other] == side_of[comp]
     )
+    onto = {}
+    for other, node_name in slots:
+        s, at = f"s_{other}_{node_name}", f"{other}@{node_name}"
+        for p in (
+            Point.make(f"F1[{at}]", other, **{s: 1}),
+            Point.make(f"F2[{at}]", other, **{f"y_{other}": 1, f"z_{other}": 1, s: -1}),
+        ):
+            t = f"T{len(onto) + 1}"
+            t_point = Point.make(f"N[{t}]", t, **{f"t_{t}": 1})
+            glued = ((other, p, 1), (t, t_point, 1))
+            source_nodes.append(SourceNode(f"glue[{t}]", glued, node_name))
+            onto[t] = (0, "R" + node_name[1:], 1)  # the tail side of m'i is R'i
+    onto.update({c: (1, side_of[c], 2) for c in CIRCUIT_ORDER})
+    tail_target = {t: "R" + t[1:] for t in circuit.tail_of.values()}
+    onto.update({t: (1, r, 2) for t, r in tail_target.items()})
+    return _cover(("R1", "R2", *tail_target.values()), {}, onto, source_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -966,11 +912,12 @@ def build_double_cover(circuit: CircuitGraph | None = None) -> CoverData:
     (1,2,1,2) and (1,1,2,2) at the same marked index.  It must map the nodes
     of circuit.graph, each taken as the pair of components it joins, to
     nodes and fix none (AssertionError otherwise).  The quotient then has one
-    elliptic component Ci per orbit {C'i, C''i} and one node per node orbit,
-    named after the two components it joins; so its five components and
-    genus 6 (TargetTree.genus) are read off the graph.  Each C'i and C''i
-    maps isomorphically onto Ci, every target node has two unramified
-    preimages, and verify_cover checks the cover like any other.
+    elliptic component Ci per orbit {C'i, C''i}, and each source node lies
+    over the target node named by the sorted quotient names of its ends, so
+    :func:`_cover` reads the five components, the node orbits and genus 6
+    (TargetTree.genus) off the graph.  Each C'i and C''i maps isomorphically
+    onto Ci, every target node has two unramified preimages, and
+    verify_cover checks the cover like any other.
     """
     if circuit is None:
         circuit = build_w14_circuit()
@@ -984,39 +931,19 @@ def build_double_cover(circuit: CircuitGraph | None = None) -> CoverData:
         )
 
     node_ends = {ends(n) for n in graph.nodes}
-    target_nodes: dict[str, TargetNode] = {}
-    node_target: dict[frozenset[str], str] = {}
     for n in graph.nodes:
         image = ends(n, swapped=True)
         if image not in node_ends or image == ends(n):
             raise AssertionError(f"the sheet swap does not act freely on {n}")
-        i, j = sorted((n.x.marked, n.y.marked))
-        name = f"C{i}-C{j}"
-        target_nodes[name] = TargetNode(name, (f"C{i}", f"C{j}"))
-        node_target[frozenset(map(component_name, (n.x, n.y)))] = name
 
     quotient = {component_name(c): f"C{c.marked}" for c in graph.components}
-    marks = sorted({c.marked for c in graph.components})
-    components = tuple(f"C{i}" for i in marks)
-    # Ci is a copy of C'i and of C''i, so elliptic
-    target = TargetTree(
-        components, tuple(target_nodes.values()), {c: 1 for c in components}
-    )
+    components = tuple(f"C{i}" for i in sorted({c.marked for c in graph.components}))
     source_nodes = _source_nodes(
-        circuit, 1, lambda c1, c2: node_target[frozenset({c1, c2})]
+        circuit, 1, lambda c1, c2: "-".join(sorted((quotient[c1], quotient[c2])))
     )
-    maps = []
-    for src, onto in quotient.items():
-        fibers = tuple(
-            (node.target_node, Divisor.of(point))
-            for node in source_nodes
-            for comp, point, _ in node.branches
-            if comp == src
-        )
-        maps.append(_component_map(target, src, 1, onto, 1, fibers))
-    return CoverData(
-        target=target, maps=tuple(maps), source_nodes=tuple(source_nodes)
-    )
+    # Ci is a copy of C'i and of C''i, so elliptic
+    onto = {src: (1, q, 1) for src, q in quotient.items()}
+    return _cover(components, {c: 1 for c in components}, onto, source_nodes)
 
 
 def verify_double_cover(cover: CoverData | None = None) -> VerificationReport:

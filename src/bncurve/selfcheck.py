@@ -200,7 +200,12 @@ ALL_CHECKS = [
 
 
 def run_selftest(max_a: int | None = None, report=print) -> bool:
-    """Run every check, print one line per criterion, return overall pass."""
+    """Run every check, print one line per criterion, return overall pass.
+
+    Raises ValueError for max_a < 1, under which the sized checks would
+    loop over nothing and pass."""
+    if max_a is not None and max_a < 1:
+        raise ValueError(f"max_a must be at least 1, got {max_a}")
     all_ok = True
     for name, check, cap in ALL_CHECKS:
         if max_a is None or cap is None:

@@ -220,6 +220,8 @@ HOSTILE = [
     (["catalan", "--a", "100000"], {1}, None),
     (["curve", "--a", "0"], {1}, None),
     (["gonality5", "--degree", "7"], {1}, None),
+    (["selftest", "--max-a", "0"], {1}, ""),  # sized checks would loop over nothing
+    (["selftest", "--max-a", "-3"], {1}, ""),
 ]
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -241,3 +243,30 @@ def test_hostile_argv_exits_with_a_documented_code(argv, codes, stdout):
     assert len(proc.stderr.splitlines()) <= 1
     if stdout is not None:
         assert re.fullmatch(stdout, proc.stdout)
+
+
+@pytest.mark.parametrize(
+    "argv,unbuffered",
+    [(["selftest"], "1"), (["curve", "--a", "6"], "")],
+    ids=["selftest", "curve --a 6"],
+)
+def test_reader_closing_stdout_early_gets_no_traceback(argv, unbuffered):
+    # unbuffered, selftest writes each line as its check ends; buffered, the
+    # a=6 export is written in chunks until the pipe is full.  Either way the
+    # child is still writing when the reader goes away after the first line.
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONUNBUFFERED": unbuffered}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bncurve", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=30) == 1
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert "Traceback" not in err and err.count("\n") <= 1

@@ -9,6 +9,8 @@ from bncurve.gonality import (
     CIRCUIT_ORDER,
     Divisor,
     ProofTrace,
+    TargetNode,
+    TargetTree,
     VerificationReport,
     build_degree6_cover,
     build_double_cover,
@@ -265,7 +267,44 @@ class TestExclusion:
             exclude_degree(0)
 
 
+class TestTargetTree:
+    def test_path_is_a_tree(self):
+        nodes = (TargetNode("ab", ("A", "B")), TargetNode("bc", ("B", "C")))
+        tree = TargetTree(("A", "B", "C"), nodes)
+        assert tree.is_tree()
+        assert tree.genus == 0
+
+    def test_three_cycle_is_not_a_tree(self):
+        sides = [("A", "B"), ("B", "C"), ("A", "C")]
+        nodes = tuple(TargetNode(f"n{k}", pair) for k, pair in enumerate(sides))
+        cycle = TargetTree(("A", "B", "C"), nodes)
+        assert not cycle.is_tree()
+        assert cycle.genus == 1
+
+    def test_node_on_an_unknown_component_is_not_a_tree(self):
+        nodes = (TargetNode("ab", ("A", "B")), TargetNode("bd", ("B", "D")))
+        assert not TargetTree(("A", "B", "C"), nodes).is_tree()
+
+    def test_self_loop_with_one_node_too_few_is_not_a_tree(self):
+        # V - 1 nodes, but the loop at A leaves C unreached
+        nodes = (TargetNode("aa", ("A", "A")), TargetNode("ab", ("A", "B")))
+        assert not TargetTree(("A", "B", "C"), nodes).is_tree()
+
+
 class TestDegree6Cover:
+    def test_target_is_read_off_the_placements(self, circuit):
+        cover = build_degree6_cover(circuit)
+        target = cover.target
+        assert target.components == ("R1", "R2", "R'1", "R'5", "R''1", "R''5")
+        side = {m.source: m.target for m in cover.maps}
+        expected = {"n0": {"R1", "R2"}}
+        for prime in ("'", "''"):
+            for i, host in ((1, 2), (5, 4)):  # the tail C'i hangs off C'(i±1)
+                expected[f"m{prime}{i}"] = {side[f"C{prime}{host}"], f"R{prime}{i}"}
+        assert {n.name: set(n.sides) for n in target.nodes} == expected
+        assert [n.name for n in target.nodes][0] == "n0"
+        assert target.is_tree() and target.genus == 0
+
     def test_component_census(self, circuit):
         cover = build_degree6_cover(circuit)
         elliptic = [m for m in cover.maps if m.genus == 1]
@@ -279,7 +318,7 @@ class TestDegree6Cover:
 
     def test_tail_fiber_is_twice_x(self, circuit):
         cover = build_degree6_cover(circuit)
-        m = cover.map_of("C'2")
+        (m,) = [m for m in cover.maps if m.source == "C'2"]
         x = circuit.point("C'2", "X")
         yz = Divisor.of(circuit.point("C'2", "Y"), circuit.point("C'2", "Z"))
         fib = m.fiber("m'1")
