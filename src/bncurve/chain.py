@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .combinatorics import catalan, enumerate_ballot, generalized_catalan, is_admissible
+from .combinatorics import _unchecked, catalan, enumerate_ballot, generalized_catalan
+from .combinatorics import is_admissible
 
 
 class UnsupportedShapeError(ValueError):
@@ -69,26 +70,6 @@ class BNComponentId:
             raise ValueError(f"sequence {self.sequence} is not admissible")
         if not 1 <= self.marked <= n + 1:
             raise ValueError(f"marked index {self.marked} out of range")
-
-    @classmethod
-    def _trusted(
-        cls, sequence: tuple[int, ...], marked: int, label: str
-    ) -> "BNComponentId":
-        """Build an id whose sequence `enumerate_ballot` made and whose marked
-        index lies in 1..g, without re-checking them.  Sets the fields as the
-        frozen dataclass `__init__` does and skips `__post_init__`; outside
-        input goes through the public constructor, which validates.
-
-        `label` must be what the `label` property would compute, the
-        sequence's digits, "|", then the marked index; it is stored where
-        that cached_property caches it, so a caller that formats each word's
-        digits once (as :func:`all_components` does, for the g ids of a
-        word) saves a join per id."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "sequence", sequence)
-        object.__setattr__(self, "marked", marked)
-        object.__setattr__(self, "label", label)
-        return self
 
     @cached_property
     def label(self) -> str:
@@ -173,17 +154,20 @@ def propagate(chain: ChainSpec, comp: BNComponentId):
 def all_components(chain: ChainSpec) -> list[BNComponentId]:
     """Every component id for the chain, ordered (sequence lex, marked).
 
-    The g ids of a ballot word differ only in the marked slot, so the word's
-    digit string is formatted once and each id gets its label, digits + "|"
-    + marked, ready-made."""
-    trusted = BNComponentId._trusted
+    Every word comes from `enumerate_ballot` and every marked index lies in
+    1..g, so the ids are built by `_unchecked`, without a re-check.  The g
+    ids of a word differ only in the marked slot, so its digit string is
+    formatted once and each id gets its label ready-made."""
     marks = [(marked, "|" + str(marked)) for marked in range(1, chain.g + 1)]
+    component = _unchecked(BNComponentId, "label")
     components = []
     for seq in enumerate_ballot(chain.a, 2):
         symbols = seq.symbols
         digits = "".join(map(str, symbols))
+        # each label, digits + "|" + marked, is what the property computes
         components += [
-            trusted(symbols, marked, digits + mark) for marked, mark in marks
+            component(sequence=symbols, marked=i, label=digits + mark)
+            for i, mark in marks
         ]
     return components
 

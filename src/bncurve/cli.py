@@ -88,6 +88,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_stdout(text: str) -> None:
+    """Write text to stdout in full.  Unbuffered (`python -u`), the text layer
+    drops the rest of a short raw write, so the bytes are fed to stdout.buffer
+    until all are taken; a reader that has gone away then raises
+    BrokenPipeError.  A stdout with no buffer (a StringIO) takes the text."""
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while data:
+        data = data[buffer.write(data) :]
+
+
 def _cmd_catalan(args) -> int:
     # catalan(a) = generalized_catalan(a, 2); catalan itself rejects a < 0
     if args.a >= 0:
@@ -116,7 +131,7 @@ def _cmd_census(args) -> int:
 
 def _cmd_tables(args) -> int:
     chain = ChainSpec(g=args.g, d=args.d)
-    sys.stdout.write(render_tables(chain, args.format))
+    _write_stdout(render_tables(chain, args.format))
     return 0
 
 
@@ -141,22 +156,23 @@ def _cmd_curve(args) -> int:
         f"{closed} ({flag}); with the (r+1) factor it gives {eh_r1} ({flag_r1})",
         file=sys.stderr,
     )
-    sys.stdout.write(export_graph(graph, args.format))
+    _write_stdout(export_graph(graph, args.format))
     return 0
 
 
 def _cmd_gonality5(args) -> int:
     if args.degree is not None:
-        if 1 <= args.degree <= 5:
-            trace = exclude_degree(args.degree)
+        if not 1 <= args.degree <= 6:
+            print("--degree must be between 1 and 6", file=sys.stderr)
+            return 1
+        circuit = build_w14_circuit()
+        if args.degree <= 5:
+            trace = exclude_degree(args.degree, circuit)
             print(trace.dumps())
             return 0 if trace.ok else 2
-        if args.degree == 6:
-            report = verify_cover(build_degree6_cover())
-            print(report.dumps())
-            return 0 if report.passed else 2
-        print("--degree must be between 1 and 6", file=sys.stderr)
-        return 1
+        report = verify_cover(build_degree6_cover(circuit))
+        print(report.dumps())
+        return 0 if report.passed else 2
     result = gonality()
     summary = {
         "gonality": result.value,

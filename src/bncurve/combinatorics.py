@@ -9,8 +9,26 @@ larger one.  For m = 2 these are Dyck paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cache
 from typing import Iterator
+
+
+@cache
+def _unchecked(cls, *extra):
+    """A function that builds `cls` records from their field values, then the
+    `extra` ones (cached_property values, such as an id's `label`), without
+    `__post_init__`: only for records the library made valid by construction;
+    the public constructors still validate outside input.  It is generated,
+    as dataclasses generates `__init__`, so a record costs only its field
+    stores and keeps compact storage, unlike a `**fields` loop or a filled
+    `__dict__`."""
+    names = [f.name for f in fields(cls)] + list(extra)
+    lines = [f"def build({', '.join(names)}):", "    self = new(cls)"]
+    lines += [f"    setattr(self, {name!r}, {name})" for name in names]
+    namespace = {"cls": cls, "new": object.__new__, "setattr": object.__setattr__}
+    exec("\n".join(lines + ["    return self"]), namespace)
+    return namespace["build"]
 
 
 @dataclass(frozen=True)
@@ -26,18 +44,6 @@ class BallotSequence:
             raise ValueError(
                 f"not an admissible ({self.a}, {self.m}) sequence: {self.symbols}"
             )
-
-    @classmethod
-    def _trusted(cls, symbols: tuple[int, ...], a: int, m: int) -> "BallotSequence":
-        """Build a word the library made admissible by construction, without
-        re-checking it.  Sets the fields as the frozen dataclass `__init__`
-        does and skips `__post_init__`; outside input goes through the
-        public constructor, which validates."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "symbols", symbols)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "m", m)
-        return self
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -114,7 +120,9 @@ def enumerate_ballot(a: int, m: int = 2) -> Iterator[BallotSequence]:
     lex-smallest completion, since each slot gets the smallest symbol still
     unused.  So the successor keeps the longest possible prefix and then the
     smallest allowed symbol, which is the lexicographic order.  The walk
-    uses no recursion, so a*m is not limited by the recursion limit.
+    uses no recursion, so a*m is not limited by the recursion limit.  Every
+    word is admissible by construction, so it is built by :func:`_unchecked`,
+    without the constructor's re-check.
     """
     if a < 1:
         raise ValueError("a must be positive")
@@ -126,9 +134,9 @@ def enumerate_ballot(a: int, m: int = 2) -> Iterator[BallotSequence]:
     counts = [a] * (m + 1)
     full = counts[1:]
     larger = [range(s + 1, m + 1) for s in range(m + 1)]
-    trusted = BallotSequence._trusted
+    word_of = _unchecked(BallotSequence)
     while True:
-        yield trusted(tuple(word), a, m)
+        yield word_of(symbols=tuple(word), a=a, m=m)
         p = n
         while p:
             p -= 1

@@ -48,7 +48,7 @@ from json.encoder import encode_basestring_ascii
 from math import factorial
 
 from .chain import BNComponentId, ChainSpec, all_components, propagate
-from .combinatorics import catalan
+from .combinatorics import _unchecked, catalan
 
 DEFAULT_MAX_A = 6
 
@@ -69,22 +69,6 @@ class IntersectionNode:
             raise ValueError("a node joins two distinct components")
         if self.x.sort_key() > self.y.sort_key():
             raise ValueError("endpoints must be canonically ordered")
-
-    @classmethod
-    def _trusted(
-        cls, x: BNComponentId, x_offset: int, y: BNComponentId, y_offset: int
-    ) -> "IntersectionNode":
-        """Build a node whose endpoints the caller already holds distinct and
-        in sort_key order, without re-checking them.  Sets the fields as the
-        frozen dataclass `__init__` does and skips `__post_init__`; only
-        :func:`build_bn_curve` calls it, and outside input goes through the
-        public constructor, which validates."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "x_offset", x_offset)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "y_offset", y_offset)
-        return self
 
     def offset_on(self, comp: BNComponentId) -> int:
         if comp == self.x:
@@ -240,8 +224,9 @@ def build_bn_curve(a: int, *, max_a: int = DEFAULT_MAX_A) -> BNCurveGraph:
     is found once, from its endpoint of smaller marked index.  Nodes are
     ordered by their endpoints' component order; their offsets are read from
     one :func:`propagate` walk per component.  Each node joins two distinct
-    indices ix < iy, and index order is sort_key order, so the nodes are
-    built without the public constructor's re-check.  Guarded at
+    indices ix < iy, and index order is sort_key order, so the
+    IntersectionNodes are built by :func:`bncurve.combinatorics._unchecked`,
+    without the constructor's re-check.  Guarded at
     a <= max_a; pass a larger max_a to override.
     """
     if a < 1:
@@ -265,13 +250,12 @@ def build_bn_curve(a: int, *, max_a: int = DEFAULT_MAX_A) -> BNCurveGraph:
             pairs.append((ix, iy) if ix < iy else (iy, ix))
     pairs.sort()
 
-    node = IntersectionNode._trusted
+    node = _unchecked(IntersectionNode)
     nodes = []
     for ix, iy in pairs:
         x, y = components[ix], components[iy]
-        nodes.append(
-            node(x, offsets[iy][x.marked - 1], y, offsets[ix][y.marked - 1])
-        )
+        x_offset, y_offset = offsets[iy][x.marked - 1], offsets[ix][y.marked - 1]
+        nodes.append(node(x=x, x_offset=x_offset, y=y, y_offset=y_offset))
     graph = BNCurveGraph(a=a, components=tuple(components), nodes=tuple(nodes))
     if not graph.is_connected():
         raise AssertionError("Brill-Noether curve graph came out disconnected")

@@ -346,15 +346,13 @@ def circuit_degree_bound(ram_count: int) -> int:
     return 6 - ram_count
 
 
-def max_ramified_nodes(circuit: CircuitGraph | None = None):
+def max_ramified_nodes(circuit: CircuitGraph):
     """At most 3 circuit nodes can be ramified.
 
     Certificate: on every circuit component, 2Y ~ 2Z fails, so no component
     carries two ramification nodes; six components with each node shared by
     two give at most 6/2 = 3.
     """
-    if circuit is None:
-        circuit = build_w14_circuit()
     step = TraceStep(
         claim="no circuit component carries two ramification nodes "
         "(2Y and 2Z would be fibers of one pencil)"
@@ -391,7 +389,7 @@ def _nonadjacent_node_triples() -> list[tuple[int, ...]]:
     ]
 
 
-def exclude_degree(deg: int, circuit: CircuitGraph | None = None) -> ProofTrace:
+def exclude_degree(deg: int, circuit: CircuitGraph) -> ProofTrace:
     """Machine-checked trace: the Brill-Noether curve admits no admissible
     cover of the given degree (1 <= deg <= 5).
 
@@ -402,8 +400,6 @@ def exclude_degree(deg: int, circuit: CircuitGraph | None = None) -> ProofTrace:
     """
     if not 1 <= deg <= 5:
         raise ValueError("degree must be between 1 and 5")
-    if circuit is None:
-        circuit = build_w14_circuit()
     trace = ProofTrace(subject=f"no admissible cover of degree {deg}")
 
     max_ram, ram_trace = max_ramified_nodes(circuit)
@@ -847,7 +843,7 @@ def _source_nodes(
 # the degree-6 admissible cover
 
 
-def build_degree6_cover(circuit: CircuitGraph | None = None) -> CoverData:
+def build_degree6_cover(circuit: CircuitGraph) -> CoverData:
     """The explicit degree-6 admissible cover of the a = 2 curve.
 
     Targets R1 and R2 glue at one node n0; the circuit components map to R1
@@ -859,9 +855,6 @@ def build_degree6_cover(circuit: CircuitGraph | None = None) -> CoverData:
     fiber slots over those four target nodes.  Only these placements and the
     glue nodes are stated here; :func:`_cover` derives targets and fibers.
     """
-    if circuit is None:
-        circuit = build_w14_circuit()
-
     side_of = {c: f"R{k % 2 + 1}" for k, c in enumerate(CIRCUIT_ORDER)}
     x_node_name = {c: "m" + t[1:] for c, t in circuit.tail_of.items()}
     # circuit nodes all map to n0, unramified on both sides; X nodes have
@@ -905,7 +898,7 @@ def build_degree6_cover(circuit: CircuitGraph | None = None) -> CoverData:
 # the unramified double cover
 
 
-def build_double_cover(circuit: CircuitGraph | None = None) -> CoverData:
+def build_double_cover(circuit: CircuitGraph) -> CoverData:
     """Degree-2 map of the a = 2 curve onto its quotient by the sheet swap.
 
     The swap exchanges C'i and C''i, the components with the ballot words
@@ -919,8 +912,6 @@ def build_double_cover(circuit: CircuitGraph | None = None) -> CoverData:
     onto Ci, every target node has two unramified preimages, and
     verify_cover checks the cover like any other.
     """
-    if circuit is None:
-        circuit = build_w14_circuit()
     graph = circuit.graph
     swap = {SEQ_PRIME: SEQ_DOUBLE_PRIME, SEQ_DOUBLE_PRIME: SEQ_PRIME}
 
@@ -946,10 +937,9 @@ def build_double_cover(circuit: CircuitGraph | None = None) -> CoverData:
     return _cover(components, {c: 1 for c in components}, onto, source_nodes)
 
 
-def verify_double_cover(cover: CoverData | None = None) -> VerificationReport:
-    """verify_cover on the double cover, built by build_double_cover when
-    none is given."""
-    return verify_cover(cover or build_double_cover())
+def verify_double_cover(cover: CoverData) -> VerificationReport:
+    """verify_cover on the double cover that build_double_cover built."""
+    return verify_cover(cover)
 
 
 # ---------------------------------------------------------------------------

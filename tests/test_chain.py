@@ -1,4 +1,5 @@
 import sys
+from dataclasses import fields
 from itertools import product
 from math import comb
 
@@ -121,6 +122,10 @@ class TestComponentId:
         assert comps == public
         # the ready-made labels are the ones the label property computes
         assert [c.label for c in comps] == [p.label for p in public]
+        names = {f.name for f in fields(BNComponentId)} | {"label"}
+        assert all(set(vars(c)) == names for c in comps)
+        # and are stored as compactly as the public constructor's
+        assert sys.getsizeof(vars(comps[-1])) == sys.getsizeof(vars(public[-1]))
         assert len(comps) == (2 * a + 1) * catalan(a)
 
 

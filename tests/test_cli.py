@@ -247,13 +247,20 @@ def test_hostile_argv_exits_with_a_documented_code(argv, codes, stdout):
 
 @pytest.mark.parametrize(
     "argv,unbuffered",
-    [(["selftest"], "1"), (["curve", "--a", "6"], "")],
-    ids=["selftest", "curve --a 6"],
+    [
+        (["selftest"], "1"),
+        (["curve", "--a", "6"], ""),
+        (["curve", "--a", "6"], "1"),
+        (["tables", "--g", "15", "--d", "9"], "1"),
+    ],
+    ids=["selftest", "curve --a 6", "curve --a 6 unbuffered", "tables unbuffered"],
 )
 def test_reader_closing_stdout_early_gets_no_traceback(argv, unbuffered):
     # unbuffered, selftest writes each line as its check ends; buffered, the
-    # a=6 export is written in chunks until the pipe is full.  Either way the
-    # child is still writing when the reader goes away after the first line.
+    # a=6 export is written in chunks until the pipe is full; unbuffered, the
+    # a=6 export and the g=15 tables are each one write that the closed pipe
+    # cuts short.  Either way the child is still writing when the reader
+    # goes away after the first line.
     env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONUNBUFFERED": unbuffered}
     proc = subprocess.Popen(
         [sys.executable, "-m", "bncurve", *argv],

@@ -1,6 +1,10 @@
+import ast
 import math
+import sys
+from dataclasses import fields
 from itertools import islice
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -206,8 +210,13 @@ class TestEnumerateBallot:
 
     @pytest.mark.parametrize("a,m", [(3, 2), (2, 3), (4, 3), (3, 4), (2, 6)])
     def test_words_pass_the_public_constructor(self, a, m):
+        names = {f.name for f in fields(BallotSequence)}
         for w in enumerate_ballot(a, m):
-            assert w == BallotSequence(w.symbols, a, m)
+            public = BallotSequence(w.symbols, a, m)
+            assert w == public
+            assert set(vars(w)) == names
+            # and is stored as compactly as the public constructor's
+            assert sys.getsizeof(vars(w)) == sys.getsizeof(vars(public))
 
     def test_long_words_need_no_recursion(self):
         # a*m = 1400 is past the default recursion limit of 1000
@@ -224,3 +233,28 @@ def test_ballot_sequence_validates():
         BallotSequence((2, 1, 1, 2), 2, 2)
     with pytest.raises(ValueError):
         BallotSequence((1, 2, 1), 2, 2)
+
+
+def test_only_unchecked_bypasses_the_constructors():
+    # _unchecked is the one place a record is built without __post_init__
+    src = Path(__file__).resolve().parents[1] / "src" / "bncurve"
+    inside, outside = [], []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = {
+            id(n)
+            for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef) and f.name == "_unchecked"
+            for n in ast.walk(f)
+        }
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("__new__", "__setattr__")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "object"
+            ):
+                hits = inside if id(node) in allowed else outside
+                hits.append(f"{path.name}:{node.lineno}")
+    assert outside == []
+    assert {hit.split(":")[0] for hit in inside} == {"combinatorics.py"}

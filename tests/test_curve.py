@@ -1,4 +1,6 @@
 import json
+import sys
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -191,9 +193,12 @@ class TestBuild:
     @pytest.mark.parametrize("a", range(1, 7))
     def test_nodes_pass_the_public_constructor(self, a):
         nodes = build_bn_curve(a).nodes
-        assert list(nodes) == [
-            IntersectionNode(n.x, n.x_offset, n.y, n.y_offset) for n in nodes
-        ]
+        public = [IntersectionNode(n.x, n.x_offset, n.y, n.y_offset) for n in nodes]
+        assert list(nodes) == public
+        names = {f.name for f in fields(IntersectionNode)}
+        assert all(set(vars(n)) == names for n in nodes)
+        # and are stored as compactly as the public constructor's
+        assert sys.getsizeof(vars(nodes[-1])) == sys.getsizeof(vars(public[-1]))
 
     def test_connected(self):
         for a in (1, 2, 3):

@@ -260,11 +260,11 @@ class TestExclusion:
         assert payload["subject"] == "no admissible cover of degree 3"
         assert all("verdict" in s for s in payload["steps"])
 
-    def test_out_of_range(self):
+    def test_out_of_range(self, circuit):
         with pytest.raises(ValueError):
-            exclude_degree(6)
+            exclude_degree(6, circuit)
         with pytest.raises(ValueError):
-            exclude_degree(0)
+            exclude_degree(0, circuit)
 
 
 class TestTargetTree:
@@ -371,9 +371,10 @@ class TestDegree6Cover:
 
 class TestDoubleCover:
     def test_verifies(self, circuit):
-        report = verify_cover(build_double_cover(circuit))
+        cover = build_double_cover(circuit)
+        report = verify_cover(cover)
         assert report.passed, report.first_failure
-        assert verify_double_cover().checks == report.checks
+        assert verify_double_cover(cover).checks == report.checks
 
     def test_target_shape(self, circuit):
         cover = build_double_cover(circuit)
