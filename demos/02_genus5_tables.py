@@ -16,7 +16,7 @@ from bncurve import (
 )
 
 chain = ChainSpec.rho_one(2)
-print(f"chain: genus {chain.g}, degree {chain.d}, rank {chain.r}")
+print(f"chain: genus {chain.g}, degree {chain.d}, rank 1")
 print()
 print(render_tables(chain, "text"))
 

@@ -29,11 +29,10 @@ class UnsupportedShapeError(ValueError):
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Chain of g elliptic components carrying degree-d series of rank r."""
+    """Chain of g elliptic components carrying degree-d series of rank 1."""
 
     g: int
     d: int
-    r: int = 1
 
     def __post_init__(self):
         if self.g < 2:
@@ -43,16 +42,16 @@ class ChainSpec:
 
     @property
     def a(self) -> int:
-        """The parameter a for the rho = 1 shape g = 2a+1, d = a+2."""
-        if self.r != 1 or self.g % 2 == 0 or self.d != (self.g - 1) // 2 + 2:
+        """The parameter a = d - 2 of a rho = 1 chain, where g = 2a+1."""
+        if rho(self.g, 1, self.d) != 1:
             raise UnsupportedShapeError(f"not a rho=1 chain: {self}")
-        return (self.g - 1) // 2
+        return self.d - 2
 
     @classmethod
     def rho_one(cls, a: int) -> "ChainSpec":
         if a < 1:
             raise ValueError("a must be positive")
-        return cls(g=2 * a + 1, d=a + 2, r=1)
+        return cls(g=2 * a + 1, d=a + 2)
 
 
 @dataclass(frozen=True)
@@ -310,31 +309,29 @@ def _log10_generalized_catalan(a: int, m: int) -> float:
 def limit_series_census(g: int, r: int, d: int) -> Census:
     """Classify W^r_d on a chain of g elliptic curves, for supported shapes.
 
-    Supported: rho < 0 (empty); rho = 0 with g = a(r+1), d = r(a+1) (finite,
-    counted by the generalized Catalan number); rho = 1 with r = 1, g = 2a+1,
-    d = a+2 (a curve with (2a+1) * catalan(a) components).  Raises
-    ValueError, before computing it, when a count has clearly more digits
-    than the interpreter lets `str` print.
+    With a = g - d + r, so rho = g - (r+1)a: rho < 0 is empty; rho = 0 with
+    a >= 1 forces g = a(r+1), d = r(a+1) (finite, counted by the generalized
+    Catalan number); rho = 1 with r = 1, a >= 1 forces g = 2a+1, d = a+2 (a
+    curve with (2a+1) * catalan(a) components).  Raises ValueError, before
+    computing it, when a count has clearly more digits than the interpreter
+    lets `str` print.
     """
     p = rho(g, r, d)
     if p < 0:
         return Census("empty")
+    a = g - d + r
     if p == 0:
-        if g % (r + 1) == 0:
-            a = g // (r + 1)
-            if a >= 1 and d == r * (a + 1):
-                _refuse_unprintable(_log10_generalized_catalan(a, r + 1))
-                return Census("finite", generalized_catalan(a, r + 1))
+        if a >= 1:
+            _refuse_unprintable(_log10_generalized_catalan(a, r + 1))
+            return Census("finite", generalized_catalan(a, r + 1))
         raise UnsupportedShapeError(
             f"rho=0 shape (g={g}, r={r}, d={d}) is out of modeled range"
         )
-    if p == 1 and r == 1 and g % 2 == 1 and g >= 3:
-        a = (g - 1) // 2
-        if d == a + 2:
-            _refuse_unprintable(
-                math.log10(2 * a + 1) + _log10_generalized_catalan(a, 2)
-            )
-            return Census("curve", (2 * a + 1) * catalan(a))
+    if p == 1 and r == 1 and a >= 1:
+        _refuse_unprintable(
+            math.log10(2 * a + 1) + _log10_generalized_catalan(a, 2)
+        )
+        return Census("curve", (2 * a + 1) * catalan(a))
     raise UnsupportedShapeError(
         f"(g={g}, r={r}, d={d}) with rho={p} is out of modeled range"
     )

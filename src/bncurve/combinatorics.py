@@ -45,9 +45,6 @@ class BallotSequence:
                 f"not an admissible ({self.a}, {self.m}) sequence: {self.symbols}"
             )
 
-    def __len__(self) -> int:
-        return len(self.symbols)
-
 
 def catalan(a: int) -> int:
     """The a-th Catalan number, (2a)! / (a! (a+1)!)."""

@@ -70,13 +70,6 @@ class IntersectionNode:
         if self.x.sort_key() > self.y.sort_key():
             raise ValueError("endpoints must be canonically ordered")
 
-    def offset_on(self, comp: BNComponentId) -> int:
-        if comp == self.x:
-            return self.x_offset
-        if comp == self.y:
-            return self.y_offset
-        raise ValueError(f"{comp} is not an endpoint of this node")
-
 
 @dataclass(frozen=True)
 class BNCurveGraph:

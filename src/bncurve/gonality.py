@@ -93,15 +93,13 @@ class Point:
 
 @dataclass(frozen=True)
 class Divisor:
-    """Effective divisor on one component: marked points with multiplicities
-    plus a number of free-point slots (existentially chosen points)."""
+    """Effective divisor on one component: points with multiplicities."""
 
     component: str
     terms: tuple[tuple[Point, int], ...]
-    free: int = 0
 
     @classmethod
-    def of(cls, *terms, free: int = 0) -> "Divisor":
+    def of(cls, *terms) -> "Divisor":
         """Build from (point, mult) pairs or bare points (mult 1)."""
         norm: dict[Point, int] = {}
         comp = None
@@ -117,11 +115,11 @@ class Divisor:
         if comp is None:
             raise ValueError("need at least one marked point")
         items = tuple(sorted(norm.items(), key=lambda kv: kv[0].name))
-        return cls(comp, items, free)
+        return cls(comp, items)
 
     @property
     def degree(self) -> int:
-        return sum(m for _, m in self.terms) + self.free
+        return sum(m for _, m in self.terms)
 
     def class_vector(self) -> dict[str, Fraction]:
         total: dict[str, Fraction] = {}
@@ -141,7 +139,6 @@ class Divisor:
 
     def __str__(self):
         parts = [f"{m}*{p.name}" if m > 1 else p.name for p, m in self.terms]
-        parts += [f"free#{i+1}" for i in range(self.free)]
         return f"{self.component}: " + " + ".join(parts)
 
 
@@ -149,9 +146,7 @@ def lin_equiv(d1: Divisor, d2: Divisor) -> bool:
     """Linear equivalence under the genericity oracle.
 
     Divisors on different components are rejected; unequal degrees are never
-    equivalent.  A free slot absorbs any class (a point of any class exists
-    on an elliptic curve), so if either side has one only degrees are
-    compared; otherwise the class vectors must match exactly.
+    equivalent; otherwise the class vectors must match exactly.
     """
     if d1.component != d2.component:
         raise ValueError(
@@ -160,8 +155,6 @@ def lin_equiv(d1: Divisor, d2: Divisor) -> bool:
         )
     if d1.degree != d2.degree:
         return False
-    if d1.free or d2.free:
-        return True
     return d1.class_vector() == d2.class_vector()
 
 
@@ -717,8 +710,7 @@ def verify_cover(cover: CoverData) -> VerificationReport:
                 not (fib.support() & seen_support),
             )
             seen_support |= fib.support()
-            ok_nodes = fib.free == 0
-            detail = "" if ok_nodes else "free slots cannot lie over a node"
+            ok_nodes, detail = True, ""
             for point, mult in fib.terms:
                 info = branch_index.get((m.source, point))
                 if info is None:
@@ -752,12 +744,11 @@ def verify_cover(cover: CoverData) -> VerificationReport:
                 f"{m.source}: elliptic map degree >= 2", m.degree >= 2
             )
             fibers = [fib for _, fib in m.node_fibers]
-            fully_marked = [f for f in fibers if f.free == 0]
-            if m.degree >= 3 and len(fully_marked) >= 3:
+            if m.degree >= 3 and len(fibers) >= 3:
                 rep.record(
                     f"{m.source}: pencil membership in modeled range",
                     False,
-                    "degree >= 3 with >= 3 fully marked fibers needs pencil "
+                    "degree >= 3 with >= 3 node fibers needs pencil "
                     "collinearity beyond pairwise equivalence",
                 )
             for i in range(len(fibers)):

@@ -1,12 +1,13 @@
 import sys
 from dataclasses import fields
 from itertools import product
-from math import comb
+from math import comb, factorial
 
 import pytest
 
 from bncurve.chain import (
     BNComponentId,
+    Census,
     ChainSpec,
     UnsupportedShapeError,
     all_components,
@@ -35,6 +36,16 @@ class TestRho:
     def test_rho_one_shape(self):
         for a in range(1, 9):
             assert rho(2 * a + 1, 1, a + 2) == 1
+
+    def test_chain_a_exactly_on_the_rho_one_shape(self):
+        for g in range(2, 41):
+            for d in range(1, 2 * g + 3):
+                chain = ChainSpec(g, d)
+                if (g, d) == (2 * (d - 2) + 1, d):
+                    assert chain.a == d - 2
+                else:
+                    with pytest.raises(UnsupportedShapeError):
+                        chain.a
 
 
 class TestPropagate:
@@ -282,7 +293,43 @@ class TestBoundCheck:
                     )
 
 
+def tableaux(rows, cols):
+    """Standard Young tableaux of a rows-by-cols rectangle, by the hook
+    length formula: the ballot words with `rows` copies of `cols` symbols."""
+    hooks = 1
+    for i in range(rows):
+        for j in range(cols):
+            hooks *= (rows - i) + (cols - j) - 1
+    return factorial(rows * cols) // hooks
+
+
+def reference_census(g, r, d):
+    """W^r_d on a genus-g chain, from the definitions: empty when rho < 0;
+    finite, one point per ballot word, on the shape g = (r+1)a,
+    d = r(a+1); a curve with g components per ballot word on the rank-1
+    shape g = 2a+1, d = a+2; None for any other shape."""
+    p = g - (r + 1) * (g - d + r)
+    if p < 0:
+        return Census("empty")
+    for a in range(1, g + 1):
+        if p == 0 and (g, d) == ((r + 1) * a, r * (a + 1)):
+            return Census("finite", tableaux(a, r + 1))
+        if p == 1 and r == 1 and (g, d) == (2 * a + 1, a + 2):
+            return Census("curve", g * tableaux(a, 2))
+    return None
+
+
 class TestCensus:
+    def test_matches_the_definitions(self):
+        for g in range(0, 41):
+            for r in range(1, 9):
+                for d in range(0, 2 * g + 3):
+                    try:
+                        census = limit_series_census(g, r, d)
+                    except UnsupportedShapeError:
+                        census = None
+                    assert census == reference_census(g, r, d), (g, r, d)
+
     def test_bad_shape(self):
         with pytest.raises(UnsupportedShapeError):
             limit_series_census(6, 1, 5)  # rho = 2

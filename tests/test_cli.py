@@ -179,6 +179,12 @@ class TestSelftest:
             (line,) = [s for s in lines if s.startswith(f"[PASS] {prefix}")]
             assert line.endswith("a <= 3")
 
+    def test_max_a_above_every_cap_changes_nothing(self, capsys):
+        assert main(["selftest"]) == 0
+        default = capsys.readouterr().out
+        assert main(["selftest", "--max-a", "9"]) == 0
+        assert capsys.readouterr().out == default
+
 
 class TestParsing:
     def test_missing_subcommand(self, capsys):
@@ -222,6 +228,7 @@ HOSTILE = [
     (["gonality5", "--degree", "7"], {1}, None),
     (["selftest", "--max-a", "0"], {1}, ""),  # sized checks would loop over nothing
     (["selftest", "--max-a", "-3"], {1}, ""),
+    (["selftest", "--max-a", "100000"], {0}, r"(\[PASS\] [^\n]*\n){10}"),
 ]
 SRC = Path(__file__).resolve().parents[1] / "src"
 

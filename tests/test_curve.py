@@ -119,14 +119,15 @@ class TestIntersect:
         chain = ChainSpec.rho_one(2)
         node = intersect(chain, C2P, C1P)
         assert node is not None
-        assert node.offset_on(C2P) == 1  # the point P+3Q
+        assert (node.y, node.y_offset) == (C2P, 1)  # the point P+3Q
 
     def test_c2_meets_c4_doubleprime_at_offset_0(self):
         chain = ChainSpec.rho_one(2)
         node = intersect(chain, C2P, C4PP)
         assert node is not None
-        assert node.offset_on(C2P) == 0  # the point 4Q
-        assert node.offset_on(C4PP) == 2  # the point 2P+2Q
+        # C4PP's sequence sorts first, so C4PP is x
+        assert (node.y, node.y_offset) == (C2P, 0)  # the point 4Q
+        assert (node.x, node.x_offset) == (C4PP, 2)  # the point 2P+2Q
 
     def test_non_intersecting_pair(self):
         chain = ChainSpec.rho_one(1)

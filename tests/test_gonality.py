@@ -8,6 +8,7 @@ from bncurve.curve import build_bn_curve, component_profile
 from bncurve.gonality import (
     CIRCUIT_ORDER,
     Divisor,
+    Point,
     ProofTrace,
     TargetNode,
     TargetTree,
@@ -52,13 +53,6 @@ class TestOracle:
         y2 = circuit.point("C'3", "Y")
         with pytest.raises(ValueError):
             lin_equiv(Divisor.of(y1), Divisor.of(y2))
-
-    def test_free_slots_absorb_class(self, circuit):
-        y = circuit.point("C'2", "Y")
-        z = circuit.point("C'2", "Z")
-        free_pair = Divisor.of((y, 0), free=2)
-        assert lin_equiv(free_pair, Divisor.of((y, 2)))
-        assert lin_equiv(free_pair, Divisor.of(y, z))
 
     def test_equivalence_relation_laws(self, circuit):
         x = circuit.point("C'4", "X")
@@ -482,6 +476,65 @@ def test_fiber_on_another_component_is_a_failed_check(circuit):
     checks = {name: ok for name, ok, _ in report.checks}
     assert not checks["C'2: fiber degree over m'1"]
     assert not checks["C'2: node fibers 0 and 1 linearly equivalent"]
+
+
+def with_c2_map(cover, **changes):
+    maps = tuple(
+        replace(m, **changes) if m.source == "C'2" else m for m in cover.maps
+    )
+    return replace(cover, maps=maps)
+
+
+def with_c2_fiber(cover, node_name, fiber):
+    (m,) = [m for m in cover.maps if m.source == "C'2"]
+    fibers = tuple(
+        (n, fiber if n == node_name else f) for n, f in m.node_fibers
+    )
+    return with_c2_map(cover, node_fibers=fibers)
+
+
+class TestVerifyCoverBranches:
+    """Each mutation of the degree-6 cover fails the named check with the
+    given detail."""
+
+    def failed(self, cover, name):
+        report = verify_cover(cover)
+        assert not report.passed
+        ok, detail = {n: (ok, d) for n, ok, d in report.checks}[name]
+        assert not ok
+        return detail
+
+    def test_source_node_over_an_unknown_target_node(self, circuit):
+        cover = build_degree6_cover(circuit)
+        nodes = list(cover.source_nodes)
+        assert nodes[0].name == "n1"
+        nodes[0] = replace(nodes[0], target_node="nowhere")
+        bad = replace(cover, source_nodes=tuple(nodes))
+        detail = self.failed(bad, "(i) n1 over a target node")
+        assert detail == "nowhere is not a target node"
+
+    def test_stray_point_in_a_node_fiber(self, circuit):
+        cover = build_degree6_cover(circuit)
+        stray = Point.make("S[C'2]", "C'2", s=1)
+        fiber = Divisor.of(circuit.point("C'2", "Y"), stray)
+        bad = with_c2_fiber(cover, "n0", fiber)
+        detail = self.failed(bad, "(i) C'2: fiber over n0 consists of nodes")
+        assert detail == "S[C'2] is not a source-node branch"
+
+    def test_fiber_multiplicity_below_the_ramification_index(self, circuit):
+        cover = build_degree6_cover(circuit)
+        bad = with_c2_fiber(cover, "m'1", Divisor.of(circuit.point("C'2", "X")))
+        detail = self.failed(bad, "(i) C'2: fiber over m'1 consists of nodes")
+        assert detail == (
+            "X[C'2] has fiber multiplicity 1 but ramification index 2"
+        )
+
+    def test_elliptic_map_of_degree_three_with_three_fibers(self, circuit):
+        cover = build_degree6_cover(circuit)
+        (m,) = [m for m in cover.maps if m.source == "C'2"]
+        assert len(m.node_fibers) == 3
+        bad = with_c2_map(cover, degree=3)
+        self.failed(bad, "C'2: pencil membership in modeled range")
 
 
 def test_extra_ramification_is_the_riemann_hurwitz_remainder(circuit):
