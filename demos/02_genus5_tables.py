@@ -21,12 +21,11 @@ print()
 print(render_tables(chain, "text"))
 
 print()
-print("vanishing orders (u1, u2) down the chain for two sample components:")
+print("the bundle on each chain component for two sample components:")
 for comp in [BNComponentId((1, 2, 1, 2), 2), BNComponentId((1, 1, 2, 2), 4)]:
-    vanishing, offsets = propagate(chain, comp)
     print(f"  {comp.label}:")
-    for i, ((u1, u2), u) in enumerate(zip(vanishing, offsets), start=1):
-        print(f"    C_{i}: ({u1}, {u2})  bundle {bundle_name(u, chain.d)}")
+    for i, u in enumerate(propagate(chain, comp), start=1):
+        print(f"    C_{i}: {bundle_name(u, chain.d)}")
 
 print()
 print("all ten labels, in the canonical order used everywhere:")

@@ -103,51 +103,47 @@ def bundle_name(u: int | None, d: int) -> str:
     return f"{pp}+{qq}"
 
 
-def propagate(chain: ChainSpec, comp: BNComponentId):
+def propagate(chain: ChainSpec, comp: BNComponentId) -> tuple[int | None, ...]:
     """Walk the chain and resolve the bundle on every component.
 
-    Returns (vanishing, offsets), both of length g.  vanishing[i] is the pair
-    (u1, u2) of vanishing orders at the entry node of component i+1;
-    offsets[i] is the u of its bundle O(uP + (d-u)Q), or None on the marked
-    component, whose bundle is free.
+    Returns a g-tuple whose entry i is the u of the bundle O(uP + (d-u)Q) on
+    component i+1, or None on the marked component, whose bundle is free.
 
-    The walk starts from (u1, u2) = (0, 1).  On the marked component both
-    orders step up by one.  On any other component the next sequence symbol
-    picks the offset u_sym and the *other* vanishing order steps up by one.
-    Raises ValueError if an entry pair leaves u1 < u2 <= d or an exit pair
-    leaves u1 < u2 <= d + 1.
+    The walk carries the vanishing orders (u1, u2) at the entry node of each
+    component, starting from (0, 1).  On the marked component both orders
+    step up by one.  On any other component the next sequence symbol picks
+    the offset u_sym and the *other* order steps up by one.  So, entering
+    component i, u1 = #(earlier slots not reading 1) and
+    u2 = 1 + #(earlier slots not reading 2).
+
+    For a ballot word of length g - 1 = 2a the orders need no range check:
+    u2 - u1 = 1 + #1s - #2s >= 1 at every step, since no prefix holds more
+    2s than 1s, and u2 <= 1 + a + 1 = d, since the word holds a 1s and only
+    the marked slot adds to both.  The g - 1 unmarked slots read exactly
+    the g - 1 symbols.
+
+    Raises ValueError for a chain that is not of the rho = 1 shape or a
+    sequence whose length is not g - 1.
     """
     chain.a  # validates the rho=1 shape
     if len(comp.sequence) != chain.g - 1:
         raise ValueError(
             f"sequence length {len(comp.sequence)} != g-1 = {chain.g - 1}"
         )
-    d = chain.d
     u1, u2 = 0, 1
-    vanishing: list[tuple[int, int]] = []
     offsets: list[int | None] = []
-    pos = 0
+    symbols = iter(comp.sequence)
     for i in range(1, chain.g + 1):
-        if not u1 < u2 <= d:
-            raise ValueError(f"entry vanishing orders out of range at component {i}")
-        vanishing.append((u1, u2))
         if i == comp.marked:
             offsets.append(None)
             u1, u2 = u1 + 1, u2 + 1
+        elif next(symbols) == 1:
+            offsets.append(u1)
+            u2 += 1
         else:
-            sym = comp.sequence[pos]
-            pos += 1
-            if sym == 1:
-                offsets.append(u1)
-                u2 += 1
-            else:
-                offsets.append(u2)
-                u1 += 1
-        if not (u1 < u2 <= d + 1):
-            raise ValueError(f"vanishing orders left range at component {i}")
-    if pos != len(comp.sequence):
-        raise ValueError("sequence not fully consumed")
-    return vanishing, offsets
+            offsets.append(u2)
+            u1 += 1
+    return tuple(offsets)
 
 
 def all_components(chain: ChainSpec) -> list[BNComponentId]:
@@ -203,7 +199,7 @@ def component_tables(chain: ChainSpec) -> dict[BNComponentId, tuple[int | None, 
     tables = {}
     for k in range(0, len(components), g):
         word = components[k : k + g]  # marked 1..g, in order
-        walk = tuple(propagate(chain, word[-1])[1][:-1])
+        walk = propagate(chain, word[-1])[:-1]
         shifted = tuple(u + 1 for u in walk)
         for i, comp in enumerate(word):
             tables[comp] = walk[:i] + (None,) + shifted[i:]
@@ -215,7 +211,10 @@ def render_tables(chain: ChainSpec, fmt: str = "text") -> str:
     column per component, each cell the :func:`bundle_name` of its offset.
 
     fmt "csv" emits comma-separated values; "text" emits aligned columns.
+    Any other fmt raises ValueError before a table is built.
     """
+    if fmt not in ("csv", "text"):
+        raise ValueError(f"unknown table format: {fmt!r}")
     tables = component_tables(chain)
     names = {u: bundle_name(u, chain.d) for u in (None, *range(chain.d + 1))}
     headers = ["C_i"] + [comp.label for comp in tables]
@@ -225,14 +224,12 @@ def render_tables(chain: ChainSpec, fmt: str = "text") -> str:
     ]
     if fmt == "csv":
         return "\n".join(",".join(row) for row in [headers] + rows) + "\n"
-    if fmt == "text":
-        widths = [max(len(r[j]) for r in [headers] + rows) for j in range(len(headers))]
-        lines = [
-            "  ".join(cell.rjust(w) for cell, w in zip(row, widths))
-            for row in [headers] + rows
-        ]
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown table format: {fmt!r}")
+    widths = [max(len(r[j]) for r in [headers] + rows) for j in range(len(headers))]
+    lines = [
+        "  ".join(cell.rjust(w) for cell, w in zip(row, widths))
+        for row in [headers] + rows
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def bn_bound_check(chain: ChainSpec, offsets) -> tuple[int, int, bool]:

@@ -71,6 +71,10 @@ class IntersectionNode:
             raise ValueError("endpoints must be canonically ordered")
 
 
+# builds nodes whose endpoints are already distinct and in sort_key order
+_node = _unchecked(IntersectionNode)
+
+
 @dataclass(frozen=True)
 class BNCurveGraph:
     """The Brill-Noether curve of a genus 2a+1 chain: elliptic components
@@ -180,8 +184,9 @@ def intersect(
     forward neighbours that the local rule of the module docstring gives the
     other (:func:`_forward_meets`).  Only on a hit are the offsets walked:
     each component's free slot is pinned by the other, which yields the node
-    offsets.  Raises ValueError for x == y, a chain that is
-    not of the rho = 1 shape, or a sequence whose length is not g - 1.
+    offsets.  The node skips the constructor's re-check, made here first.
+    Raises ValueError for x == y, a chain that is not of the rho = 1 shape,
+    or a sequence whose length is not g - 1.
     """
     if x == y:
         raise ValueError("intersect needs two distinct components")
@@ -196,14 +201,9 @@ def intersect(
         return None
     if x.sort_key() > y.sort_key():
         x, y = y, x
-    bx = propagate(chain, x)[1]
-    by = propagate(chain, y)[1]
-    return IntersectionNode(
-        x=x,
-        x_offset=by[x.marked - 1],
-        y=y,
-        y_offset=bx[y.marked - 1],
-    )
+    bx = propagate(chain, x)
+    by = propagate(chain, y)
+    return _node(x=x, x_offset=by[x.marked - 1], y=y, y_offset=bx[y.marked - 1])
 
 
 def build_bn_curve(a: int, *, max_a: int = DEFAULT_MAX_A) -> BNCurveGraph:
@@ -219,21 +219,22 @@ def build_bn_curve(a: int, *, max_a: int = DEFAULT_MAX_A) -> BNCurveGraph:
     one :func:`propagate` walk per component.  Each node joins two distinct
     indices ix < iy, and index order is sort_key order, so the
     IntersectionNodes are built by :func:`bncurve.combinatorics._unchecked`,
-    without the constructor's re-check.  Guarded at
-    a <= max_a; pass a larger max_a to override.
+    without the constructor's re-check.  Guarded at a <= max_a; pass a
+    larger max_a (the CLI's --max-a) to override.
     """
     if a < 1:
         raise ValueError("a must be positive")
     if a > max_a:
         raise ValueError(
-            f"a={a} exceeds the guard max_a={max_a}; pass max_a explicitly to override"
+            f"a={a} exceeds the guard max_a={max_a}; "
+            "pass --max-a (max_a= in Python) to override"
         )
     chain = ChainSpec.rho_one(a)
     g = chain.g
     # ordered (sequence lex, marked), so index order is sort_key order and
     # the component (t, j) sits at index (rank of t) * g + j - 1
     components = all_components(chain)
-    offsets = [propagate(chain, c)[1] for c in components]
+    offsets = [propagate(chain, c) for c in components]
     rank = {c.sequence: k for k, c in enumerate(components[::g])}
 
     pairs = []
@@ -243,12 +244,11 @@ def build_bn_curve(a: int, *, max_a: int = DEFAULT_MAX_A) -> BNCurveGraph:
             pairs.append((ix, iy) if ix < iy else (iy, ix))
     pairs.sort()
 
-    node = _unchecked(IntersectionNode)
     nodes = []
     for ix, iy in pairs:
         x, y = components[ix], components[iy]
         x_offset, y_offset = offsets[iy][x.marked - 1], offsets[ix][y.marked - 1]
-        nodes.append(node(x=x, x_offset=x_offset, y=y, y_offset=y_offset))
+        nodes.append(_node(x=x, x_offset=x_offset, y=y, y_offset=y_offset))
     graph = BNCurveGraph(a=a, components=tuple(components), nodes=tuple(nodes))
     if not graph.is_connected():
         raise AssertionError("Brill-Noether curve graph came out disconnected")

@@ -70,7 +70,7 @@ def pair_scan_delta(a):
     """Brute-force quadratic pair scan over precomputed bundle tuples."""
     chain = ChainSpec.rho_one(a)
     comps = all_components(chain)
-    tuples = [tuple(propagate(chain, c)[1]) for c in comps]
+    tuples = [propagate(chain, c) for c in comps]
     delta = 0
     for i, ti in enumerate(tuples):
         for tj in tuples[i + 1:]:
@@ -219,7 +219,7 @@ def test_10_property_suite():
             chain = ChainSpec.rho_one(a)
             seen = set()
             for comp in all_components(chain):
-                key = tuple(propagate(chain, comp)[1])
+                key = propagate(chain, comp)
                 assert key not in seen
                 seen.add(key)
         # oracle equivalence-relation laws on a circuit component

@@ -1,7 +1,9 @@
+import runpy
 import sys
 from dataclasses import fields
 from itertools import product
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
@@ -22,9 +24,28 @@ from bncurve.chain import (
 )
 from bncurve.combinatorics import catalan, enumerate_ballot, generalized_catalan
 
+PLAN = Path(__file__).resolve().parents[1] / "perfbench" / "plan.py"
+
 
 def rendered(chain, comp):
-    return tuple(bundle_name(u, chain.d) for u in propagate(chain, comp)[1])
+    return tuple(bundle_name(u, chain.d) for u in propagate(chain, comp))
+
+
+def counted_orders(comp):
+    """(symbol, u1, u2) at each chain slot, None as the marked slot's
+    symbol, with the entry vanishing orders from the counting identity:
+    u1 counts the earlier slots not reading 1, u2 is one more than the
+    count of those not reading 2 (the marked slot reads neither)."""
+    symbols = list(comp.sequence)
+    symbols.insert(comp.marked - 1, None)
+    return [
+        (
+            sym,
+            sum(s != 1 for s in symbols[:i]),
+            1 + sum(s != 2 for s in symbols[:i]),
+        )
+        for i, sym in enumerate(symbols)
+    ]
 
 
 class TestRho:
@@ -63,38 +84,43 @@ class TestPropagate:
         # hand-propagated: (0,1) -> choice 1 -> (0,2) -> choice 2 -> (1,2)
         chain = ChainSpec.rho_one(1)
         comp = BNComponentId((1, 2), 3)
-        _, offsets = propagate(chain, comp)
-        assert offsets == [0, 2, None]
+        assert propagate(chain, comp) == (0, 2, None)
 
     def test_vanishing_monotone_and_bounded(self):
-        for a in (1, 2, 3):
+        # the range that propagate does not check: every validated
+        # component keeps 0 <= u1 < u2 <= d, and neither order drops
+        for a in range(1, 6):
             chain = ChainSpec.rho_one(a)
             for comp in all_components(chain):
-                vanishing, _ = propagate(chain, comp)
-                assert len(vanishing) == chain.g
-                for u1, u2 in vanishing:
+                previous = (0, 1)
+                for _, u1, u2 in counted_orders(comp):
                     assert 0 <= u1 < u2 <= chain.d
+                    assert previous[0] <= u1 and previous[1] <= u2
+                    previous = (u1, u2)
 
     def test_counting_identity(self):
-        # u1 counts the positions before i where presentation 1 was not
-        # chosen; u2 is one more than the not-2 count (marked counts as
-        # not-chosen for both)
-        for a in (1, 2, 3):
+        # each offset is the entry order that its slot's symbol picks
+        for a in range(1, 6):
             chain = ChainSpec.rho_one(a)
             for comp in all_components(chain):
-                vanishing, _ = propagate(chain, comp)
-                choices = []
-                pos = 0
-                for i in range(1, chain.g + 1):
-                    if i == comp.marked:
-                        choices.append(None)
-                    else:
-                        choices.append(comp.sequence[pos])
-                        pos += 1
-                for i in range(chain.g):
-                    u1, u2 = vanishing[i]
-                    assert u1 == sum(1 for c in choices[:i] if c != 1)
-                    assert u2 == 1 + sum(1 for c in choices[:i] if c != 2)
+                offsets = propagate(chain, comp)
+                assert len(offsets) == chain.g
+                for u, (sym, u1, u2) in zip(offsets, counted_orders(comp)):
+                    assert u == {None: None, 1: u1, 2: u2}[sym]
+
+    def test_matches_the_benchmark_reference_walk(self):
+        # perfbench/plan.py computes offsets independently of bncurve;
+        # run_path executes it without writing bytecode
+        reference = runpy.run_path(str(PLAN))["offsets"]
+        checked = 0
+        for a in range(1, 7):
+            chain = ChainSpec.rho_one(a)
+            for comp in all_components(chain):
+                assert propagate(chain, comp) == tuple(
+                    reference(comp.sequence, comp.marked)
+                )
+                checked += 1
+        assert checked == 2352
 
     def test_injectivity_of_sequence_to_tuple(self):
         for a in range(1, 6):
@@ -103,7 +129,7 @@ class TestPropagate:
                 seen = {}
                 for seq in enumerate_ballot(a, 2):
                     comp = BNComponentId(seq.symbols, marked)
-                    key = tuple(propagate(chain, comp)[1])
+                    key = propagate(chain, comp)
                     assert key not in seen
                     seen[key] = comp
 
@@ -170,7 +196,7 @@ class TestComponentTables:
     def test_rows_match_a_walk_per_component(self, a):
         chain = ChainSpec.rho_one(a)
         assert list(component_tables(chain).items()) == [
-            (c, tuple(propagate(chain, c)[1])) for c in all_components(chain)
+            (c, propagate(chain, c)) for c in all_components(chain)
         ]
 
     @pytest.mark.parametrize("a", range(1, 6))
@@ -210,6 +236,14 @@ class TestComponentTables:
         assert csv.splitlines()[0] == "C_i,12|1,12|2,12|3"
         with pytest.raises(ValueError):
             render_tables(chain, "yaml")
+
+    def test_unknown_format_is_refused_before_building(self, monkeypatch):
+        def no_tables(chain):
+            raise AssertionError("built")
+
+        monkeypatch.setattr(sys.modules["bncurve.chain"], "component_tables", no_tables)
+        with pytest.raises(ValueError, match="unknown table format"):
+            render_tables(ChainSpec(21, 12), "xml")
 
 
 class TestBundle:
@@ -252,8 +286,7 @@ class TestBoundCheck:
     def test_propagate_outputs_satisfy_bound(self):
         chain = ChainSpec.rho_one(2)
         for comp in all_components(chain):
-            _, offsets = propagate(chain, comp)
-            eps, bound, ok = bn_bound_check(chain, offsets)
+            eps, bound, ok = bn_bound_check(chain, propagate(chain, comp))
             assert eps == 1 and bound == 1 and ok
 
     def test_rho_zero_forbids_free_components(self):

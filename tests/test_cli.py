@@ -103,7 +103,10 @@ class TestCurve:
 
     def test_guard_respected(self, capsys):
         assert main(["curve", "--a", "7"]) == 1
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error" in err
+        # one line, naming the flag a CLI user passes
+        assert err.count("\n") == 1 and "--max-a" in err
 
     def test_deterministic(self, capsys):
         main(["curve", "--a", "2"])

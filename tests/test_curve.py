@@ -34,7 +34,7 @@ def naive_nodes(a):
     order."""
     chain = ChainSpec.rho_one(a)
     comps = all_components(chain)
-    offsets = [propagate(chain, c)[1] for c in comps]
+    offsets = [propagate(chain, c) for c in comps]
     nodes = []
     for i, x in enumerate(comps):
         for j in range(i + 1, len(comps)):
@@ -55,7 +55,7 @@ def meet_key_nodes(a):
     x offset, y offset) rows in component order."""
     chain = ChainSpec.rho_one(a)
     comps = all_components(chain)
-    offsets = [tuple(propagate(chain, c)[1]) for c in comps]
+    offsets = [propagate(chain, c) for c in comps]
 
     def meet_key(us, slot):
         return us[: slot - 1] + (None,) + us[slot:]
@@ -147,6 +147,12 @@ class TestIntersect:
                 node = intersect(chain, x, y)
                 got = None if node is None else node_row(node)
                 assert got == expected.get(frozenset((x.label, y.label)))
+                if node is not None:
+                    public = IntersectionNode(
+                        node.x, node.x_offset, node.y, node.y_offset
+                    )
+                    assert node == public
+                    assert vars(node).keys() == vars(public).keys()
 
     def test_same_component_rejected(self):
         chain = ChainSpec.rho_one(1)

@@ -1,12 +1,16 @@
-"""The CLI prints byte-for-byte what the benchmark recorded.
+"""The CLI prints byte-for-byte, and enumerate_ballot yields word for word,
+what the benchmark recorded.
 
 perfbench/expected.json holds the sha256 and byte length of the stdout of
 `selftest`, `gonality5`, `gonality5 --degree 1..6`, the g=17 csv and g=15
 text tables, the a=7 DOT export and the a=8 JSON export; this test reruns
 each through `bncurve.cli.main`, with the argv the benchmark uses, and
-compares stdout.  It only reads that file.  Each command also runs under
-`python -O`, which strips `assert` statements, and must print the same
-bytes there: no result relies on an `assert`.
+compares stdout.  It also holds, for each `enumerate_ballot(a, m)` shape
+the benchmark runs, the word count and the sha256 of the words' symbols
+concatenated as bytes; this test recomputes both.  It only reads that
+file.  Each command and enumeration also runs under `python -O`, which
+strips `assert` statements, and must give the same digest there: no result
+relies on an `assert`.
 """
 
 import hashlib
@@ -37,6 +41,17 @@ COMMANDS = {
     "curve_a7_dot": ["curve", "--a", "7", "--max-a", "7", "--format", "dot"],
     "curve_a8_json": ["curve", "--a", "8", "--max-a", "8", "--format", "json"],
 }
+ENUM_SHAPES = {
+    f"enumerate_{a}_{m}": (a, m) for a, m in [(10, 2), (6, 3), (4, 4), (3, 5)]
+}
+# the benchmark's words digest of enumerate_ballot(a, m), left in `digest`
+WORDS_DIGEST = """
+import hashlib
+from bncurve.combinatorics import enumerate_ballot
+words = [w.symbols for w in enumerate_ballot(a, m)]
+data = bytes(s for w in words for s in w)
+digest = {"sha256": hashlib.sha256(data).hexdigest(), "words": len(words)}
+"""
 
 
 def digest(data: bytes) -> dict:
@@ -67,3 +82,33 @@ def test_optimized_stdout_matches_recorded_digest(expected, name):
     )
     assert proc.returncode == 0, proc.stderr
     assert digest(proc.stdout) == expected[name]
+
+
+def words_digest_script(name):
+    a, m = ENUM_SHAPES[name]
+    return f"a, m = {a}, {m}\n" + WORDS_DIGEST
+
+
+@pytest.mark.parametrize("name", sorted(ENUM_SHAPES))
+def test_enumeration_matches_recorded_digest(expected, name):
+    scope = {}
+    exec(words_digest_script(name), scope)
+    assert scope["digest"] == expected[name]
+
+
+@pytest.mark.parametrize("name", sorted(ENUM_SHAPES))
+def test_optimized_enumeration_matches_recorded_digest(expected, name):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    script = words_digest_script(name) + "import json\nprint(json.dumps(digest))\n"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == expected[name]
+
+
+def test_every_recorded_entry_is_checked(expected):
+    assert set(expected) == set(COMMANDS) | set(ENUM_SHAPES)
