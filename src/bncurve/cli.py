@@ -2,7 +2,8 @@
 
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success, 1
 invalid input, including input over a size budget checked before any work
-(more than `chain.TABLE_CELL_BUDGET` table cells, or a `catalan`,
+(more than `chain.TABLE_CELL_BUDGET` table cells, a curve with more than
+`curve.CURVE_SIZE_BUDGET` components and nodes, or a `catalan`,
 `castelnuovo` or `census` count with more digits than the interpreter
 prints), 2 internal consistency failure, an arithmetic error, or an input
 too large to compute (recursion depth or memory exhausted).  Errors are

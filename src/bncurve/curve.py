@@ -44,13 +44,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from json.encoder import encode_basestring_ascii
 from math import factorial
 
 from .chain import BNComponentId, ChainSpec, all_components, propagate
 from .combinatorics import _unchecked, catalan
 
 DEFAULT_MAX_A = 6
+CURVE_SIZE_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -78,11 +78,30 @@ _node = _unchecked(IntersectionNode)
 @dataclass(frozen=True)
 class BNCurveGraph:
     """The Brill-Noether curve of a genus 2a+1 chain: elliptic components
-    plus intersection nodes."""
+    plus intersection nodes.
+
+    The nodes are one flat tuple of ints, four per node: (x index, x_offset,
+    y index, y_offset), each index into `components` and x index < y index.
+    A tuple keeps the graph immutable and hashable, which its cached
+    connectivity and profiles rely on.  `nodes` builds the IntersectionNode
+    records from it on first use.  Raises ValueError for a table whose length
+    is not a multiple of 4, a row whose x index is not below its y index, or
+    an index outside 0..nu-1.
+    """
 
     a: int
     components: tuple[BNComponentId, ...]
-    nodes: tuple[IntersectionNode, ...]
+    node_table: tuple[int, ...]
+
+    def __post_init__(self):
+        table, nu = self.node_table, len(self.components)
+        if len(table) % 4:
+            raise ValueError("a node table holds four ints per node")
+        for ix, iy in zip(table[0::4], table[2::4]):
+            if not 0 <= ix < iy < nu:
+                raise ValueError(
+                    f"node ({ix}, {iy}) needs 0 <= x index < y index < {nu}"
+                )
 
     @property
     def g(self) -> int:
@@ -98,25 +117,43 @@ class BNCurveGraph:
 
     @property
     def delta(self) -> int:
-        return len(self.nodes)
+        return len(self.node_table) // 4
 
     def is_connected(self) -> bool:
         return self._connected
 
-    # The graph is frozen, so connectivity and the per-component profiles are
-    # computed once per graph, on first use.
+    # The graph is frozen, so connectivity, the per-component profiles and
+    # the node records are computed once per graph, on first use.
 
     @cached_property
     def _connected(self) -> bool:
-        return edges_connect(self.components, ((n.x, n.y) for n in self.nodes))
+        table = self.node_table
+        return edges_connect(range(self.nu), zip(table[0::4], table[2::4]))
 
     @cached_property
     def _profiles(self) -> dict[BNComponentId, list[tuple[BNComponentId, int]]]:
-        profiles = {c: [] for c in self.components}
-        for node in self.nodes:
-            profiles[node.x].append((node.y, node.x_offset))
-            profiles[node.y].append((node.x, node.y_offset))
-        return profiles
+        comps = self.components
+        profiles = [[] for _ in comps]
+        rows = iter(self.node_table)
+        for ix, x_offset, iy, y_offset in zip(rows, rows, rows, rows):
+            profiles[ix].append((comps[iy], x_offset))
+            profiles[iy].append((comps[ix], y_offset))
+        return dict(zip(comps, profiles))
+
+    @cached_property
+    def nodes(self) -> tuple[IntersectionNode, ...]:
+        """The node table as IntersectionNode records, in table order, built
+        by the public constructor."""
+        comps = self.components
+        rows = iter(self.node_table)
+        return tuple(
+            IntersectionNode(comps[ix], x_offset, comps[iy], y_offset)
+            for ix, x_offset, iy, y_offset in zip(rows, rows, rows, rows)
+        )
+
+
+# builds graphs whose node table is valid by construction
+_graph = _unchecked(BNCurveGraph)
 
 
 def edges_connect(vertices, edges) -> bool:
@@ -214,16 +251,30 @@ def build_bn_curve(a: int, *, max_a: int = DEFAULT_MAX_A) -> BNCurveGraph:
     reads a maximal run c^r and then e = 3 - c right after slot i, s with
     that e moved to the front of the run, marked at i + r + 1, if that is a
     ballot word (the module docstring has the proof sketch).  So every node
-    is found once, from its endpoint of smaller marked index.  Nodes are
-    ordered by their endpoints' component order; their offsets are read from
-    one :func:`propagate` walk per component.  Each node joins two distinct
-    indices ix < iy, and index order is sort_key order, so the
-    IntersectionNodes are built by :func:`bncurve.combinatorics._unchecked`,
-    without the constructor's re-check.  Guarded at a <= max_a; pass a
-    larger max_a (the CLI's --max-a) to override.
+    is found once, from its endpoint of smaller marked index, as an index
+    pair ix < iy.  The pairs are sorted, and each becomes the node table row
+    (ix, offset on ix, iy, offset on iy), read from one :func:`propagate`
+    walk per component: component k is marked at k % g + 1, so its node
+    point is the other walk's entry k % g.  No IntersectionNode is built;
+    the graph, valid by construction, is built by
+    :func:`bncurve.combinatorics._unchecked`, without the table re-check.
+
+    Raises ValueError, before any enumeration, for a < 1, when nu + delta
+    would exceed CURVE_SIZE_BUDGET, which max_a cannot lift (a <= 11 fits,
+    a >= 12 does not), and for a > max_a (a guard; pass a larger max_a, the
+    CLI's --max-a, to override).
     """
     if a < 1:
         raise ValueError("a must be positive")
+    cat, cat_next = 1, 1
+    for k in range(1, a + 1):  # cat = catalan(k), stopped once over budget
+        cat, cat_next = cat_next, cat_next * (4 * k + 2) // (k + 2)
+        # nu + delta = (2k+1) c_k + 2((2k+1) c_k - c_{k+1})
+        if 3 * (2 * k + 1) * cat - 2 * cat_next > CURVE_SIZE_BUDGET:
+            raise ValueError(
+                f"the a={a} curve has more than {CURVE_SIZE_BUDGET} "
+                "components and nodes"
+            )
     if a > max_a:
         raise ValueError(
             f"a={a} exceeds the guard max_a={max_a}; "
@@ -244,12 +295,11 @@ def build_bn_curve(a: int, *, max_a: int = DEFAULT_MAX_A) -> BNCurveGraph:
             pairs.append((ix, iy) if ix < iy else (iy, ix))
     pairs.sort()
 
-    nodes = []
+    table = []
     for ix, iy in pairs:
-        x, y = components[ix], components[iy]
-        x_offset, y_offset = offsets[iy][x.marked - 1], offsets[ix][y.marked - 1]
-        nodes.append(_node(x=x, x_offset=x_offset, y=y, y_offset=y_offset))
-    graph = BNCurveGraph(a=a, components=tuple(components), nodes=tuple(nodes))
+        table += (ix, offsets[iy][ix % g], iy, offsets[ix][iy % g])
+    del pairs, offsets
+    graph = _graph(a=a, components=tuple(components), node_table=tuple(table))
     if not graph.is_connected():
         raise AssertionError("Brill-Noether curve graph came out disconnected")
     return graph
@@ -316,14 +366,21 @@ def component_profile(
     return list(profile)
 
 
-def _json_array(items: list[str], indent: str) -> str:
-    """A JSON array of already-encoded items, laid out as json.dumps(...,
-    indent=2) lays it out when its opening bracket sits on a line indented
-    by `indent`."""
+def _json_array(items: list[str], indent: str) -> list[str]:
+    """The pieces of a JSON array of already-encoded items, laid out as
+    json.dumps(..., indent=2) lays it out when its opening bracket sits on a
+    line indented by `indent`.  The caller joins them with the rest of its
+    text, so the items are copied once, into that text."""
     if not items:
-        return "[]"
+        return ["[]"]
     inner = "\n" + indent + "  "
-    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+    sep = "," + inner
+    pieces = []
+    for item in items:
+        pieces += (sep, item)
+    pieces[0] = "[" + inner
+    pieces.append("\n" + indent + "]")
+    return pieces
 
 
 def export_graph(graph: BNCurveGraph, fmt: str) -> str:
@@ -335,43 +392,53 @@ def export_graph(graph: BNCurveGraph, fmt: str) -> str:
     {a, g, d, nu, delta, genus, components: [{id, sequence, marked}],
     nodes: [{x, x_offset, y, y_offset}]}, written with string joins because
     json.dumps falls back to its pure-Python encoder whenever it indents.
+    Nodes are read from the node table, each end's label by its index.
     """
+    if fmt not in ("json", "dot"):
+        raise ValueError(f"unknown export format: {fmt!r}")
+    # A label holds only the digits 1 and 2, "|" and the decimal marked
+    # index, and a count only digits, so none needs JSON escaping: each is
+    # written between quotes as it is.
+    labels = [c.label for c in graph.components]
+    rows = iter(graph.node_table)
+    rows = zip(rows, rows, rows, rows)
     if fmt == "json":
-        enc = encode_basestring_ascii
         genus = genus_from_graph(graph)
         sequences: dict[tuple, str] = {}  # every sequence labels g components
         components = []
-        for c in graph.components:
+        for c, label in zip(graph.components, labels):
             seq = sequences.get(c.sequence)
             if seq is None:
-                seq = sequences[c.sequence] = _json_array(
-                    [str(v) for v in c.sequence], "      "
+                seq = sequences[c.sequence] = "".join(
+                    _json_array([str(v) for v in c.sequence], "      ")
                 )
             components.append(
-                f'{{\n      "id": {enc(c.label)},\n      "sequence": {seq},'
+                f'{{\n      "id": "{label}",\n      "sequence": {seq},'
                 f'\n      "marked": {c.marked}\n    }}'
             )
         nodes = [
-            f'{{\n      "x": {enc(n.x.label)},\n      "x_offset": {n.x_offset},'
-            f'\n      "y": {enc(n.y.label)},\n      "y_offset": {n.y_offset}\n    }}'
-            for n in graph.nodes
+            f'{{\n      "x": "{labels[ix]}",\n      "x_offset": {x_offset},'
+            f'\n      "y": "{labels[iy]}",\n      "y_offset": {y_offset}\n    }}'
+            for ix, x_offset, iy, y_offset in rows
         ]
-        return (
-            f'{{\n  "a": {graph.a},\n  "g": {graph.g},\n  "d": {graph.d},'
-            f'\n  "nu": {enc(str(graph.nu))},\n  "delta": {enc(str(graph.delta))},'
-            f'\n  "genus": {enc(str(genus))},'
-            f'\n  "components": {_json_array(components, "  ")},'
-            f'\n  "nodes": {_json_array(nodes, "  ")}\n}}\n'
+        return "".join(
+            [
+                f'{{\n  "a": {graph.a},\n  "g": {graph.g},\n  "d": {graph.d},'
+                f'\n  "nu": "{graph.nu}",\n  "delta": "{graph.delta}",'
+                f'\n  "genus": "{genus}",\n  "components": ',
+                *_json_array(components, "  "),
+                ',\n  "nodes": ',
+                *_json_array(nodes, "  "),
+                "\n}\n",
+            ]
         )
-    if fmt == "dot":
-        lines = ["graph bn_curve {"]
-        for c in graph.components:
-            lines.append(f'  "{c.label}" [label="{c.label}"];')
-        for n in graph.nodes:
-            lines.append(
-                f'  "{n.x.label}" -- "{n.y.label}" '
-                f'[label="{n.x_offset}/{n.y_offset}"];'
-            )
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown export format: {fmt!r}")
+    lines = ["graph bn_curve {"]
+    for label in labels:
+        lines.append(f'  "{label}" [label="{label}"];')
+    for ix, x_offset, iy, y_offset in rows:
+        lines.append(
+            f'  "{labels[ix]}" -- "{labels[iy]}" '
+            f'[label="{x_offset}/{y_offset}"];'
+        )
+    lines += ["}", ""]  # the empty last line ends the text with a newline
+    return "\n".join(lines)

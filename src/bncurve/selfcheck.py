@@ -47,9 +47,8 @@ def check_component_count(max_a: int):
     return True, f"nu = (2a+1)*c_a for a <= {max_a}"
 
 
-def check_node_count(max_a: int):
-    for a in range(1, max_a + 1):
-        graph = build_bn_curve(a)
+def check_node_count(graphs):
+    for a, graph in enumerate(graphs, start=1):
         presimplified = 2 * (
             (a - 1) * catalan(a)
             - sum(catalan(k) * catalan(a - k) for k in range(1, a))
@@ -59,16 +58,15 @@ def check_node_count(max_a: int):
                 f"a={a}: scan {graph.delta}, closed {delta_closed(a)}, "
                 f"pre-simplification {presimplified}"
             )
-    return True, f"delta matches both closed forms for a <= {max_a}"
+    return True, f"delta matches both closed forms for a <= {len(graphs)}"
 
 
-def check_genus(max_a: int):
-    for a in range(1, max_a + 1):
-        graph = build_bn_curve(a)
+def check_genus(graphs):
+    for a, graph in enumerate(graphs, start=1):
         g1 = genus_from_graph(graph)
         if g1 != graph.delta + 1 or g1 != genus_closed(a):
             return False, f"a={a}: graph {g1}, closed {genus_closed(a)}"
-    return True, f"graph genus = delta+1 = closed form for a <= {max_a}"
+    return True, f"graph genus = delta+1 = closed form for a <= {len(graphs)}"
 
 
 def check_eh_discrepancy():
@@ -108,9 +106,8 @@ def check_table_fidelity():
     return True, "g=5, d=4 tables reproduced entry-for-entry"
 
 
-def check_nodal_properties(max_a: int):
-    for a in range(1, max_a + 1):
-        graph = build_bn_curve(a)
+def check_nodal_properties(graphs):
+    for a, graph in enumerate(graphs, start=1):
         adjacency = 0
         for comp in graph.components:
             profile = component_profile(graph, comp)
@@ -124,7 +121,9 @@ def check_nodal_properties(max_a: int):
                     adjacency += 1
         if adjacency != 2 * 2 * a * catalan(a):  # counted from both ends
             return False, f"a={a}: adjacency node count off"
-    return True, f"profiles <= 4, distinct offsets, (g-1)c_a adjacency, a <= {max_a}"
+    return True, (
+        f"profiles <= 4, distinct offsets, (g-1)c_a adjacency, a <= {len(graphs)}"
+    )
 
 
 def check_bn_emptiness():
@@ -148,7 +147,7 @@ def check_gonality():
     return True, "degrees 1..5 excluded, degree-6 cover and double cover verified"
 
 
-def check_properties(max_a: int):
+def check_properties(graphs):
     # Catalan recursion
     for a in range(0, 13):
         if catalan(a + 1) != sum(
@@ -171,7 +170,7 @@ def check_properties(max_a: int):
     if n != generalized_catalan(2, 3):
         return False, "brute-force ballot count disagrees at (2, 3)"
     # export determinism
-    graph = build_bn_curve(min(max_a, 3))
+    graph = graphs[-1]
     for fmt in ("json", "dot"):
         if export_graph(graph, fmt) != export_graph(graph, fmt):
             return False, f"{fmt} export is not deterministic"
@@ -179,7 +178,8 @@ def check_properties(max_a: int):
 
 
 # (name, check, cap): a sized check's one argument is its bound, the cap or,
-# given --max-a, min(max_a, cap); cap None means the check takes no bound
+# given --max-a, min(max_a, cap), except that a check in GRAPH_CHECKS takes
+# the curve graphs for a = 1..bound instead; cap None means no argument
 ALL_CHECKS = [
     ("component count nu = (2a+1) c_a", check_component_count, 8),
     ("node count delta, both forms", check_node_count, 6),
@@ -190,24 +190,41 @@ ALL_CHECKS = [
     ("nodal properties", check_nodal_properties, 5),
     ("Brill-Noether emptiness, rho < 0", check_bn_emptiness, None),
     ("gonality pipeline", check_gonality, None),
-    ("property suite", check_properties, 6),
+    ("property suite", check_properties, 3),
 ]
+GRAPH_CHECKS = {
+    check_node_count, check_genus, check_nodal_properties, check_properties
+}
 
 
 def run_selftest(max_a: int | None = None) -> bool:
     """Run every check, print one line per criterion, return overall pass.
 
     max_a lowers each sized check's bound, and above its cap changes nothing.
-    Raises ValueError for max_a < 1, under which the sized checks would loop
-    over nothing and pass."""
+    Each curve graph is built once per call, on first use, shared by the
+    checks in GRAPH_CHECKS and dropped once no later check reads it.  Raises
+    ValueError for max_a < 1, under which the sized checks would loop over
+    nothing and pass."""
     if max_a is not None and max_a < 1:
         raise ValueError(f"max_a must be at least 1, got {max_a}")
+
+    def bound(cap):
+        return cap if max_a is None else min(max_a, cap)
+
+    # caps of the graph checks still to run, and graphs[a - 1], the curve for a
+    graph_caps = [cap for _, check, cap in ALL_CHECKS if check in GRAPH_CHECKS]
+    graphs = []
     all_ok = True
     for name, check, cap in ALL_CHECKS:
         if cap is None:
             ok, detail = check()
+        elif check in GRAPH_CHECKS:
+            graph_caps.pop(0)
+            graphs += map(build_bn_curve, range(len(graphs) + 1, bound(cap) + 1))
+            ok, detail = check(graphs[: bound(cap)])
+            del graphs[bound(max(graph_caps, default=0)) :]
         else:
-            ok, detail = check(cap if max_a is None else min(max_a, cap))
+            ok, detail = check(bound(cap))
         all_ok &= ok
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     return all_ok

@@ -1,8 +1,10 @@
+import gc
 import json
 import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -108,6 +110,23 @@ class TestCurve:
         # one line, naming the flag a CLI user passes
         assert err.count("\n") == 1 and "--max-a" in err
 
+    @pytest.mark.parametrize("a", ["12", "1000000000"])
+    @pytest.mark.parametrize("lifted", [False, True])
+    def test_size_budget_exits_1_before_enumerating(
+        self, monkeypatch, capsys, a, lifted
+    ):
+        def enumerated(chain):
+            raise RuntimeError("enumerated")
+
+        monkeypatch.setattr(sys.modules["bncurve.curve"], "all_components", enumerated)
+        argv = ["curve", "--a", a] + (["--max-a", a] if lifted else [])
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # one line, and no hint at --max-a, which cannot lift the budget
+        assert captured.err.count("\n") == 1 and "components and nodes" in captured.err
+        assert "--max-a" not in captured.err
+
     def test_deterministic(self, capsys):
         main(["curve", "--a", "2"])
         first = capsys.readouterr().out
@@ -181,6 +200,36 @@ class TestSelftest:
         for prefix in sized:
             (line,) = [s for s in lines if s.startswith(f"[PASS] {prefix}")]
             assert line.endswith("a <= 3")
+
+    def test_each_graph_is_built_once_and_dropped_after_use(
+        self, monkeypatch, capsys
+    ):
+        module = sys.modules["bncurve.selfcheck"]
+        built, alive = [], []
+
+        def counted(a, _original=module.build_bn_curve):
+            graph = _original(a)
+            built.append((a, weakref.ref(graph)))
+            return graph
+
+        def seen(_original=module.gonality):
+            gc.collect()
+            alive.append([a for a, ref in built if ref() is not None])
+            return _original()
+
+        monkeypatch.setattr(module, "build_bn_curve", counted)
+        monkeypatch.setattr(module, "gonality", seen)
+        assert main(["selftest"]) == 0
+        first = capsys.readouterr().out
+        assert [a for a, _ in built] == [1, 2, 3, 4, 5, 6]
+        # by the gonality check only the property suite's graphs are left
+        assert alive == [[1, 2, 3]]
+        # a second run builds afresh and prints the same lines
+        assert main(["selftest"]) == 0
+        assert capsys.readouterr().out == first
+        assert [a for a, _ in built] == [1, 2, 3, 4, 5, 6] * 2
+        gc.collect()
+        assert all(ref() is None for _, ref in built)
 
     def test_max_a_above_every_cap_changes_nothing(self, capsys):
         assert main(["selftest"]) == 0

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+import bncurve.curve as curve_module
 from bncurve.chain import BNComponentId, ChainSpec, all_components, propagate
 from bncurve.combinatorics import catalan
 from bncurve.curve import (
+    CURVE_SIZE_BUDGET,
     BNCurveGraph,
     IntersectionNode,
     build_bn_curve,
@@ -108,6 +110,23 @@ def reference_payload(graph):
 def reference_json(graph):
     """export_graph's JSON as json.dumps itself lays it out."""
     return json.dumps(reference_payload(graph), indent=2) + "\n"
+
+
+def reference_dot(graph):
+    """export_graph's DOT text, written from the IntersectionNode records."""
+    lines = ["graph bn_curve {"]
+    lines += [f'  "{c.label}" [label="{c.label}"];' for c in graph.components]
+    lines += [
+        f'  "{n.x.label}" -- "{n.y.label}" [label="{n.x_offset}/{n.y_offset}"];'
+        for n in graph.nodes
+    ]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def table_rows(graph):
+    """The node table as (x index, x_offset, y index, y_offset) rows."""
+    t = graph.node_table
+    return list(zip(t[0::4], t[1::4], t[2::4], t[3::4]))
 
 
 def node_row(node):
@@ -213,10 +232,13 @@ class TestBuild:
 
     def test_disconnected_graph_is_caught(self):
         graph = build_bn_curve(2)
+        c1 = graph.components.index(C1P)
         cut = BNCurveGraph(
             a=2,
             components=graph.components,
-            nodes=tuple(n for n in graph.nodes if C1P not in (n.x, n.y)),
+            node_table=tuple(
+                v for row in table_rows(graph) if c1 not in row[::2] for v in row
+            ),
         )
         assert graph.is_connected()
         assert cut.is_connected() is False
@@ -229,6 +251,27 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_bn_curve(7)
         build_bn_curve(3, max_a=3)
+
+    def test_size_budget_refuses_before_enumerating(self, monkeypatch):
+        def enumerated(chain):
+            raise RuntimeError("enumerated")
+
+        monkeypatch.setattr(curve_module, "all_components", enumerated)
+        # max_a does not lift the budget, and a huge a is refused at once
+        for a in (12, 13, 10**9):
+            for max_a in (6, a):
+                with pytest.raises(ValueError, match="components and nodes"):
+                    build_bn_curve(a, max_a=max_a)
+        for a in (1, 11):
+            with pytest.raises(RuntimeError, match="enumerated"):
+                build_bn_curve(a, max_a=a)
+
+    def test_size_budget_is_nu_plus_delta(self):
+        def size(a):
+            return (2 * a + 1) * catalan(a) + delta_closed(a)
+
+        assert (size(11), size(12)) == (3_640_210, 14_115_100)
+        assert size(11) <= CURVE_SIZE_BUDGET < size(12)
 
     def test_adjacency_law(self):
         # same sequence, neighboring marked components always meet
@@ -360,10 +403,17 @@ class TestExport:
     def test_json_empty_lists(self):
         # one component with an empty sequence and no nodes: both lists
         # must render as []
-        graph = BNCurveGraph(a=0, components=(BNComponentId((), 1),), nodes=())
+        graph = BNCurveGraph(
+            a=0, components=(BNComponentId((), 1),), node_table=()
+        )
         text = export_graph(graph, "json")
         assert text == reference_json(graph)
         assert '"sequence": []' in text and '"nodes": []' in text
+
+    @pytest.mark.parametrize("a", [1, 2, 3, 4, 5, 6])
+    def test_dot_matches_the_node_records(self, a):
+        graph = build_bn_curve(a)
+        assert export_graph(graph, "dot") == reference_dot(graph)
 
     def test_json_round_trips_a7(self):
         graph = build_bn_curve(7, max_a=7)
@@ -378,3 +428,63 @@ class TestExport:
         graph = build_bn_curve(1)
         with pytest.raises(ValueError):
             export_graph(graph, "")
+
+
+class TestNodeTable:
+    @pytest.mark.parametrize("a", [1, 2, 3, 4])
+    def test_rows_are_the_nodes(self, a):
+        graph = build_bn_curve(a)
+        index = {c: k for k, c in enumerate(graph.components)}
+        assert table_rows(graph) == [
+            (index[n.x], n.x_offset, index[n.y], n.y_offset) for n in graph.nodes
+        ]
+        pairs = [row[::2] for row in table_rows(graph)]
+        assert pairs == sorted(pairs)
+        assert graph.delta == len(graph.nodes)
+
+    def test_hand_built_table_equals_the_built_graph(self):
+        graph = build_bn_curve(2)
+        again = BNCurveGraph(2, graph.components, graph.node_table)
+        assert again == graph and hash(again) == hash(graph)
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            (0, 1, 1),  # length not a multiple of 4
+            (0, 1, 1, 0, 2),
+            (1, 0, 0, 1),  # x index above y index
+            (3, 0, 3, 1),  # x index equal to y index
+            (-1, 0, 0, 1),  # index below 0
+            (0, 0, 10, 1),  # index at nu
+            (0, 1, 1, 0, 4, 0, 12, 1),
+        ],
+    )
+    def test_malformed_table_is_rejected(self, table):
+        components = build_bn_curve(2).components
+        with pytest.raises(ValueError):
+            BNCurveGraph(a=2, components=components, node_table=table)
+
+    def test_no_node_record_is_built_until_asked(self, monkeypatch, capsys):
+        from bncurve.cli import main
+        from bncurve.selfcheck import check_nodal_properties
+
+        expected = {}
+        for fmt in ("json", "dot"):
+            main(["curve", "--a", "4", "--format", fmt])
+            expected[fmt] = capsys.readouterr().out
+
+        def refused(*args, **kwargs):
+            raise RuntimeError("an IntersectionNode was built")
+
+        monkeypatch.setattr(IntersectionNode, "__post_init__", refused)
+        monkeypatch.setattr(curve_module, "_node", refused)
+        for fmt in ("json", "dot"):
+            assert main(["curve", "--a", "4", "--format", fmt]) == 0
+            assert capsys.readouterr().out == expected[fmt]
+        graph = build_bn_curve(4)
+        assert genus_from_graph(graph) == genus_closed(4)
+        assert len(component_profile(graph, graph.components[0])) == 1
+        ok, _ = check_nodal_properties([build_bn_curve(a) for a in range(1, 6)])
+        assert ok
+        with pytest.raises(RuntimeError, match="IntersectionNode"):
+            graph.nodes

@@ -121,15 +121,17 @@ def role_offsets(circuit, comp):
 
 def a2_graph_with_c1_node(edit):
     """The a = 2 graph with its C'1-C'2 node replaced by edit(node, side),
-    side being "x" or "y", whichever end of the node is C'2."""
+    side being "x" or "y", whichever end of the node is C'2; the edited
+    nodes are written back as node table rows."""
     graph = build_bn_curve(2)
-    nodes = []
+    index = {c: k for k, c in enumerate(graph.components)}
+    table = []
     for node in graph.nodes:
         ends = (component_name(node.x), component_name(node.y))
         if sorted(ends) == ["C'1", "C'2"]:
             node = edit(node, "x" if ends[0] == "C'2" else "y")
-        nodes.append(node)
-    return replace(graph, nodes=tuple(nodes))
+        table += (index[node.x], node.x_offset, index[node.y], node.y_offset)
+    return replace(graph, node_table=tuple(table))
 
 
 class TestCircuit:
