@@ -170,22 +170,24 @@ def all_components(chain: ChainSpec) -> list[BNComponentId]:
 TABLE_CELL_BUDGET = 10**7
 
 
-def component_tables(chain: ChainSpec) -> dict[BNComponentId, tuple[int | None, ...]]:
-    """Offset tuple (None on the marked slot) for every component, keyed in
-    deterministic order.
+def _word_walks(chain: ChainSpec):
+    """One :func:`propagate` walk per ballot word: an iterator of
+    (symbols, walk, shifted) over the words s of `enumerate_ballot(a, 2)`,
+    in lex order, with walk the offsets of (s, g) less its final None and
+    shifted each of them plus one.
 
-    One :func:`propagate` walk per ballot word s gives all g rows of s.
-    Marking slot i leaves the walk before slot i alone.  After it, (s, i)
-    reads the rest of s one slot later than (s, g) does, from a state whose
-    two vanishing orders the marked step raised by one each, so each later
-    offset is the one (s, g) had a slot earlier, plus one.  So with W_s the
-    offsets of (s, g), less its final None, the row of (s, i) is
-    W_s[:i-1], then None, then each entry of W_s[i-1:] plus one: catalan(a)
-    walks instead of nu.
+    These give the offsets of all g components of s.  Marking slot i leaves
+    the walk before slot i alone.  After it, (s, i) reads the rest of s one
+    slot later than (s, g) does, from a state whose two vanishing orders the
+    marked step raised by one each, so each later offset is the one (s, g)
+    had a slot earlier, plus one.  So the offsets of (s, i) are walk[:i-1],
+    then None, then shifted[i-1:]: catalan(a) walks instead of nu.  Read
+    across the g components instead, chain component r carries shifted[r-2]
+    on each (s, i) with i < r, None on (s, r) and walk[r-1] on each i > r.
 
-    Raises ValueError, before any enumeration, when the tables would hold
-    more than TABLE_CELL_BUDGET cells: nu * g = g^2 * catalan(a), so g <= 21
-    fits and g >= 23 does not.
+    Checks the rho = 1 shape and raises ValueError, before any enumeration,
+    when the tables would hold more than TABLE_CELL_BUDGET cells: nu * g =
+    g^2 * catalan(a), so g <= 21 fits and g >= 23 does not.
     """
     c = 1
     for k in range(chain.a):  # c = catalan(k + 1), stopped once over budget
@@ -195,13 +197,31 @@ def component_tables(chain: ChainSpec) -> dict[BNComponentId, tuple[int | None, 
                 f"tables for g={chain.g} exceed {TABLE_CELL_BUDGET} cells"
             )
     g = chain.g
-    components = all_components(chain)
+    last = _unchecked(BNComponentId)
+
+    # an inner generator, so that the checks above run at the call
+    def walks():
+        for seq in enumerate_ballot(chain.a, 2):
+            walk = propagate(chain, last(sequence=seq.symbols, marked=g))[:-1]
+            yield seq.symbols, walk, tuple(u + 1 for u in walk)
+
+    return walks()
+
+
+def component_tables(chain: ChainSpec) -> dict[BNComponentId, tuple[int | None, ...]]:
+    """Offset tuple (None on the marked slot) for every component, keyed in
+    the order of :func:`all_components`, each read off the
+    :func:`_word_walks` walk of its word.
+
+    Raises ValueError, before any enumeration, when the tables would hold
+    more than TABLE_CELL_BUDGET cells.
+    """
+    g = chain.g
+    walks = _word_walks(chain)  # checks the budget before all_components runs
+    ids = iter(all_components(chain))  # g per word, marked 1..g
     tables = {}
-    for k in range(0, len(components), g):
-        word = components[k : k + g]  # marked 1..g, in order
-        walk = propagate(chain, word[-1])[:-1]
-        shifted = tuple(u + 1 for u in walk)
-        for i, comp in enumerate(word):
+    for _, walk, shifted in walks:
+        for i, comp in zip(range(g), ids):
             tables[comp] = walk[:i] + (None,) + shifted[i:]
     return tables
 
@@ -211,25 +231,50 @@ def render_tables(chain: ChainSpec, fmt: str = "text") -> str:
     column per component, each cell the :func:`bundle_name` of its offset.
 
     fmt "csv" emits comma-separated values; "text" emits aligned columns.
-    Any other fmt raises ValueError before a table is built.
+    Any other fmt raises ValueError before a table is built.  Each line is
+    assembled straight from the :func:`_word_walks` walks, with no table
+    and no component record: in line r the g cells of a word are r - 1
+    copies of one name, "L", then g - r copies of another, so each line is
+    joined from runs made once per line and name.
     """
     if fmt not in ("csv", "text"):
         raise ValueError(f"unknown table format: {fmt!r}")
-    tables = component_tables(chain)
-    names = {u: bundle_name(u, chain.d) for u in (None, *range(chain.d + 1))}
-    headers = ["C_i"] + [comp.label for comp in tables]
-    rows = [
-        [str(i)] + [names[u] for u in row]
-        for i, row in enumerate(zip(*tables.values()), start=1)
+    g = chain.g
+    names = [bundle_name(u, chain.d) for u in range(chain.d + 1)]
+    marks = ["|" + str(i) for i in range(1, g + 1)]
+    words = [
+        ("".join(map(str, symbols)), walk, shifted)
+        for symbols, walk, shifted in _word_walks(chain)
     ]
     if fmt == "csv":
-        return "\n".join(",".join(row) for row in [headers] + rows) + "\n"
-    widths = [max(len(r[j]) for r in [headers] + rows) for j in range(len(headers))]
-    lines = [
-        "  ".join(cell.rjust(w) for cell, w in zip(row, widths))
-        for row in [headers] + rows
-    ]
-    return "\n".join(lines) + "\n"
+        sep, first, widths = ",", 0, [0] * g
+    else:
+        # A name has at most d + 1 = a + 3 characters: in a sum each
+        # coefficient c >= 2 takes fewer than c digits and a unit one none,
+        # and a lone term has at most d.  A label, 2a digits, "|" and i, has
+        # at least 2a + 2.  So column (s, i) is as wide as its label,
+        # g + len(str(i)), for every s.
+        sep, first = "  ", max(len("C_i"), len(str(g)))
+        widths = [g + len(mark) - 1 for mark in marks]
+    header = [digits + (sep + digits).join(marks) for digits, _, _ in words]
+    lines = [sep.join(["C_i".rjust(first)] + header)]
+    for r in range(1, g + 1):
+        # line r reads shifted[r-2] under (s, 1..r-1) and walk[r-1], which
+        # is walk[r-g], under (s, r+1..g); at r = 1 and r = g the index
+        # wraps round to an entry that is written zero times
+        lead = [
+            "".join(name.rjust(w) + sep for w in widths[: r - 1]) for name in names
+        ]
+        free = "L".rjust(widths[r - 1])
+        trail = ["".join(sep + name.rjust(w) for w in widths[r:]) for name in names]
+        cells = [str(r).rjust(first)]
+        cells += [
+            lead[shifted[r - 2]] + free + trail[walk[r - g]]
+            for _, walk, shifted in words
+        ]
+        lines.append(sep.join(cells))
+    lines.append("")  # a final newline, without copying the joined text
+    return "\n".join(lines)
 
 
 def bn_bound_check(chain: ChainSpec, offsets) -> tuple[int, int, bool]:

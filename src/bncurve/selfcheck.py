@@ -7,6 +7,7 @@ criteria are exercised, independently, by the test suite.
 
 from __future__ import annotations
 
+import json
 from itertools import permutations
 
 from .chain import ChainSpec, component_tables, exhaustive_bound_search, rho
@@ -169,11 +170,16 @@ def check_properties(graphs):
         n += ok
     if n != generalized_catalan(2, 3):
         return False, "brute-force ballot count disagrees at (2, 3)"
-    # export determinism
+    # export determinism: a second, separately built graph exports the same
+    # bytes, and the JSON is what json.dumps writes for its own payload
     graph = graphs[-1]
+    again = build_bn_curve(graph.a)
     for fmt in ("json", "dot"):
-        if export_graph(graph, fmt) != export_graph(graph, fmt):
-            return False, f"{fmt} export is not deterministic"
+        if export_graph(graph, fmt) != export_graph(again, fmt):
+            return False, f"{fmt} export differs between two builds"
+    text = export_graph(graph, "json")
+    if text != json.dumps(json.loads(text), indent=2) + "\n":
+        return False, "json export is not json.dumps(payload, indent=2)"
     return True, "recursion, specialization, ballot oracle, export determinism"
 
 

@@ -243,9 +243,9 @@ def test_10_property_suite():
             )
         )
         assert count == generalized_catalan(2, 3)
-        # export determinism
+        # export determinism, across two separate builds
         graph = build_bn_curve(2)
         for fmt in ("json", "dot"):
-            assert export_graph(graph, fmt) == export_graph(graph, fmt)
+            assert export_graph(graph, fmt) == export_graph(build_bn_curve(2), fmt)
         payload = json.loads(export_graph(graph, "json"))
         assert payload["nu"] == "10"

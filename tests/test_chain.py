@@ -31,6 +31,26 @@ def rendered(chain, comp):
     return tuple(bundle_name(u, chain.d) for u in propagate(chain, comp))
 
 
+def reference_render(chain, fmt):
+    """The tables rendered cell by cell from `component_tables`: a header of
+    labels, then one line per chain component, columns right-justified to
+    their widest cell in the text format."""
+    tables = component_tables(chain)
+    headers = ["C_i"] + [comp.label for comp in tables]
+    rows = [
+        [str(i)] + [bundle_name(u, chain.d) for u in row]
+        for i, row in enumerate(zip(*tables.values()), start=1)
+    ]
+    if fmt == "csv":
+        return "\n".join(",".join(row) for row in [headers] + rows) + "\n"
+    widths = [max(len(r[j]) for r in [headers] + rows) for j in range(len(headers))]
+    lines = [
+        "  ".join(cell.rjust(w) for cell, w in zip(row, widths))
+        for row in [headers] + rows
+    ]
+    return "\n".join(lines) + "\n"
+
+
 def counted_orders(comp):
     """(symbol, u1, u2) at each chain slot, None as the marked slot's
     symbol, with the entry vanishing orders from the counting identity:
@@ -238,12 +258,49 @@ class TestComponentTables:
             render_tables(chain, "yaml")
 
     def test_unknown_format_is_refused_before_building(self, monkeypatch):
-        def no_tables(chain):
-            raise AssertionError("built")
+        def no_walks(chain):
+            raise AssertionError("walked")
 
-        monkeypatch.setattr(sys.modules["bncurve.chain"], "component_tables", no_tables)
+        monkeypatch.setattr(sys.modules["bncurve.chain"], "_word_walks", no_walks)
         with pytest.raises(ValueError, match="unknown table format"):
             render_tables(ChainSpec(21, 12), "xml")
+        with pytest.raises(AssertionError, match="walked"):
+            render_tables(ChainSpec(21, 12), "csv")
+
+    @pytest.mark.parametrize(
+        "g, fmt",
+        [(g, fmt) for g in range(3, 17, 2) for fmt in ("csv", "text")] + [(19, "csv")],
+    )
+    def test_render_equals_the_cell_by_cell_reference(self, g, fmt):
+        chain = ChainSpec(g, (g - 1) // 2 + 2)
+        assert render_tables(chain, fmt) == reference_render(chain, fmt)
+
+    def test_every_name_fits_under_each_label(self):
+        # text pads column (s, i) to its label's width, g + len(str(i)) >= 2a + 2
+        for a in range(1, 300):
+            assert max(len(bundle_name(u, a + 2)) for u in range(a + 3)) <= 2 * a + 2
+
+    @pytest.mark.parametrize("a", range(1, 7))
+    def test_render_builds_no_table_and_walks_once_per_word(self, monkeypatch, a):
+        chain = ChainSpec.rho_one(a)
+        expected = {fmt: reference_render(chain, fmt) for fmt in ("csv", "text")}
+        module = sys.modules["bncurve.chain"]
+        walked = []
+
+        def refused(chain):
+            raise AssertionError("built per-component records")
+
+        def counted(chain, comp, _original=module.propagate):
+            walked.append(comp)
+            return _original(chain, comp)
+
+        monkeypatch.setattr(module, "all_components", refused)
+        monkeypatch.setattr(module, "component_tables", refused)
+        monkeypatch.setattr(module, "propagate", counted)
+        for fmt, text in expected.items():
+            walked.clear()
+            assert render_tables(chain, fmt) == text
+            assert len(walked) == catalan(a)
 
 
 class TestBundle:

@@ -221,15 +221,51 @@ class TestSelftest:
         monkeypatch.setattr(module, "gonality", seen)
         assert main(["selftest"]) == 0
         first = capsys.readouterr().out
-        assert [a for a, _ in built] == [1, 2, 3, 4, 5, 6]
+        # the property suite builds a second a = 3 graph to compare exports
+        assert [a for a, _ in built] == [1, 2, 3, 4, 5, 6, 3]
         # by the gonality check only the property suite's graphs are left
         assert alive == [[1, 2, 3]]
         # a second run builds afresh and prints the same lines
         assert main(["selftest"]) == 0
         assert capsys.readouterr().out == first
-        assert [a for a, _ in built] == [1, 2, 3, 4, 5, 6] * 2
+        assert [a for a, _ in built] == [1, 2, 3, 4, 5, 6, 3] * 2
         gc.collect()
         assert all(ref() is None for _, ref in built)
+
+    def test_property_suite_catches_a_misindented_json_export(self, monkeypatch):
+        module = sys.modules["bncurve.selfcheck"]
+        graphs = [module.build_bn_curve(a) for a in (1, 2, 3)]
+        assert module.check_properties(graphs)[0] is True
+
+        def reindented(graph, fmt, _original=module.export_graph):
+            # the same bytes for every build, but indented by 4
+            text = _original(graph, fmt)
+            if fmt == "json":
+                return json.dumps(json.loads(text), indent=4) + "\n"
+            return text
+
+        monkeypatch.setattr(module, "export_graph", reindented)
+        assert module.check_properties(graphs) == (
+            False, "json export is not json.dumps(payload, indent=2)"
+        )
+
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    def test_property_suite_catches_an_export_that_differs_between_builds(
+        self, monkeypatch, fmt
+    ):
+        module = sys.modules["bncurve.selfcheck"]
+        graphs = [module.build_bn_curve(a) for a in (1, 2, 3)]
+
+        def drifting(graph, form, _original=module.export_graph):
+            # any graph but the one passed in, so the suite's own second
+            # build, exports one line more
+            text = _original(graph, form)
+            return text + "\n" if form == fmt and graph is not graphs[-1] else text
+
+        monkeypatch.setattr(module, "export_graph", drifting)
+        assert module.check_properties(graphs) == (
+            False, f"{fmt} export differs between two builds"
+        )
 
     def test_max_a_above_every_cap_changes_nothing(self, capsys):
         assert main(["selftest"]) == 0
