@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .combinatorics import _unchecked, catalan, enumerate_ballot, generalized_catalan
@@ -40,9 +40,12 @@ class ChainSpec:
         if self.d < 1:
             raise ValueError("degree must be positive")
 
-    @property
+    @cached_property
     def a(self) -> int:
-        """The parameter a = d - 2 of a rho = 1 chain, where g = 2a+1."""
+        """The parameter a = d - 2 of a rho = 1 chain, where g = 2a+1.
+
+        Checked once per chain; an unsupported shape raises on every access,
+        since a raised exception is not cached."""
         if rho(self.g, 1, self.d) != 1:
             raise UnsupportedShapeError(f"not a rho=1 chain: {self}")
         return self.d - 2
@@ -58,15 +61,21 @@ class ChainSpec:
 class BNComponentId:
     """One component of the Brill-Noether curve: a ballot sequence of 1s and
     2s attached to the non-marked chain components, plus the marked component
-    whose bundle varies freely."""
+    whose bundle varies freely.  The sequence is stored as a tuple, so an id
+    built from a list hashes and compares like its tuple twin."""
 
     sequence: tuple[int, ...]
     marked: int
 
     def __post_init__(self):
-        n = len(self.sequence)
-        if n % 2 or not is_admissible(self.sequence, n // 2, 2):
-            raise ValueError(f"sequence {self.sequence} is not admissible")
+        sequence = self.sequence
+        if type(sequence) is not tuple:
+            # the field is frozen, so the tuple goes straight into the
+            # instance dict, as cached_property stores `label`
+            sequence = self.__dict__["sequence"] = tuple(sequence)
+        n = len(sequence)
+        if n % 2 or not is_admissible(sequence, n // 2, 2):
+            raise ValueError(f"sequence {sequence} is not admissible")
         if not 1 <= self.marked <= n + 1:
             raise ValueError(f"marked index {self.marked} out of range")
 
@@ -122,6 +131,16 @@ def propagate(chain: ChainSpec, comp: BNComponentId) -> tuple[int | None, ...]:
     the marked slot adds to both.  The g - 1 unmarked slots read exactly
     the g - 1 symbols.
 
+    The offsets come from one walk per word, the shift identity: with walk
+    the offsets of (s, g) less its final None and shifted each of them plus
+    one (:func:`_walk`), the offsets of (s, i) are walk[:i-1], then None,
+    then shifted[i-1:].  Proof: marking slot i leaves the walk before slot i
+    alone.  After it, (s, i) reads the rest of s one slot later than (s, g)
+    does, from a state whose two vanishing orders the marked step raised by
+    one each, so each later offset is the one (s, g) had a slot earlier,
+    plus one.  `_walk` keeps the last word it walked, so the g components
+    of a word, asked for in a row, cost one walk.
+
     Raises ValueError for a chain that is not of the rho = 1 shape or a
     sequence whose length is not g - 1.
     """
@@ -130,20 +149,28 @@ def propagate(chain: ChainSpec, comp: BNComponentId) -> tuple[int | None, ...]:
         raise ValueError(
             f"sequence length {len(comp.sequence)} != g-1 = {chain.g - 1}"
         )
+    walk, shifted = _walk(comp.sequence)
+    i = comp.marked - 1
+    return walk[:i] + (None,) + shifted[i:]
+
+
+@lru_cache(maxsize=1)
+def _walk(sequence: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(walk, shifted) for a word s: walk is the offsets of (s, g) less its
+    final None, the offset each symbol picks from the entry orders (u1, u2),
+    and shifted is each of them plus one, appended in the same pass."""
     u1, u2 = 0, 1
-    offsets: list[int | None] = []
-    symbols = iter(comp.sequence)
-    for i in range(1, chain.g + 1):
-        if i == comp.marked:
-            offsets.append(None)
-            u1, u2 = u1 + 1, u2 + 1
-        elif next(symbols) == 1:
-            offsets.append(u1)
+    walk, shifted = [], []
+    for symbol in sequence:
+        if symbol == 1:
+            walk.append(u1)
+            shifted.append(u1 + 1)
             u2 += 1
         else:
-            offsets.append(u2)
+            walk.append(u2)
+            shifted.append(u2 + 1)
             u1 += 1
-    return tuple(offsets)
+    return tuple(walk), tuple(shifted)
 
 
 def all_components(chain: ChainSpec) -> list[BNComponentId]:
@@ -171,19 +198,16 @@ TABLE_CELL_BUDGET = 10**7
 
 
 def _word_walks(chain: ChainSpec):
-    """One :func:`propagate` walk per ballot word: an iterator of
-    (symbols, walk, shifted) over the words s of `enumerate_ballot(a, 2)`,
-    in lex order, with walk the offsets of (s, g) less its final None and
-    shifted each of them plus one.
+    """One :func:`_walk` per ballot word: an iterator of (symbols, walk,
+    shifted) over the words s of `enumerate_ballot(a, 2)`, in lex order, with
+    walk the offsets of (s, g) less its final None and shifted each of them
+    plus one.
 
-    These give the offsets of all g components of s.  Marking slot i leaves
-    the walk before slot i alone.  After it, (s, i) reads the rest of s one
-    slot later than (s, g) does, from a state whose two vanishing orders the
-    marked step raised by one each, so each later offset is the one (s, g)
-    had a slot earlier, plus one.  So the offsets of (s, i) are walk[:i-1],
-    then None, then shifted[i-1:]: catalan(a) walks instead of nu.  Read
-    across the g components instead, chain component r carries shifted[r-2]
-    on each (s, i) with i < r, None on (s, r) and walk[r-1] on each i > r.
+    By the shift identity of :func:`propagate` these give the offsets of all
+    g components of s: those of (s, i) are walk[:i-1], then None, then
+    shifted[i-1:], so catalan(a) walks instead of nu.  Read across the g
+    components instead, chain component r carries shifted[r-2] on each
+    (s, i) with i < r, None on (s, r) and walk[r-1] on each i > r.
 
     Checks the rho = 1 shape and raises ValueError, before any enumeration,
     when the tables would hold more than TABLE_CELL_BUDGET cells: nu * g =
@@ -196,14 +220,11 @@ def _word_walks(chain: ChainSpec):
             raise ValueError(
                 f"tables for g={chain.g} exceed {TABLE_CELL_BUDGET} cells"
             )
-    g = chain.g
-    last = _unchecked(BNComponentId)
 
     # an inner generator, so that the checks above run at the call
     def walks():
         for seq in enumerate_ballot(chain.a, 2):
-            walk = propagate(chain, last(sequence=seq.symbols, marked=g))[:-1]
-            yield seq.symbols, walk, tuple(u + 1 for u in walk)
+            yield (seq.symbols, *_walk(seq.symbols))
 
     return walks()
 

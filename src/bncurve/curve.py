@@ -162,21 +162,20 @@ def edges_connect(vertices, edges) -> bool:
     False."""
     index = {v: i for i, v in enumerate(vertices)}
     parent = list(range(len(index)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     roots = len(parent)
     for u, v in edges:
         iu, iv = index.get(u), index.get(v)
         if iu is None or iv is None:
             return False
-        ru, rv = find(iu), find(iv)
-        if ru != rv:
-            parent[ru] = rv
+        # find both roots, halving each path on the way up
+        while parent[iu] != iu:
+            parent[iu] = parent[parent[iu]]
+            iu = parent[iu]
+        while parent[iv] != iv:
+            parent[iv] = parent[parent[iv]]
+            iv = parent[iv]
+        if iu != iv:
+            parent[iu] = iv
             roots -= 1
     return roots == 1
 
@@ -253,9 +252,11 @@ def build_bn_curve(a: int, *, max_a: int = DEFAULT_MAX_A) -> BNCurveGraph:
     ballot word (the module docstring has the proof sketch).  So every node
     is found once, from its endpoint of smaller marked index, as an index
     pair ix < iy.  The pairs are sorted, and each becomes the node table row
-    (ix, offset on ix, iy, offset on iy), read from one :func:`propagate`
-    walk per component: component k is marked at k % g + 1, so its node
-    point is the other walk's entry k % g.  No IntersectionNode is built;
+    (ix, offset on ix, iy, offset on iy), read from the :func:`propagate`
+    offsets of each component: component k is marked at k % g + 1, so its
+    node point is the other's entry k % g.  That is nu propagate calls but
+    catalan(a) walks, since the components come in (sequence, marked) order
+    and propagate keeps the last word's walk.  No IntersectionNode is built;
     the graph, valid by construction, is built by
     :func:`bncurve.combinatorics._unchecked`, without the table re-check.
 

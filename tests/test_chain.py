@@ -1,3 +1,4 @@
+import random
 import runpy
 import sys
 from dataclasses import fields
@@ -12,6 +13,7 @@ from bncurve.chain import (
     Census,
     ChainSpec,
     UnsupportedShapeError,
+    _walk,
     all_components,
     bn_bound_check,
     bundle_name,
@@ -23,6 +25,7 @@ from bncurve.chain import (
     rho,
 )
 from bncurve.combinatorics import catalan, enumerate_ballot, generalized_catalan
+from bncurve.curve import intersect
 
 PLAN = Path(__file__).resolve().parents[1] / "perfbench" / "plan.py"
 
@@ -88,6 +91,26 @@ class TestRho:
                     with pytest.raises(UnsupportedShapeError):
                         chain.a
 
+    def test_chain_a_checks_the_shape_once(self, monkeypatch):
+        module = sys.modules["bncurve.chain"]
+        checked = []
+
+        def counted(g, r, d, _original=module.rho):
+            checked.append((g, r, d))
+            return _original(g, r, d)
+
+        monkeypatch.setattr(module, "rho", counted)
+        chain = ChainSpec.rho_one(3)
+        assert [chain.a for _ in range(3)] == [3, 3, 3]
+        assert checked == [(7, 1, 5)]
+        # a raised exception is not cached: every access re-checks and raises
+        checked.clear()
+        bad = ChainSpec(g=5, d=3)
+        for _ in range(3):
+            with pytest.raises(UnsupportedShapeError):
+                bad.a
+        assert checked == [(5, 1, 3)] * 3
+
 
 class TestPropagate:
     def test_table_column_c1_prime(self):
@@ -142,6 +165,30 @@ class TestPropagate:
                 checked += 1
         assert checked == 2352
 
+    def test_matches_the_benchmark_reference_walk_in_shuffled_order(self):
+        # the same check with the components asked for out of word order, so
+        # that the one-word memo of _walk keeps dropping a word and walks it
+        # again later
+        reference = runpy.run_path(str(PLAN))["offsets"]
+        rng = random.Random(15)
+        checked = 0
+        for a in range(1, 7):
+            chain = ChainSpec.rho_one(a)
+            comps = all_components(chain)
+            rng.shuffle(comps)
+            _walk.cache_clear()
+            for comp in comps:
+                assert propagate(chain, comp) == tuple(
+                    reference(comp.sequence, comp.marked)
+                )
+                checked += 1
+            if a > 1:
+                assert _walk.cache_info().misses > catalan(a)
+        assert checked == 2352
+
+    def test_walk_memo_holds_one_word(self):
+        assert _walk.cache_info().maxsize == 1
+
     def test_injectivity_of_sequence_to_tuple(self):
         for a in range(1, 6):
             chain = ChainSpec.rho_one(a)
@@ -185,6 +232,21 @@ class TestComponentId:
         assert sys.getsizeof(vars(comps[-1])) == sys.getsizeof(vars(public[-1]))
         assert len(comps) == (2 * a + 1) * catalan(a)
 
+    @pytest.mark.parametrize("a", range(1, 4))
+    def test_list_built_ids_act_as_their_tuple_twins(self, a):
+        chain = ChainSpec.rho_one(a)
+        comps = all_components(chain)
+        listed = [BNComponentId(list(c.sequence), c.marked) for c in comps]
+        assert all(type(c.sequence) is tuple for c in listed)
+        assert listed == comps
+        assert [hash(c) for c in listed] == [hash(c) for c in comps]
+        assert len(set(listed) | set(comps)) == len(comps)
+        for x, lx in zip(comps, listed):
+            assert propagate(chain, lx) == propagate(chain, x)
+            for y, ly in zip(comps, listed):
+                if x != y:
+                    assert intersect(chain, lx, ly) == intersect(chain, x, y)
+
 
 class TestComponentTables:
     def test_g5_has_ten_columns(self):
@@ -220,17 +282,10 @@ class TestComponentTables:
         ]
 
     @pytest.mark.parametrize("a", range(1, 6))
-    def test_one_walk_per_ballot_word(self, monkeypatch, a):
-        module = sys.modules["bncurve.chain"]
-        walked = []
-
-        def counted(chain, comp, _original=module.propagate):
-            walked.append(comp)
-            return _original(chain, comp)
-
-        monkeypatch.setattr(module, "propagate", counted)
+    def test_one_walk_per_ballot_word(self, a):
+        _walk.cache_clear()
         tables = component_tables(ChainSpec.rho_one(a))
-        assert len(walked) == catalan(a)
+        assert _walk.cache_info().misses == catalan(a)
         assert len(tables) == (2 * a + 1) * catalan(a)
 
     def test_cell_budget_is_checked_before_enumerating(self, monkeypatch):
@@ -285,22 +340,16 @@ class TestComponentTables:
         chain = ChainSpec.rho_one(a)
         expected = {fmt: reference_render(chain, fmt) for fmt in ("csv", "text")}
         module = sys.modules["bncurve.chain"]
-        walked = []
 
         def refused(chain):
             raise AssertionError("built per-component records")
 
-        def counted(chain, comp, _original=module.propagate):
-            walked.append(comp)
-            return _original(chain, comp)
-
         monkeypatch.setattr(module, "all_components", refused)
         monkeypatch.setattr(module, "component_tables", refused)
-        monkeypatch.setattr(module, "propagate", counted)
         for fmt, text in expected.items():
-            walked.clear()
+            _walk.cache_clear()
             assert render_tables(chain, fmt) == text
-            assert len(walked) == catalan(a)
+            assert _walk.cache_info().misses == catalan(a)
 
 
 class TestBundle:

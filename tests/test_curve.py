@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import bncurve.curve as curve_module
-from bncurve.chain import BNComponentId, ChainSpec, all_components, propagate
+from bncurve.chain import BNComponentId, ChainSpec, _walk, all_components, propagate
 from bncurve.combinatorics import catalan
 from bncurve.curve import (
     CURVE_SIZE_BUDGET,
@@ -15,6 +15,7 @@ from bncurve.curve import (
     build_bn_curve,
     component_profile,
     delta_closed,
+    edges_connect,
     eh_formula,
     eh_formula_corrected,
     export_graph,
@@ -225,6 +226,33 @@ class TestBuild:
         assert all(set(vars(n)) == names for n in nodes)
         # and are stored as compactly as the public constructor's
         assert sys.getsizeof(vars(nodes[-1])) == sys.getsizeof(vars(public[-1]))
+
+    @pytest.mark.parametrize("a", range(1, 7))
+    def test_nu_propagate_calls_and_one_walk_per_word(self, monkeypatch, a):
+        called = []
+
+        def counted(chain, comp, _original=propagate):
+            called.append(comp)
+            return _original(chain, comp)
+
+        monkeypatch.setattr(curve_module, "propagate", counted)
+        _walk.cache_clear()
+        graph = build_bn_curve(a)
+        assert len(called) == graph.nu == (2 * a + 1) * catalan(a)
+        assert _walk.cache_info().misses == catalan(a)
+
+    def test_edges_connect(self):
+        assert edges_connect("abc", [("a", "b"), ("c", "b")])
+        assert edges_connect("a", [])
+        assert not edges_connect("abcd", [("a", "b"), ("c", "d"), ("b", "a")])
+        assert not edges_connect("abc", [("a", "b"), ("b", "z")])  # unknown end
+        assert not edges_connect("", [])  # no vertex
+        # a path joined front to back leaves 0 at the foot of a long chain,
+        # which the last edge's find climbs and halves
+        n = 200
+        path = [(k, k + 1) for k in range(n - 1)]
+        assert edges_connect(range(n), path + [(0, n - 1)])
+        assert not edges_connect(range(n), path[:-1] + [(0, n - 2)])
 
     def test_connected(self):
         for a in (1, 2, 3):
