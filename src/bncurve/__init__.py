@@ -15,7 +15,6 @@ from .chain import (
     ChainSpec,
     UnsupportedShapeError,
     all_components,
-    bn_bound_check,
     bundle_name,
     component_tables,
     limit_series_census,

@@ -298,17 +298,6 @@ def render_tables(chain: ChainSpec, fmt: str = "text") -> str:
     return "\n".join(lines)
 
 
-def bn_bound_check(chain: ChainSpec, offsets) -> tuple[int, int, bool]:
-    """Check the existence bound sum(eps_i) <= 2d - g - 2.
-
-    eps_i is 0 on components carrying a pinned O(uP + (d-u)Q) bundle and 1
-    on free ones, whose offset is None.  Returns (epsilon_sum, bound, ok).
-    """
-    epsilon_sum = sum(u is None for u in offsets)
-    bound = 2 * chain.d - chain.g - 2
-    return epsilon_sum, bound, epsilon_sum <= bound
-
-
 def exhaustive_bound_search(g: int, r: int, d: int) -> list[tuple]:
     """Configuration classes passing the existence bound sum(eps) <= rho.
 

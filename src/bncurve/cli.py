@@ -164,7 +164,7 @@ def _cmd_curve(args) -> int:
 def _cmd_gonality5(args) -> int:
     if args.degree is not None:
         if not 1 <= args.degree <= 6:
-            print("--degree must be between 1 and 6", file=sys.stderr)
+            print("error: --degree must be between 1 and 6", file=sys.stderr)
             return 1
         circuit = build_w14_circuit()
         if args.degree <= 5:

@@ -27,16 +27,22 @@ it means y read e = 3 - c at slot i.  Every walk ends at (a+1, a+2), and
 agreement after slot j would again keep any difference, so the states must
 meet at slot j, where y is marked; that forces x to read e there, after
 which the tails agree as the heads did.  r = 0 is the first case.  So every
-component has at most two forward neighbours (:func:`_forward_meets`), and
-this rule, checked node for node against a pair scan of the offsets, is the
-one definition of "meet" that :func:`intersect` and :func:`build_bn_curve`
-share.
+component has at most two forward neighbours, and this rule, checked node
+for node against a pair scan of the offsets, is the one definition of
+"meet": the move, with its ballot condition and the target's marked slot,
+is :func:`_moved`.  :func:`intersect` reads it one component at a time,
+through :func:`_forward_meets`; :func:`build_bn_curve` scans the runs of
+each ballot word once, writes the word's path edges (s, i) - (s, i + 1)
+with no rule call, asks :func:`_moved` for every slot of every run but the
+last, keys each node by the int (x index) * nu + (y index) and sorts the
+ints.
 
 Two more nodal-curve rules are defined here once, for this graph and the
 genus-5 covers of :mod:`bncurve.gonality` alike: :func:`arithmetic_genus`
 (genus_from_graph, TargetTree.genus, CoverData.source_genus) and the
-union-find :func:`edges_connect` (BNCurveGraph.is_connected,
-TargetTree.is_tree).
+union-find :func:`edges_connect` over the ints 0..n-1
+(BNCurveGraph.is_connected on component indices, TargetTree.is_tree on its
+names mapped to ints).
 """
 
 from __future__ import annotations
@@ -128,7 +134,7 @@ class BNCurveGraph:
     @cached_property
     def _connected(self) -> bool:
         table = self.node_table
-        return edges_connect(range(self.nu), zip(table[0::4], table[2::4]))
+        return edges_connect(self.nu, zip(table[0::4], table[2::4]))
 
     @cached_property
     def _profiles(self) -> dict[BNComponentId, list[tuple[BNComponentId, int]]]:
@@ -156,26 +162,26 @@ class BNCurveGraph:
 _graph = _unchecked(BNCurveGraph)
 
 
-def edges_connect(vertices, edges) -> bool:
-    """True when the edges, pairs of vertices, join every vertex into one
-    piece (union-find); an edge with an unknown end, or no vertex, gives
-    False."""
-    index = {v: i for i, v in enumerate(vertices)}
-    parent = list(range(len(index)))
-    roots = len(parent)
+def edges_connect(n: int, edges) -> bool:
+    """True when the edges, pairs of ints in 0..n-1, join all n vertices
+    into one piece; n = 0 gives False.
+
+    A union-find over the list of parents, halving each path on the way up
+    to its root.  The ends are list indices, so the caller keeps them in
+    range: BNCurveGraph's constructor rejects an index outside 0..nu-1, and
+    TargetTree.is_tree maps its names to ints and gives False for an
+    unknown side.
+    """
+    parent = list(range(n))
+    roots = n
     for u, v in edges:
-        iu, iv = index.get(u), index.get(v)
-        if iu is None or iv is None:
-            return False
-        # find both roots, halving each path on the way up
-        while parent[iu] != iu:
-            parent[iu] = parent[parent[iu]]
-            iu = parent[iu]
-        while parent[iv] != iv:
-            parent[iv] = parent[parent[iv]]
-            iv = parent[iv]
-        if iu != iv:
-            parent[iu] = iv
+        # each assignment goes left to right: parent[u] first, then u
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
             roots -= 1
     return roots == 1
 
@@ -186,29 +192,40 @@ def arithmetic_genus(genera, delta: int) -> int:
     return sum(genera) + delta - len(genera) + 1
 
 
+def _moved(seq: tuple, p: int, q: int) -> tuple[tuple, int] | None:
+    """The move of the meet rule: (t, q + 2), where t is seq with the symbol
+    e = seq[q] moved to position p, the front of the run seq[p:q] of the
+    other symbol, or None when t is not a ballot word.
+
+    Moving a 1 forward keeps the ballot property; moving a 2 to position p
+    keeps it iff the head seq[:p] holds more 1s than 2s.  (seq, p + 1) then
+    meets (t, q + 2), by the rule of the module docstring with i = p + 1 and
+    r = q - p.
+    """
+    if seq[q] == 2 and 2 * seq[:p].count(1) <= p:
+        return None
+    return seq[:p] + seq[q : q + 1] + seq[p:q] + seq[q + 1 :], q + 2
+
+
 def _forward_meets(seq: tuple, i: int):
     """Yield (t, j), j > i, for every component (t, j) that meets (seq, i).
 
     The local rule of the module docstring: (seq, i + 1) when i is not the
     last slot, and, when right after slot i seq reads a maximal run c^r
-    followed by e = 3 - c, the sequence with that e moved to the front of the
-    run, marked at i + r + 1, if it is a ballot word.
+    followed by e = 3 - c, the :func:`_moved` component, if any.
     """
     n = len(seq)
     if i > n:
         return
     yield seq, i + 1
     p = i - 1  # sequence position read right after slot i
-    c = seq[p]
     q = p + 1
-    while q < n and seq[q] == c:
+    while q < n and seq[q] == seq[p]:
         q += 1
-    if q == n:
-        return
-    # moving a 2 to the front keeps the ballot property iff the head has
-    # more 1s than 2s
-    if c == 2 or 2 * seq[:p].count(1) > p:
-        yield seq[:p] + (3 - c,) + seq[p:q] + seq[q + 1 :], q + 2
+    if q < n:
+        moved = _moved(seq, p, q)
+        if moved is not None:
+            yield moved
 
 
 def intersect(
@@ -246,19 +263,29 @@ def build_bn_curve(a: int, *, max_a: int = DEFAULT_MAX_A) -> BNCurveGraph:
     """Build the full curve graph from the local meet rule.
 
     Each component (s, i) meets at most two components of larger marked
-    index, both given by :func:`_forward_meets`: (s, i + 1), and, when s
-    reads a maximal run c^r and then e = 3 - c right after slot i, s with
-    that e moved to the front of the run, marked at i + r + 1, if that is a
-    ballot word (the module docstring has the proof sketch).  So every node
-    is found once, from its endpoint of smaller marked index, as an index
-    pair ix < iy.  The pairs are sorted, and each becomes the node table row
-    (ix, offset on ix, iy, offset on iy), read from the :func:`propagate`
-    offsets of each component: component k is marked at k % g + 1, so its
-    node point is the other's entry k % g.  That is nu propagate calls but
-    catalan(a) walks, since the components come in (sequence, marked) order
-    and propagate keeps the last word's walk.  No IntersectionNode is built;
-    the graph, valid by construction, is built by
-    :func:`bncurve.combinatorics._unchecked`, without the table re-check.
+    index (the module docstring has the rule and its proof sketch), so
+    every node is found once, from its endpoint of smaller marked index,
+    in one scan of each ballot word s:
+
+    * the path (s, 1) - (s, 2) - ... - (s, g) is one range of keys, with no
+      rule call;
+    * for each maximal run s[start:q] but the last, each slot i = p + 1
+      with start <= p < q meets the :func:`_moved` component of (s, p, q),
+      if any: the helper that :func:`_forward_meets` (and so
+      :func:`intersect`) calls too.
+
+    Component (t, j) sits at index (rank of t) * g + j - 1, and each node
+    joining indices ix < iy is keyed by the int ix * nu + iy.  The keys are
+    sorted as ints, and the node table is written column by column from
+    them: ix, the offset on ix, iy, the offset on iy, read from the
+    :func:`propagate` offsets of each component (component k is marked at
+    k % g + 1, so its node point is the other's entry k % g).  That is nu
+    propagate calls but catalan(a) walks, since the components come in
+    (sequence, marked) order and propagate keeps the last word's walk.  No
+    IntersectionNode is built; the graph, valid by construction, is built
+    by :func:`bncurve.combinatorics._unchecked`, without the table re-check,
+    and its connectivity is checked by the int union-find
+    :func:`edges_connect`.
 
     Raises ValueError, before any enumeration, for a < 1, when nu + delta
     would exceed CURVE_SIZE_BUDGET, which max_a cannot lift (a <= 11 fits,
@@ -286,20 +313,40 @@ def build_bn_curve(a: int, *, max_a: int = DEFAULT_MAX_A) -> BNCurveGraph:
     # ordered (sequence lex, marked), so index order is sort_key order and
     # the component (t, j) sits at index (rank of t) * g + j - 1
     components = all_components(chain)
+    nu = len(components)
     offsets = [propagate(chain, c) for c in components]
-    rank = {c.sequence: k for k, c in enumerate(components[::g])}
+    words = [c.sequence for c in components[::g]]
+    rank = {t: k for k, t in enumerate(words)}
 
-    pairs = []
-    for ix, comp in enumerate(components):
-        for t, j in _forward_meets(comp.sequence, comp.marked):
-            iy = rank[t] * g + j - 1
-            pairs.append((ix, iy) if ix < iy else (iy, ix))
-    pairs.sort()
+    keys = []
+    for k, seq in enumerate(words):
+        first = k * g  # index of (seq, 1)
+        # the path edges (ix, ix + 1), ix = first..first+g-2, keyed
+        # ix * nu + ix + 1
+        keys += range(first * (nu + 1) + 1, (first + g - 1) * (nu + 1), nu + 1)
+        start = 0  # the run seq[start:q] ends where seq[q] differs
+        for q in range(1, g - 1):
+            if seq[q] == seq[q - 1]:
+                continue
+            for p in range(start, q):
+                moved = _moved(seq, p, q)
+                if moved is not None:
+                    t, j = moved
+                    ix, iy = first + p, rank[t] * g + j - 1
+                    keys.append(ix * nu + iy if ix < iy else iy * nu + ix)
+            start = q
+    keys.sort()
 
-    table = []
-    for ix, iy in pairs:
-        table += (ix, offsets[iy][ix % g], iy, offsets[ix][iy % g])
-    del pairs, offsets
+    ints = list(range(nu))  # one int object per index, shared by its rows
+    ixs = [ints[key // nu] for key in keys]
+    iys = [ints[key % nu] for key in keys]
+    del keys
+    table = [0] * (4 * len(ixs))
+    table[0::4] = ixs
+    table[1::4] = [offsets[iy][ix % g] for ix, iy in zip(ixs, iys)]
+    table[2::4] = iys
+    table[3::4] = [offsets[ix][iy % g] for ix, iy in zip(ixs, iys)]
+    del ixs, iys, offsets
     graph = _graph(a=a, components=tuple(components), node_table=tuple(table))
     if not graph.is_connected():
         raise AssertionError("Brill-Noether curve graph came out disconnected")

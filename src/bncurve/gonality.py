@@ -535,10 +535,13 @@ class TargetTree:
         return arithmetic_genus(genera, len(self.nodes))
 
     def is_tree(self) -> bool:
-        """Connected with one node fewer than components, so no cycle."""
-        return len(self.nodes) == len(self.components) - 1 and edges_connect(
-            self.components, (n.sides for n in self.nodes)
-        )
+        """Connected with one node fewer than components, so no cycle; a
+        node side that is not a component gives False."""
+        index = {c: k for k, c in enumerate(self.components)}
+        edges = [tuple(index.get(side) for side in n.sides) for n in self.nodes]
+        if any(None in edge for edge in edges):
+            return False
+        return len(edges) == len(index) - 1 and edges_connect(len(index), edges)
 
     def nodes_on(self, comp: str) -> list[TargetNode]:
         return [n for n in self.nodes if comp in n.sides]

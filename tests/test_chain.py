@@ -15,7 +15,6 @@ from bncurve.chain import (
     UnsupportedShapeError,
     _walk,
     all_components,
-    bn_bound_check,
     bundle_name,
     component_tables,
     exhaustive_bound_search,
@@ -389,18 +388,23 @@ class TestBundle:
 
 
 class TestBoundCheck:
+    # The existence bound sum(eps_i) <= 2d - g - 2, with eps_i = 1 on a
+    # component whose bundle is free (its offset None): 2d - g - 2 is
+    # rho(g, 1, d), so 1 on every rho = 1 chain and 0 on a rho = 0 one.
     def test_propagate_outputs_satisfy_bound(self):
-        chain = ChainSpec.rho_one(2)
-        for comp in all_components(chain):
-            eps, bound, ok = bn_bound_check(chain, propagate(chain, comp))
-            assert eps == 1 and bound == 1 and ok
+        for a in range(1, 6):
+            chain = ChainSpec.rho_one(a)
+            assert 2 * chain.d - chain.g - 2 == 1 == rho(chain.g, 1, chain.d)
+            for comp in all_components(chain):
+                assert propagate(chain, comp).count(None) == 1
 
     def test_rho_zero_forbids_free_components(self):
         chain = ChainSpec(g=4, d=3)
-        eps, bound, ok = bn_bound_check(chain, [None] + [0] * 3)
-        assert bound == 0 and not ok
-        eps, bound, ok = bn_bound_check(chain, [0] * 4)
-        assert ok
+        assert 2 * chain.d - chain.g - 2 == 0 == rho(4, 1, 3)
+        # no component carries a free bundle, so there is no propagate tuple
+        assert limit_series_census(4, 1, 3).kind == "finite"
+        with pytest.raises(UnsupportedShapeError):
+            propagate(chain, BNComponentId((1, 2), 1))
 
     def test_negative_rho_empty_search(self):
         assert rho(3, 1, 2) == -1

@@ -336,6 +336,8 @@ def test_hostile_argv_exits_with_a_documented_code(argv, codes, stdout):
     assert proc.returncode in codes, proc.stderr
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) <= 1
+    if proc.returncode == 1:  # a refused input says so in the one form
+        assert proc.stderr.startswith("error: "), proc.stderr
     if stdout is not None:
         assert re.fullmatch(stdout, proc.stdout)
 

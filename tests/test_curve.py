@@ -12,6 +12,7 @@ from bncurve.curve import (
     CURVE_SIZE_BUDGET,
     BNCurveGraph,
     IntersectionNode,
+    _forward_meets,
     build_bn_curve,
     component_profile,
     delta_closed,
@@ -242,17 +243,31 @@ class TestBuild:
         assert _walk.cache_info().misses == catalan(a)
 
     def test_edges_connect(self):
-        assert edges_connect("abc", [("a", "b"), ("c", "b")])
-        assert edges_connect("a", [])
-        assert not edges_connect("abcd", [("a", "b"), ("c", "d"), ("b", "a")])
-        assert not edges_connect("abc", [("a", "b"), ("b", "z")])  # unknown end
-        assert not edges_connect("", [])  # no vertex
+        assert edges_connect(3, [(0, 1), (2, 1)])
+        assert edges_connect(1, [])
+        assert edges_connect(2, [(1, 1), (0, 1)])  # a loop joins nothing
+        assert not edges_connect(4, [(0, 1), (2, 3), (1, 0)])  # split graph
+        assert not edges_connect(2, [])
+        assert not edges_connect(0, [])  # no vertex
         # a path joined front to back leaves 0 at the foot of a long chain,
         # which the last edge's find climbs and halves
         n = 200
         path = [(k, k + 1) for k in range(n - 1)]
-        assert edges_connect(range(n), path + [(0, n - 1)])
-        assert not edges_connect(range(n), path[:-1] + [(0, n - 2)])
+        assert edges_connect(n, path + [(0, n - 1)])
+        assert not edges_connect(n, path[:-1] + [(0, n - 2)])
+
+    @pytest.mark.parametrize("a", range(1, 8))
+    def test_pairs_are_the_forward_meets(self, a):
+        # the per-word scan finds, as index pairs, exactly the meets that
+        # _forward_meets gives component by component
+        graph = build_bn_curve(a, max_a=a)
+        index = {(c.sequence, c.marked): k for k, c in enumerate(graph.components)}
+        expected = sorted(
+            (min(ix, iy), max(ix, iy))
+            for ix, c in enumerate(graph.components)
+            for iy in (index[m] for m in _forward_meets(c.sequence, c.marked))
+        )
+        assert [row[::2] for row in table_rows(graph)] == expected
 
     def test_connected(self):
         for a in (1, 2, 3):
@@ -482,6 +497,7 @@ class TestNodeTable:
             (0, 1, 1, 0, 2),
             (1, 0, 0, 1),  # x index above y index
             (3, 0, 3, 1),  # x index equal to y index
+            # an index below 0 would wrap round the union-find's list
             (-1, 0, 0, 1),  # index below 0
             (0, 0, 10, 1),  # index at nu
             (0, 1, 1, 0, 4, 0, 12, 1),

@@ -281,6 +281,13 @@ class TestTargetTree:
         nodes = (TargetNode("ab", ("A", "B")), TargetNode("bd", ("B", "D")))
         assert not TargetTree(("A", "B", "C"), nodes).is_tree()
 
+    @pytest.mark.parametrize("sides", [("A", "Z"), ("Z", "A"), ("Z", "Z")])
+    def test_unknown_side_is_not_a_tree_even_when_the_count_fits(self, sides):
+        # one node for two components, as a tree has, but a side that is
+        # not a component never reaches the union-find
+        assert TargetTree(("A", "B"), (TargetNode("ab", ("A", "B")),)).is_tree()
+        assert not TargetTree(("A", "B"), (TargetNode("az", sides),)).is_tree()
+
     def test_self_loop_with_one_node_too_few_is_not_a_tree(self):
         # V - 1 nodes, but the loop at A leaves C unreached
         nodes = (TargetNode("aa", ("A", "A")), TargetNode("ab", ("A", "B")))
