@@ -1,6 +1,7 @@
 """Exact combinatorics of the degenerate Brill-Noether curve on a chain of
-elliptic curves: Catalan counts, component tables, the nodal curve graph with
-its node and genus formulas, and the genus-5 gonality case analysis."""
+elliptic curves: Catalan counts, the per-component bundle tables (rendered
+by `render_tables`, their one builder), the nodal curve graph with its node
+and genus formulas, and the genus-5 gonality case analysis."""
 
 from .combinatorics import (
     BallotSequence,
@@ -16,7 +17,6 @@ from .chain import (
     UnsupportedShapeError,
     all_components,
     bundle_name,
-    component_tables,
     limit_series_census,
     propagate,
     render_tables,

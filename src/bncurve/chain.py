@@ -9,6 +9,10 @@ propagation implemented in :func:`propagate`.
 
 Since the glue points are generic, O(uP + (d-u)Q) == O(u'P + (d-u')Q) iff
 u == u', so a single integer offset identifies each fixed bundle.
+
+The per-component bundle tables have one builder, :func:`render_tables`,
+which checks its format, the rho = 1 shape and its cell budget before any
+work and writes each table cell straight from one walk per ballot word.
 """
 
 from __future__ import annotations
@@ -197,75 +201,40 @@ def all_components(chain: ChainSpec) -> list[BNComponentId]:
 TABLE_CELL_BUDGET = 10**7
 
 
-def _word_walks(chain: ChainSpec):
-    """One :func:`_walk` per ballot word: an iterator of (symbols, walk,
-    shifted) over the words s of `enumerate_ballot(a, 2)`, in lex order, with
-    walk the offsets of (s, g) less its final None and shifted each of them
-    plus one.
-
-    By the shift identity of :func:`propagate` these give the offsets of all
-    g components of s: those of (s, i) are walk[:i-1], then None, then
-    shifted[i-1:], so catalan(a) walks instead of nu.  Read across the g
-    components instead, chain component r carries shifted[r-2] on each
-    (s, i) with i < r, None on (s, r) and walk[r-1] on each i > r.
-
-    Checks the rho = 1 shape and raises ValueError, before any enumeration,
-    when the tables would hold more than TABLE_CELL_BUDGET cells: nu * g =
-    g^2 * catalan(a), so g <= 21 fits and g >= 23 does not.
-    """
-    c = 1
-    for k in range(chain.a):  # c = catalan(k + 1), stopped once over budget
-        c = c * (4 * k + 2) // (k + 2)
-        if chain.g * chain.g * c > TABLE_CELL_BUDGET:
-            raise ValueError(
-                f"tables for g={chain.g} exceed {TABLE_CELL_BUDGET} cells"
-            )
-
-    # an inner generator, so that the checks above run at the call
-    def walks():
-        for seq in enumerate_ballot(chain.a, 2):
-            yield (seq.symbols, *_walk(seq.symbols))
-
-    return walks()
-
-
-def component_tables(chain: ChainSpec) -> dict[BNComponentId, tuple[int | None, ...]]:
-    """Offset tuple (None on the marked slot) for every component, keyed in
-    the order of :func:`all_components`, each read off the
-    :func:`_word_walks` walk of its word.
-
-    Raises ValueError, before any enumeration, when the tables would hold
-    more than TABLE_CELL_BUDGET cells.
-    """
-    g = chain.g
-    walks = _word_walks(chain)  # checks the budget before all_components runs
-    ids = iter(all_components(chain))  # g per word, marked 1..g
-    tables = {}
-    for _, walk, shifted in walks:
-        for i, comp in zip(range(g), ids):
-            tables[comp] = walk[:i] + (None,) + shifted[i:]
-    return tables
-
-
 def render_tables(chain: ChainSpec, fmt: str = "text") -> str:
     """Render the component tables, one row per chain component and one
     column per component, each cell the :func:`bundle_name` of its offset.
 
     fmt "csv" emits comma-separated values; "text" emits aligned columns.
-    Any other fmt raises ValueError before a table is built.  Each line is
-    assembled straight from the :func:`_word_walks` walks, with no table
-    and no component record: in line r the g cells of a word are r - 1
-    copies of one name, "L", then g - r copies of another, so each line is
-    joined from runs made once per line and name.
+    Before any work it raises ValueError for any other fmt, for a chain not
+    of the rho = 1 shape, and for tables that would hold more than
+    TABLE_CELL_BUDGET cells: nu * g = g^2 * catalan(a), so g <= 21 fits and
+    g >= 23 does not.
+
+    The columns come from one :func:`_walk` per ballot word s, in lex
+    order: with walk the offsets of (s, g) less its final None and shifted
+    each of them plus one, the offsets of (s, i) are walk[:i-1], then None,
+    then shifted[i-1:] (the shift identity of :func:`propagate`).  Read
+    across the g components instead, chain component r carries
+    shifted[r-2] on each (s, i) with i < r, None on (s, r) and walk[r-1] on
+    each i > r.  So each line is assembled straight from the walks, with no
+    table and no component record: in line r the g cells of a word are
+    r - 1 copies of one name, "L", then g - r copies of another, joined
+    from runs made once per line and name.
     """
     if fmt not in ("csv", "text"):
         raise ValueError(f"unknown table format: {fmt!r}")
-    g = chain.g
+    g, a = chain.g, chain.a  # chain.a validates the rho=1 shape
+    c = 1
+    for k in range(a):  # c = catalan(k + 1), stopped once over budget
+        c = c * (4 * k + 2) // (k + 2)
+        if g * g * c > TABLE_CELL_BUDGET:
+            raise ValueError(f"tables for g={g} exceed {TABLE_CELL_BUDGET} cells")
     names = [bundle_name(u, chain.d) for u in range(chain.d + 1)]
     marks = ["|" + str(i) for i in range(1, g + 1)]
     words = [
-        ("".join(map(str, symbols)), walk, shifted)
-        for symbols, walk, shifted in _word_walks(chain)
+        ("".join(map(str, seq.symbols)), *_walk(seq.symbols))
+        for seq in enumerate_ballot(a, 2)
     ]
     if fmt == "csv":
         sep, first, widths = ",", 0, [0] * g

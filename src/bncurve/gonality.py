@@ -947,14 +947,6 @@ class GonalityResult:
     upper_certificate: VerificationReport
     double_cover: VerificationReport
 
-    def to_json(self):
-        return {
-            "gonality": self.value,
-            "lower_certificate": [t.to_json() for t in self.lower_certificate],
-            "upper_certificate": self.upper_certificate.to_json(),
-            "double_cover": self.double_cover.to_json(),
-        }
-
 
 def gonality() -> GonalityResult:
     """gon = 6: degrees 1..5 are excluded and a verified degree-6 cover

@@ -14,11 +14,10 @@ from itertools import permutations
 from bncurve.chain import (
     ChainSpec,
     all_components,
-    bundle_name,
-    component_tables,
     exhaustive_bound_search,
     limit_series_census,
     propagate,
+    render_tables,
     rho,
 )
 from bncurve.combinatorics import catalan, enumerate_ballot, generalized_catalan
@@ -134,13 +133,20 @@ def test_05_castelnuovo_counts():
 
 def test_06_table_fidelity():
     with criterion(6, "table fidelity"):
-        chain = ChainSpec.rho_one(2)
-        rendered = {
-            (comp.sequence, comp.marked): tuple(
-                bundle_name(u, chain.d) for u in offsets
+        # the CSV that `tables --g 5 --d 4 --format csv` prints, each column
+        # keyed by its label digits|i parsed to (sequence, marked)
+        header, *rows = (
+            line.split(",")
+            for line in render_tables(ChainSpec.rho_one(2), "csv").splitlines()
+        )
+        assert header[0] == "C_i" and [row[0] for row in rows] == list("12345")
+        assert all(len(row) == len(header) == 11 for row in rows)
+        rendered = {}
+        for j, label in enumerate(header[1:], start=1):
+            digits, marked = label.split("|")
+            rendered[tuple(map(int, digits)), int(marked)] = tuple(
+                row[j] for row in rows
             )
-            for comp, offsets in component_tables(chain).items()
-        }
         assert rendered == GOLDEN_TABLES_G5
         assert rendered[((1, 2, 1, 2), 2)] == (
             "4Q", "L", "3P+Q", "2P+2Q", "4P",

@@ -16,7 +16,6 @@ from bncurve.chain import (
     _walk,
     all_components,
     bundle_name,
-    component_tables,
     exhaustive_bound_search,
     limit_series_census,
     propagate,
@@ -34,14 +33,15 @@ def rendered(chain, comp):
 
 
 def reference_render(chain, fmt):
-    """The tables rendered cell by cell from `component_tables`: a header of
-    labels, then one line per chain component, columns right-justified to
-    their widest cell in the text format."""
-    tables = component_tables(chain)
-    headers = ["C_i"] + [comp.label for comp in tables]
+    """The tables rendered cell by cell, each column the `propagate` walk of
+    one `all_components` id: a header of labels, then one line per chain
+    component, columns right-justified to their widest cell in the text
+    format."""
+    comps = all_components(chain)
+    headers = ["C_i"] + [comp.label for comp in comps]
     rows = [
         [str(i)] + [bundle_name(u, chain.d) for u in row]
-        for i, row in enumerate(zip(*tables.values()), start=1)
+        for i, row in enumerate(zip(*(propagate(chain, c) for c in comps)), start=1)
     ]
     if fmt == "csv":
         return "\n".join(",".join(row) for row in [headers] + rows) + "\n"
@@ -51,6 +51,19 @@ def reference_render(chain, fmt):
         for row in [headers] + rows
     ]
     return "\n".join(lines) + "\n"
+
+
+def csv_columns(chain):
+    """The `render_tables` CSV read back into its columns, in order, each
+    keyed by its label digits|i parsed to (sequence, marked)."""
+    lines = [line.split(",") for line in render_tables(chain, "csv").splitlines()]
+    assert {len(line) for line in lines} == {len(lines[0])}
+    columns = {}
+    for label, *cells in list(zip(*lines))[1:]:
+        digits, marked = label.split("|")
+        columns[tuple(map(int, digits)), int(marked)] = tuple(cells)
+    assert len(columns) == len(lines[0]) - 1
+    return columns
 
 
 def counted_orders(comp):
@@ -249,58 +262,61 @@ class TestComponentId:
 
 class TestComponentTables:
     def test_g5_has_ten_columns(self):
-        chain = ChainSpec.rho_one(2)
-        tables = component_tables(chain)
-        assert len(tables) == 10
+        assert len(csv_columns(ChainSpec.rho_one(2))) == 10
 
     def test_column_c2_prime(self):
-        chain = ChainSpec.rho_one(2)
-        tables = component_tables(chain)
-        comp = BNComponentId((1, 2, 1, 2), 2)
-        assert tuple(bundle_name(u, 4) for u in tables[comp]) == (
-            "4Q", "L", "3P+Q", "2P+2Q", "4P",
-        )
+        columns = csv_columns(ChainSpec.rho_one(2))
+        assert columns[(1, 2, 1, 2), 2] == ("4Q", "L", "3P+Q", "2P+2Q", "4P")
 
     def test_column_c4_doubleprime(self):
-        chain = ChainSpec.rho_one(2)
-        tables = component_tables(chain)
-        comp = BNComponentId((1, 1, 2, 2), 4)
-        assert tuple(bundle_name(u, 4) for u in tables[comp]) == (
-            "4Q", "4Q", "3P+Q", "L", "4P",
-        )
+        columns = csv_columns(ChainSpec.rho_one(2))
+        assert columns[(1, 1, 2, 2), 4] == ("4Q", "4Q", "3P+Q", "L", "4P")
 
     def test_g3_has_three_columns(self):
-        chain = ChainSpec.rho_one(1)
-        assert len(component_tables(chain)) == 3
+        assert len(csv_columns(ChainSpec.rho_one(1))) == 3
 
     @pytest.mark.parametrize("a", range(1, 8))
     def test_rows_match_a_walk_per_component(self, a):
         chain = ChainSpec.rho_one(a)
-        assert list(component_tables(chain).items()) == [
-            (c, propagate(chain, c)) for c in all_components(chain)
+        assert list(csv_columns(chain).items()) == [
+            ((c.sequence, c.marked), rendered(chain, c))
+            for c in all_components(chain)
         ]
 
     @pytest.mark.parametrize("a", range(1, 6))
     def test_one_walk_per_ballot_word(self, a):
         _walk.cache_clear()
-        tables = component_tables(ChainSpec.rho_one(a))
+        columns = csv_columns(ChainSpec.rho_one(a))
         assert _walk.cache_info().misses == catalan(a)
-        assert len(tables) == (2 * a + 1) * catalan(a)
+        assert len(columns) == (2 * a + 1) * catalan(a)
 
     def test_cell_budget_is_checked_before_enumerating(self, monkeypatch):
-        def no_enumeration(chain):
+        def no_enumeration(a, m):
             raise AssertionError("enumerated")
 
         module = sys.modules["bncurve.chain"]
-        monkeypatch.setattr(module, "all_components", no_enumeration)
+        monkeypatch.setattr(module, "enumerate_ballot", no_enumeration)
         # nu * g = 21^2 * catalan(10) = 7,407,036 cells fits the budget
         with pytest.raises(AssertionError, match="enumerated"):
-            component_tables(ChainSpec(21, 12))
+            render_tables(ChainSpec(21, 12))
         for g in (23, 31, 2001):
             with pytest.raises(ValueError, match="cells"):
-                component_tables(ChainSpec(g, (g - 1) // 2 + 2))
-            with pytest.raises(ValueError, match="cells"):
                 render_tables(ChainSpec(g, (g - 1) // 2 + 2))
+
+    def test_shape_and_budget_are_refused_before_any_work(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("worked")
+
+        module = sys.modules["bncurve.chain"]
+        monkeypatch.setattr(module, "bundle_name", refused)
+        monkeypatch.setattr(module, "enumerate_ballot", refused)
+        # d + 1 bundle names, or g column marks, would each take seconds
+        with pytest.raises(UnsupportedShapeError):
+            render_tables(ChainSpec(3, 100_000_000))
+        with pytest.raises(ValueError, match="cells"):
+            render_tables(ChainSpec(100_000_001, 50_000_002), "csv")
+        with pytest.raises(AssertionError, match="worked"):
+            render_tables(ChainSpec.rho_one(1))
 
     def test_render_formats(self):
         chain = ChainSpec.rho_one(1)
@@ -312,10 +328,11 @@ class TestComponentTables:
             render_tables(chain, "yaml")
 
     def test_unknown_format_is_refused_before_building(self, monkeypatch):
-        def no_walks(chain):
+        def no_walks(a, m):
             raise AssertionError("walked")
 
-        monkeypatch.setattr(sys.modules["bncurve.chain"], "_word_walks", no_walks)
+        module = sys.modules["bncurve.chain"]
+        monkeypatch.setattr(module, "enumerate_ballot", no_walks)
         with pytest.raises(ValueError, match="unknown table format"):
             render_tables(ChainSpec(21, 12), "xml")
         with pytest.raises(AssertionError, match="walked"):
@@ -344,7 +361,6 @@ class TestComponentTables:
             raise AssertionError("built per-component records")
 
         monkeypatch.setattr(module, "all_components", refused)
-        monkeypatch.setattr(module, "component_tables", refused)
         for fmt, text in expected.items():
             _walk.cache_clear()
             assert render_tables(chain, fmt) == text

@@ -267,6 +267,24 @@ class TestSelftest:
             False, f"{fmt} export differs between two builds"
         )
 
+    def test_table_fidelity_catches_two_swapped_cells(self, monkeypatch, capsys):
+        module = sys.modules["bncurve.selfcheck"]
+
+        def swapped(chain, fmt, _original=module.render_tables):
+            # on the line of chain component 2, "P+3Q" under 1122|1 and "L"
+            # under 1122|2 trade places
+            lines = [line.split(",") for line in _original(chain, fmt).splitlines()]
+            lines[2][1], lines[2][2] = lines[2][2], lines[2][1]
+            return "\n".join(",".join(line) for line in lines) + "\n"
+
+        monkeypatch.setattr(module, "render_tables", swapped)
+        assert module.check_table_fidelity() == (
+            False, "g=5 tables differ from the golden tables"
+        )
+        assert main(["selftest", "--max-a", "1"]) == 2
+        out = capsys.readouterr().out
+        assert "[FAIL] g=5 table fidelity: g=5 tables differ" in out
+
     def test_max_a_above_every_cap_changes_nothing(self, capsys):
         assert main(["selftest"]) == 0
         default = capsys.readouterr().out
@@ -305,6 +323,8 @@ HOSTILE = [
     (["tables", "--g", "2001", "--d", "1002"], {1}, None),  # over the cell budget
     (["tables", "--g", "31", "--d", "17"], {1}, None),
     (["tables", "--g", "23", "--d", "13"], {1}, None),
+    (["tables", "--g", "3", "--d", "100000000"], {1}, None),  # not rho=1
+    (["tables", "--g", "100000001", "--d", "50000002"], {1}, None),
     (["castelnuovo", "--a", "3000", "--r", "50"], {0, 1}, None),  # 4300-digit cap
     (["castelnuovo", "--a", "2", "--r", "3000"], {0}, r"[1-9]\d{1801}\n"),
     (["castelnuovo", "--a", "1", "--r", "100000"], {0}, r"1\n"),

@@ -258,3 +258,18 @@ def test_only_unchecked_bypasses_the_constructors():
                 hits.append(f"{path.name}:{node.lineno}")
     assert outside == []
     assert {hit.split(":")[0] for hit in inside} == {"combinatorics.py"}
+
+
+def test_no_module_relies_on_assert():
+    # `python -O` strips assert statements, so a check made with one would
+    # vanish there; every check in the package raises explicitly
+    src = Path(__file__).resolve().parents[1] / "src" / "bncurve"
+    paths = sorted(src.rglob("*.py"))
+    assert paths
+    hits = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert hits == []

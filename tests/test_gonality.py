@@ -589,9 +589,3 @@ class TestGonality:
         )
         with pytest.raises(AssertionError, match="double cover failed"):
             gonality()
-
-    def test_serializes(self):
-        payload = gonality().to_json()
-        assert payload["gonality"] == 6
-        assert len(payload["lower_certificate"]) == 5
-        assert payload["double_cover"]["passed"] is True
