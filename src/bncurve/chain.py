@@ -66,7 +66,10 @@ class BNComponentId:
     """One component of the Brill-Noether curve: a ballot sequence of 1s and
     2s attached to the non-marked chain components, plus the marked component
     whose bundle varies freely.  The sequence is stored as a tuple, so an id
-    built from a list hashes and compares like its tuple twin."""
+    built from a list hashes and compares like its tuple twin.  Raises
+    ValueError for a sequence that :func:`is_admissible` refuses (symbols
+    that are not the ints 1 and 2 included) and for a marked index that is
+    not an int (a bool or a float) or lies outside 1..len(sequence) + 1."""
 
     sequence: tuple[int, ...]
     marked: int
@@ -80,8 +83,11 @@ class BNComponentId:
         n = len(sequence)
         if n % 2 or not is_admissible(sequence, n // 2, 2):
             raise ValueError(f"sequence {sequence} is not admissible")
-        if not 1 <= self.marked <= n + 1:
-            raise ValueError(f"marked index {self.marked} out of range")
+        marked = self.marked
+        if type(marked) is bool or not isinstance(marked, int):
+            raise ValueError(f"marked index {marked!r} is not an int")
+        if not 1 <= marked <= n + 1:
+            raise ValueError(f"marked index {marked} out of range")
 
     @cached_property
     def label(self) -> str:
@@ -175,6 +181,16 @@ def _walk(sequence: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
             shifted.append(u2 + 1)
             u1 += 1
     return tuple(walk), tuple(shifted)
+
+
+def _slot_offset(sequence: tuple[int, ...], k: int) -> int:
+    """Entry k of the walk of `sequence`, the offset of (s, g) at slot k + 1,
+    counted instead of walked: the entry orders are u1 = #2s and
+    u2 = 1 + #1s in sequence[:k] (:func:`propagate`, with no marked slot
+    before it), and the symbol sequence[k] picks u1 if it is 1, else u2."""
+    if sequence[k] == 1:
+        return sequence[:k].count(2)
+    return 1 + sequence[:k].count(1)
 
 
 def all_components(chain: ChainSpec) -> list[BNComponentId]:

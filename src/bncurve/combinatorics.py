@@ -85,21 +85,50 @@ def is_admissible(symbols, a: int, m: int) -> bool:
     """True iff `symbols` is a valid ballot word for (a, m).
 
     Requires length a*m, each symbol in 1..m occurring exactly a times, and
-    in every prefix count(s) >= count(t) whenever s < t.
+    in every prefix count(s) >= count(t) whenever s < t.  A symbol that is
+    not an int in 1..m (a float, a string, None) makes it False, never
+    True.
+
+    Both cases cost about one comparison per symbol.  For m = 2 the prefix
+    condition is a running depth, count(1) - count(2), that never goes
+    negative and ends at 0; the word is read as `bytes`, which admits only
+    ints in 0..255, so the conversion is also the type check.  For any
+    other m the counts carry a sentinel counts[0] = a: the count vector
+    stays non-increasing, so a symbol s is allowed iff counts[s] is still
+    below counts[s - 1], one test that both caps the 1s at a and keeps the
+    ballot order.  A word of length a*m whose counts never exceed a then
+    holds each symbol exactly a times.
     """
     symbols = tuple(symbols)
     if len(symbols) != a * m:
         return False
+    if m == 2:
+        try:
+            word = bytes(symbols)
+        except (TypeError, ValueError):
+            return False
+        depth = 0
+        for s in word:
+            if s == 1:
+                depth += 1
+            elif s == 2 and depth:
+                depth -= 1
+            else:
+                return False
+        return not depth
+    if not symbols:
+        return True
     counts = [0] * (m + 1)
-    for s in symbols:
-        if not 1 <= s <= m:
+    counts[0] = a
+    try:
+        if min(symbols) < 1 or max(symbols) > m:
             return False
-        counts[s] += 1
-        if counts[s] > a:
-            return False
-        # prefix condition: the count vector stays non-increasing in s
-        if s > 1 and counts[s] > counts[s - 1]:
-            return False
+        for s in symbols:
+            if counts[s] >= counts[s - 1]:
+                return False
+            counts[s] += 1
+    except TypeError:
+        return False
     return True
 
 

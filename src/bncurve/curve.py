@@ -52,7 +52,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import factorial
 
-from .chain import BNComponentId, ChainSpec, all_components, propagate
+from .chain import BNComponentId, ChainSpec, _slot_offset, all_components, propagate
 from .combinatorics import _unchecked, catalan
 
 DEFAULT_MAX_A = 6
@@ -235,11 +235,16 @@ def intersect(
 
     They meet iff the one of larger marked index is among the (at most two)
     forward neighbours that the local rule of the module docstring gives the
-    other (:func:`_forward_meets`).  Only on a hit are the offsets walked:
-    each component's free slot is pinned by the other, which yields the node
-    offsets.  The node skips the constructor's re-check, made here first.
-    Raises ValueError for x == y, a chain that is not of the rho = 1 shape,
-    or a sequence whose length is not g - 1.
+    other (:func:`_forward_meets`).  On a hit nothing is walked: each
+    component's free slot is pinned by the other, and for lo = (s, i) and
+    hi = (t, j), i < j, the pinned entries are read at those two slots
+    alone.  Slot i of hi comes before its marked slot, so the node sits at
+    W_t[i-1] on lo; slot j of lo comes after its marked slot, so the node
+    sits at W_s[j-2] + 1 on hi (the shift identity of
+    :func:`bncurve.chain.propagate`), each counted by
+    :func:`bncurve.chain._slot_offset`.  The node skips the constructor's
+    re-check, made here first.  Raises ValueError for x == y, a chain that
+    is not of the rho = 1 shape, or a sequence whose length is not g - 1.
     """
     if x == y:
         raise ValueError("intersect needs two distinct components")
@@ -250,13 +255,13 @@ def intersect(
                 f"sequence length {len(comp.sequence)} != g-1 = {chain.g - 1}"
             )
     lo, hi = (x, y) if x.marked < y.marked else (y, x)
-    if (hi.sequence, hi.marked) not in _forward_meets(lo.sequence, lo.marked):
+    s, i, t, j = lo.sequence, lo.marked, hi.sequence, hi.marked
+    if (t, j) not in _forward_meets(s, i):
         return None
-    if x.sort_key() > y.sort_key():
-        x, y = y, x
-    bx = propagate(chain, x)
-    by = propagate(chain, y)
-    return _node(x=x, x_offset=by[x.marked - 1], y=y, y_offset=bx[y.marked - 1])
+    lo_offset, hi_offset = _slot_offset(t, i - 1), _slot_offset(s, j - 2) + 1
+    if lo.sort_key() < hi.sort_key():
+        return _node(x=lo, x_offset=lo_offset, y=hi, y_offset=hi_offset)
+    return _node(x=hi, x_offset=hi_offset, y=lo, y_offset=lo_offset)
 
 
 def build_bn_curve(a: int, *, max_a: int = DEFAULT_MAX_A) -> BNCurveGraph:

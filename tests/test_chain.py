@@ -13,6 +13,7 @@ from bncurve.chain import (
     Census,
     ChainSpec,
     UnsupportedShapeError,
+    _slot_offset,
     _walk,
     all_components,
     bundle_name,
@@ -201,6 +202,12 @@ class TestPropagate:
     def test_walk_memo_holds_one_word(self):
         assert _walk.cache_info().maxsize == 1
 
+    @pytest.mark.parametrize("a", range(1, 8))
+    def test_slot_offset_is_the_walk_at_every_slot(self, a):
+        for seq in enumerate_ballot(a, 2):
+            walk = _walk(seq.symbols)[0]
+            assert [_slot_offset(seq.symbols, k) for k in range(2 * a)] == list(walk)
+
     def test_injectivity_of_sequence_to_tuple(self):
         for a in range(1, 6):
             chain = ChainSpec.rho_one(a)
@@ -230,6 +237,18 @@ class TestComponentId:
         ]:
             with pytest.raises(ValueError):
                 BNComponentId(sequence, marked)
+
+    @pytest.mark.parametrize("marked", [1.5, 1.0, True, False, "1", None])
+    def test_rejects_a_marked_index_that_is_not_an_int(self, marked):
+        with pytest.raises(ValueError, match="not an int"):
+            BNComponentId((1, 2), marked)
+
+    @pytest.mark.parametrize(
+        "sequence", [("1", "2"), (1.0, 2.0), (None, 2), ("a", "b"), (1, 2.0)]
+    )
+    def test_rejects_symbols_that_are_not_ints(self, sequence):
+        with pytest.raises(ValueError, match="not admissible"):
+            BNComponentId(sequence, 1)
 
     @pytest.mark.parametrize("a", range(1, 7))
     def test_all_components_pass_the_public_constructor(self, a):

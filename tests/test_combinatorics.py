@@ -2,7 +2,7 @@ import ast
 import math
 import sys
 from dataclasses import fields
-from itertools import islice
+from itertools import islice, product
 from math import factorial
 from pathlib import Path
 
@@ -143,6 +143,20 @@ class TestGeneralizedCatalan:
             generalized_catalan(2, 1)
 
 
+def inline_admissible(word, a, m):
+    """The ballot rule spelled out: length a*m, every symbol an int in 1..m,
+    no prefix holding more t than t - 1, and a copies of each symbol."""
+    if len(word) != a * m or not all(type(s) is int and 1 <= s <= m for s in word):
+        return False
+    counts = [0] * (m + 1)
+    for s in word:
+        counts[s] += 1
+        for t in range(2, m + 1):
+            if counts[t] > counts[t - 1]:
+                return False
+    return all(counts[s] == a for s in range(1, m + 1))
+
+
 class TestIsAdmissible:
     def test_examples(self):
         assert is_admissible((1, 2, 1, 2), 2, 2)
@@ -156,19 +170,54 @@ class TestIsAdmissible:
 
     @given(st.lists(st.integers(1, 3), min_size=0, max_size=9))
     def test_agrees_with_inline_check(self, word):
-        a, m = 3, 3
-        counts = [0] * (m + 1)
-        ok = len(word) == a * m
-        for s in word:
-            counts[s] += 1
-        ok = ok and all(counts[s] == a for s in range(1, m + 1))
-        counts = [0] * (m + 1)
-        for s in word:
-            counts[s] += 1
-            for t in range(2, m + 1):
-                if counts[t] > counts[t - 1]:
-                    ok = False
-        assert is_admissible(word, a, m) == ok
+        assert is_admissible(word, 3, 3) == inline_admissible(word, 3, 3)
+
+    @given(st.lists(st.sampled_from((1, 2, 1, 2, 1, 2, 0, 3, -1, 256)), max_size=14))
+    def test_agrees_with_inline_check_at_m2(self, word):
+        a = len(word) // 2
+        assert is_admissible(word, a, 2) == inline_admissible(word, a, 2)
+
+    @pytest.mark.parametrize("m,longest", [(2, 8), (3, 9)])
+    def test_agrees_with_inline_check_on_every_short_word(self, m, longest):
+        # every word over {0, 1, 2, 3}, so out-of-range symbols too; a is
+        # the one that fits the length, when there is one
+        admitted = 0
+        for n in range(longest + 1):
+            a = n // m
+            for word in product(range(4), repeat=n):
+                ok = inline_admissible(word, a, m)
+                assert is_admissible(word, a, m) == ok, word
+                admitted += ok
+        # the empty word, then generalized_catalan(a, m) words per a >= 1
+        assert admitted == 1 + sum(
+            generalized_catalan(a, m) for a in range(1, longest // m + 1)
+        )
+
+    @pytest.mark.parametrize(
+        "word,a,m",
+        [
+            (("a", "b"), 1, 2),
+            ((None, 2), 1, 2),
+            ((1.0, 2.0), 1, 2),
+            ((1, 2.0), 1, 2),
+            (("1", "2"), 1, 2),
+            ((1, 1, None, 2), 2, 2),
+            ((1.0, 1.0, 2.0, 2.0), 2, 2),
+            (("a", "b", "c"), 1, 3),
+            ((None, 2, 3), 1, 3),
+            ((1.0, 2.0, 3.0), 1, 3),
+            ((1, 2, 3.0), 1, 3),
+            (("1", 2, 3), 1, 3),
+        ],
+    )
+    def test_non_int_symbols_are_refused(self, word, a, m):
+        assert is_admissible(word, a, m) is False
+
+    def test_any_iterable_of_ints(self):
+        assert is_admissible([1, 2, 1, 2], 2, 2)
+        assert is_admissible(iter((1, 2, 3)), 1, 3)
+        assert is_admissible(bytes((1, 1, 2, 2)), 2, 2)
+        assert not is_admissible((1, 2, 3, 3), 2, 2)
 
 
 class TestEnumerateBallot:

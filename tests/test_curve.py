@@ -175,6 +175,19 @@ class TestIntersect:
                     assert node == public
                     assert vars(node).keys() == vars(public).keys()
 
+    @pytest.mark.parametrize("a", [2, 3, 4])
+    def test_a_hit_walks_nothing(self, a):
+        chain = ChainSpec.rho_one(a)
+        by_label = {c.label: c for c in all_components(chain)}
+        nodes = naive_nodes(a)
+        _walk.cache_clear()
+        for x, y, x_offset, y_offset in nodes:
+            x, y = by_label[x], by_label[y]
+            for pair in ((x, y), (y, x)):
+                node = intersect(chain, *pair)
+                assert (node.x_offset, node.y_offset) == (x_offset, y_offset)
+        assert _walk.cache_info().misses == 0
+
     def test_same_component_rejected(self):
         chain = ChainSpec.rho_one(1)
         with pytest.raises(ValueError):
