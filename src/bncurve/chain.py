@@ -68,8 +68,9 @@ class BNComponentId:
     whose bundle varies freely.  The sequence is stored as a tuple, so an id
     built from a list hashes and compares like its tuple twin.  Raises
     ValueError for a sequence that :func:`is_admissible` refuses (symbols
-    that are not the ints 1 and 2 included) and for a marked index that is
-    not an int (a bool or a float) or lies outside 1..len(sequence) + 1."""
+    that are not the ints 1 and 2, or no iterable at all, included) and for
+    a marked index that is not an int (a bool or a float) or lies outside
+    1..len(sequence) + 1."""
 
     sequence: tuple[int, ...]
     marked: int
@@ -79,7 +80,10 @@ class BNComponentId:
         if type(sequence) is not tuple:
             # the field is frozen, so the tuple goes straight into the
             # instance dict, as cached_property stores `label`
-            sequence = self.__dict__["sequence"] = tuple(sequence)
+            try:
+                sequence = self.__dict__["sequence"] = tuple(sequence)
+            except TypeError:
+                raise ValueError(f"sequence {sequence} is not admissible") from None
         n = len(sequence)
         if n % 2 or not is_admissible(sequence, n // 2, 2):
             raise ValueError(f"sequence {sequence} is not admissible")

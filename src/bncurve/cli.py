@@ -19,7 +19,7 @@ import json
 import os
 import sys
 
-from .chain import ChainSpec, UnsupportedShapeError, limit_series_census, render_tables
+from .chain import ChainSpec, limit_series_census, render_tables
 from .chain import _log10_generalized_catalan, _refuse_unprintable
 from .combinatorics import catalan
 from .curve import DEFAULT_MAX_A, build_bn_curve, eh_formula, export_graph
@@ -215,7 +215,7 @@ def main(argv=None) -> int:
         # interpreter exit does not raise again (the Python docs' idiom)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (UnsupportedShapeError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:

@@ -87,7 +87,7 @@ def is_admissible(symbols, a: int, m: int) -> bool:
     Requires length a*m, each symbol in 1..m occurring exactly a times, and
     in every prefix count(s) >= count(t) whenever s < t.  A symbol that is
     not an int in 1..m (a float, a string, None) makes it False, never
-    True.
+    True, and so does a `symbols` that is not iterable (None, an int).
 
     Both cases cost about one comparison per symbol.  For m = 2 the prefix
     condition is a running depth, count(1) - count(2), that never goes
@@ -99,7 +99,10 @@ def is_admissible(symbols, a: int, m: int) -> bool:
     ballot order.  A word of length a*m whose counts never exceed a then
     holds each symbol exactly a times.
     """
-    symbols = tuple(symbols)
+    try:
+        symbols = tuple(symbols)
+    except TypeError:
+        return False
     if len(symbols) != a * m:
         return False
     if m == 2:

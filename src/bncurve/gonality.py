@@ -61,14 +61,6 @@ def component_name(comp: BNComponentId) -> str:
     raise ValueError(f"not an a=2 component: {comp}")
 
 
-def component_id(name: str) -> BNComponentId:
-    if name.startswith("C''"):
-        return BNComponentId(SEQ_DOUBLE_PRIME, int(name[3:]))
-    if name.startswith("C'"):
-        return BNComponentId(SEQ_PRIME, int(name[2:]))
-    raise ValueError(f"bad component name: {name!r}")
-
-
 @dataclass(frozen=True)
 class Point:
     """A marked point on one component with an exact-rational class vector.
@@ -182,13 +174,14 @@ class CircuitGraph:
     def point(self, comp: str, role: str) -> Point:
         return self.points[comp][role]
 
-    def node_point(self, node_name: str, comp: str) -> Point:
-        """The marked point of `comp` sitting at cycle node `node_name`."""
-        if node_name not in {f"n{k}" for k in range(1, 7)}:
-            raise KeyError(node_name)
-        c1, c2 = _incident_components(int(node_name[1:]))
+    def node_point(self, k: int, comp: str) -> Point:
+        """The marked point of `comp` sitting at cycle node n_k, 1 <= k <= 6;
+        KeyError for any other k."""
+        if k not in range(1, 7):
+            raise KeyError(k)
+        c1, c2 = _incident_components(k)
         if comp not in (c1, c2):
-            raise ValueError(f"{comp} is not incident to {node_name}")
+            raise ValueError(f"{comp} is not incident to n{k}")
         return self.facing[comp][c2 if comp == c1 else c1]
 
 
@@ -218,12 +211,13 @@ def build_w14_circuit() -> CircuitGraph:
     if graph.nu != 10 or graph.delta != 10:
         raise AssertionError("a=2 graph does not have 10 components / 10 nodes")
 
+    ids = {component_name(comp): comp for comp in graph.components}
     profiles = {
-        component_name(comp): {
+        name: {
             component_name(nbr): off
             for nbr, off in component_profile(graph, comp)
         }
-        for comp in graph.components
+        for name, comp in ids.items()
     }
     host = {t: next(iter(p)) for t, p in profiles.items() if len(p) == 1}
     if set(CIRCUIT_ORDER) != set(profiles) - set(host):
@@ -244,7 +238,7 @@ def build_w14_circuit() -> CircuitGraph:
                 f"{comp} meets {set(prof)}, expected {prev_c}, {next_c} "
                 "and at most one tail"
             )
-        if component_id(prev_c).sequence == component_id(comp).sequence:
+        if ids[prev_c].sequence == ids[comp].sequence:
             y_nbr, z_nbr = prev_c, next_c
         else:
             y_nbr, z_nbr = next_c, prev_c
@@ -447,7 +441,7 @@ def exclude_degree(deg: int, circuit: CircuitGraph) -> ProofTrace:
                     step.verdict = f"{leaf} owns {len(owned)} ramified nodes"
                     trace.steps.append(step)
                     continue
-                w = circuit.node_point(f"n{owned[0]}", leaf)
+                w = circuit.node_point(owned[0], leaf)
                 aa = circuit.point(leaf, "Y")
                 bb = circuit.point(leaf, "Z")
                 if _call(step, Divisor.of((w, 2)), Divisor.of(aa, bb)):
@@ -494,7 +488,7 @@ def exclude_degree(deg: int, circuit: CircuitGraph) -> ProofTrace:
                 ram_node = next(
                     n for n in nodes if comp in _incident_components(n)
                 )
-                w = circuit.node_point(f"n{ram_node}", comp)
+                w = circuit.node_point(ram_node, comp)
                 x = circuit.point(comp, "X")
                 if _call(step, Divisor.of((x, 2)), Divisor.of((w, 2))):
                     step.verdict = f"unexpected equivalence 2X ~ 2W on {comp}"
@@ -822,10 +816,10 @@ def _source_nodes(
     components c1 and c2."""
     nodes = []
     for k in range(1, 7):
-        name, (c1, c2) = f"n{k}", _incident_components(k)
-        p1, p2 = circuit.node_point(name, c1), circuit.node_point(name, c2)
+        c1, c2 = _incident_components(k)
+        p1, p2 = circuit.node_point(k, c1), circuit.node_point(k, c2)
         branches = ((c1, p1, 1), (c2, p2, 1))
-        nodes.append(SourceNode(name, branches, target_of(c1, c2)))
+        nodes.append(SourceNode(f"n{k}", branches, target_of(c1, c2)))
     for comp, tail in circuit.tail_of.items():
         x, n = circuit.point(comp, "X"), circuit.tail_node[tail]
         branches = ((comp, x, x_index), (tail, n, x_index))

@@ -189,54 +189,37 @@ def check_properties(graphs):
     return True, "recursion, specialization, ballot oracle, export determinism"
 
 
-# (name, check, cap): a sized check's one argument is its bound, the cap or,
-# given --max-a, min(max_a, cap), except that a check in GRAPH_CHECKS takes
-# the curve graphs for a = 1..bound instead; cap None means no argument
-ALL_CHECKS = [
-    ("component count nu = (2a+1) c_a", check_component_count, 8),
-    ("node count delta, both forms", check_node_count, 6),
-    ("genus, graph vs closed form", check_genus, 6),
-    ("published-formula discrepancy flagged", check_eh_discrepancy, None),
-    ("Castelnuovo counts vs enumeration", check_castelnuovo, 8),
-    ("g=5 table fidelity", check_table_fidelity, None),
-    ("nodal properties", check_nodal_properties, 5),
-    ("Brill-Noether emptiness, rho < 0", check_bn_emptiness, None),
-    ("gonality pipeline", check_gonality, None),
-    ("property suite", check_properties, 3),
-]
-GRAPH_CHECKS = {
-    check_node_count, check_genus, check_nodal_properties, check_properties
-}
-
-
 def run_selftest(max_a: int | None = None) -> bool:
     """Run every check, print one line per criterion, return overall pass.
 
-    max_a lowers each sized check's bound, and above its cap changes nothing.
-    Each curve graph is built once per call, on first use, shared by the
-    checks in GRAPH_CHECKS and dropped once no later check reads it.  Raises
-    ValueError for max_a < 1, under which the sized checks would loop over
-    nothing and pass."""
+    The checks form one table of (name, check, *args), each bound on a
+    written once there; max_a lowers every bound, and above a bound changes
+    nothing.  The curve graphs for a = 1..min(max_a, 6) are built once, up
+    front, into one list that the graph checks read prefixes of; the list
+    lives until the run ends.  Raises ValueError for max_a < 1, under which
+    the sized checks would loop over nothing and pass."""
     if max_a is not None and max_a < 1:
         raise ValueError(f"max_a must be at least 1, got {max_a}")
 
     def bound(cap):
         return cap if max_a is None else min(max_a, cap)
 
-    # caps of the graph checks still to run, and graphs[a - 1], the curve for a
-    graph_caps = [cap for _, check, cap in ALL_CHECKS if check in GRAPH_CHECKS]
-    graphs = []
+    graphs = [build_bn_curve(a) for a in range(1, bound(6) + 1)]
+    checks = [
+        ("component count nu = (2a+1) c_a", check_component_count, bound(8)),
+        ("node count delta, both forms", check_node_count, graphs),
+        ("genus, graph vs closed form", check_genus, graphs),
+        ("published-formula discrepancy flagged", check_eh_discrepancy),
+        ("Castelnuovo counts vs enumeration", check_castelnuovo, bound(8)),
+        ("g=5 table fidelity", check_table_fidelity),
+        ("nodal properties", check_nodal_properties, graphs[:5]),
+        ("Brill-Noether emptiness, rho < 0", check_bn_emptiness),
+        ("gonality pipeline", check_gonality),
+        ("property suite", check_properties, graphs[:3]),
+    ]
     all_ok = True
-    for name, check, cap in ALL_CHECKS:
-        if cap is None:
-            ok, detail = check()
-        elif check in GRAPH_CHECKS:
-            graph_caps.pop(0)
-            graphs += map(build_bn_curve, range(len(graphs) + 1, bound(cap) + 1))
-            ok, detail = check(graphs[: bound(cap)])
-            del graphs[bound(max(graph_caps, default=0)) :]
-        else:
-            ok, detail = check(bound(cap))
+    for name, check, *args in checks:
+        ok, detail = check(*args)
         all_ok &= ok
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     return all_ok

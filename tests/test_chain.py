@@ -244,7 +244,8 @@ class TestComponentId:
             BNComponentId((1, 2), marked)
 
     @pytest.mark.parametrize(
-        "sequence", [("1", "2"), (1.0, 2.0), (None, 2), ("a", "b"), (1, 2.0)]
+        "sequence",
+        [("1", "2"), (1.0, 2.0), (None, 2), ("a", "b"), (1, 2.0), None, 5],
     )
     def test_rejects_symbols_that_are_not_ints(self, sequence):
         with pytest.raises(ValueError, match="not admissible"):

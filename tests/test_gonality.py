@@ -4,9 +4,12 @@ from dataclasses import replace
 
 import pytest
 
+from bncurve.chain import BNComponentId
 from bncurve.curve import build_bn_curve, component_profile
 from bncurve.gonality import (
     CIRCUIT_ORDER,
+    SEQ_DOUBLE_PRIME,
+    SEQ_PRIME,
     Divisor,
     Point,
     ProofTrace,
@@ -17,7 +20,6 @@ from bncurve.gonality import (
     build_double_cover,
     build_w14_circuit,
     circuit_degree_bound,
-    component_id,
     component_name,
     exclude_degree,
     gonality,
@@ -111,9 +113,10 @@ class TestOracle:
 def role_offsets(circuit, comp):
     """role -> bundle offset on comp of the node at that role point, read
     from component_profile."""
+    (cid,) = [c for c in circuit.graph.components if component_name(c) == comp]
     prof = {
         component_name(nbr): off
-        for nbr, off in component_profile(circuit.graph, component_id(comp))
+        for nbr, off in component_profile(circuit.graph, cid)
     }
     role_of = {point: role for role, point in circuit.points[comp].items()}
     return {role_of[p]: prof[nbr] for nbr, p in circuit.facing[comp].items()}
@@ -145,19 +148,21 @@ class TestCircuit:
         }
         assert set(circuit.tail_node) == set(circuit.tail_of.values())
         # the cycle closes: n6 joins C''4 and C'2
-        assert circuit.node_point("n6", "C''4") == circuit.facing["C''4"]["C'2"]
-        assert circuit.node_point("n6", "C'2") == circuit.point("C'2", "Z")
+        assert circuit.node_point(6, "C''4") == circuit.facing["C''4"]["C'2"]
+        assert circuit.node_point(6, "C'2") == circuit.point("C'2", "Z")
         with pytest.raises(ValueError):
-            circuit.node_point("n6", "C'3")
-        for name in ("n0", "n7", "x[C'2]"):
+            circuit.node_point(6, "C'3")
+        for k in (0, 7, "n6"):
             with pytest.raises(KeyError):
-                circuit.node_point(name, "C'2")
+                circuit.node_point(k, "C'2")
 
     def test_component_naming_roundtrip(self, circuit):
         names = list(CIRCUIT_ORDER) + list(circuit.tail_of.values())
         assert len(names) == 10
-        for name in names:
-            assert component_name(component_id(name)) == name
+        assert sorted(map(component_name, circuit.graph.components)) == sorted(names)
+        for i in range(1, 6):
+            assert component_name(BNComponentId(SEQ_PRIME, i)) == f"C'{i}"
+            assert component_name(BNComponentId(SEQ_DOUBLE_PRIME, i)) == f"C''{i}"
 
     def test_c2_prime_offsets(self, circuit):
         assert role_offsets(circuit, "C'2") == {"Y": 2, "Z": 0, "X": 1}
@@ -188,7 +193,7 @@ class TestCircuit:
 
     def test_reattached_tail_is_caught(self, monkeypatch):
         def reattach(node, side):
-            return replace(node, **{side: component_id("C'3")})
+            return replace(node, **{side: BNComponentId(SEQ_PRIME, 3)})
 
         graph = a2_graph_with_c1_node(reattach)
         monkeypatch.setattr(
@@ -413,7 +418,7 @@ class TestDoubleCover:
         # C'1 re-attached to C'3 while C''1 stays on C''2: the swap sends the
         # C''1-C''2 node to a C'1-C'2 node the graph no longer has
         def reattach(node, side):
-            return replace(node, **{side: component_id("C'3")})
+            return replace(node, **{side: BNComponentId(SEQ_PRIME, 3)})
 
         graph = a2_graph_with_c1_node(reattach)
         with pytest.raises(AssertionError, match="sheet swap"):
