@@ -92,13 +92,16 @@ class Divisor:
 
     @classmethod
     def of(cls, *terms) -> "Divisor":
-        """Build from (point, mult) pairs or bare points (mult 1)."""
+        """Build from (point, mult) pairs or bare points (mult 1); a pair of
+        multiplicity 0 adds no term."""
         norm: dict[Point, int] = {}
         comp = None
         for t in terms:
             point, mult = t if isinstance(t, tuple) else (t, 1)
             if mult < 0:
                 raise ValueError("divisors are effective")
+            if not mult:
+                continue
             if comp is None:
                 comp = point.component
             elif point.component != comp:
@@ -127,7 +130,7 @@ class Divisor:
         return 0
 
     def support(self) -> set[Point]:
-        return {p for p, m in self.terms if m > 0}
+        return {p for p, _ in self.terms}
 
     def __str__(self):
         parts = [f"{m}*{p.name}" if m > 1 else p.name for p, m in self.terms]
@@ -159,17 +162,17 @@ class CircuitGraph:
     """The a = 2 Brill-Noether curve organized as circuit + tails.
 
     points[c] maps "Y"/"Z" (and "X" on 3-valent components) to the marked
-    node points of circuit component c, and facing[c] maps each neighbor of c
-    to the point of c glued to it; tail_of[c] is the elliptic tail hanging
-    off the 3-valent component c, and tail_node[t] is the attachment point of
-    tail t (the same geometric node as X on its circuit neighbor).
+    node points of circuit component c; tail_of[c] is the elliptic tail
+    hanging off the 3-valent component c.  facing holds every marked point of
+    the curve: facing[c] maps each neighbor of component c, circuit member or
+    tail, to the point of c glued to it, so facing[t][c] is the attachment
+    point N[t] of tail t (the same geometric node as X on c).
     """
 
     graph: BNCurveGraph
     points: dict[str, dict[str, Point]]
     facing: dict[str, dict[str, Point]]
     tail_of: dict[str, str]
-    tail_node: dict[str, Point]
 
     def point(self, comp: str, role: str) -> Point:
         return self.points[comp][role]
@@ -253,20 +256,10 @@ def build_w14_circuit() -> CircuitGraph:
                 raise AssertionError(f"offset relation 2X = Y + Z fails on {comp}")
             pts["X"] = Point.make(f"X[{comp}]", comp, **{ys: HALF, zs: HALF})
             facing[comp][tail] = pts["X"]
+            facing[tail] = {comp: Point.make(f"N[{tail}]", tail, **{f"n_{tail}": 1})}
             tail_of[comp] = tail
         points[comp] = pts
-
-    tail_node = {
-        tail: Point.make(f"N[{tail}]", tail, **{f"n_{tail}": 1})
-        for tail in tail_of.values()
-    }
-    return CircuitGraph(
-        graph=graph,
-        points=points,
-        facing=facing,
-        tail_of=tail_of,
-        tail_node=tail_node,
-    )
+    return CircuitGraph(graph, points, facing, tail_of)
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +268,8 @@ def build_w14_circuit() -> CircuitGraph:
 
 @dataclass(frozen=True)
 class OracleCall:
-    lhs: str
-    rhs: str
+    lin_equiv: tuple[str, str]  # the two divisors compared, as printed
     result: bool
-
-    def to_json(self):
-        return {"lin_equiv": [self.lhs, self.rhs], "result": self.result}
 
 
 @dataclass
@@ -288,13 +277,6 @@ class TraceStep:
     claim: str
     oracle_calls: list[OracleCall] = field(default_factory=list)
     verdict: str = "ok"
-
-    def to_json(self):
-        return {
-            "claim": self.claim,
-            "oracle_calls": [c.to_json() for c in self.oracle_calls],
-            "verdict": self.verdict,
-        }
 
 
 @dataclass
@@ -307,20 +289,15 @@ class ProofTrace:
     def ok(self) -> bool:
         return all(s.verdict == "ok" for s in self.steps)
 
-    def to_json(self):
-        return {
-            "subject": self.subject,
-            "steps": [s.to_json() for s in self.steps],
-            "conclusion": self.conclusion,
-        }
-
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
+        """The trace as JSON, each record written from its fields: every
+        field name is its key."""
+        return json.dumps(self, default=vars, indent=2, check_circular=False)
 
 
 def _call(step: TraceStep, d1: Divisor, d2: Divisor) -> bool:
     result = lin_equiv(d1, d2)
-    step.oracle_calls.append(OracleCall(str(d1), str(d2), result))
+    step.oracle_calls.append(OracleCall((str(d1), str(d2)), result))
     return result
 
 
@@ -603,16 +580,9 @@ class VerificationReport:
                 return name, detail
         return None
 
-    def to_json(self):
-        return {
-            "passed": self.passed,
-            "checks": [
-                {"check": n, "ok": ok, "detail": d} for n, ok, d in self.checks
-            ],
-        }
-
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
+        checks = [{"check": n, "ok": ok, "detail": d} for n, ok, d in self.checks]
+        return json.dumps({"passed": self.passed, "checks": checks}, indent=2)
 
 
 def riemann_hurwitz(source_genus: int, target_genus: int, degree: int) -> int:
@@ -810,21 +780,18 @@ def _cover(components, genera, onto, source_nodes) -> CoverData:
 def _source_nodes(
     circuit: CircuitGraph, x_index: int, target_of
 ) -> list[SourceNode]:
-    """The nodes of the a = 2 curve as source nodes: the six cycle nodes n_k,
-    unramified, then each tail attachment x[c] with index x_index on both
-    branches.  target_of(c1, c2) names the target node under the node joining
-    components c1 and c2."""
-    nodes = []
-    for k in range(1, 7):
-        c1, c2 = _incident_components(k)
-        p1, p2 = circuit.node_point(k, c1), circuit.node_point(k, c2)
-        branches = ((c1, p1, 1), (c2, p2, 1))
-        nodes.append(SourceNode(f"n{k}", branches, target_of(c1, c2)))
-    for comp, tail in circuit.tail_of.items():
-        x, n = circuit.point(comp, "X"), circuit.tail_node[tail]
-        branches = ((comp, x, x_index), (tail, n, x_index))
-        nodes.append(SourceNode(f"x[{comp}]", branches, target_of(comp, tail)))
-    return nodes
+    """The ten nodes of the a = 2 curve as source nodes: the six cycle nodes
+    n_k, unramified, then each tail attachment x[c] with index x_index on
+    both branches.  Both branch points of the node joining components c1 and
+    c2 are read from circuit.facing, and target_of(c1, c2) names the target
+    node under it."""
+    ends = [(f"n{k}", 1, *_incident_components(k)) for k in range(1, 7)]
+    ends += [(f"x[{c}]", x_index, c, t) for c, t in circuit.tail_of.items()]
+    f = circuit.facing
+    return [
+        SourceNode(n, ((c1, f[c1][c2], e), (c2, f[c2][c1], e)), target_of(c1, c2))
+        for n, e, c1, c2 in ends
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -844,40 +811,42 @@ def build_degree6_cover(circuit: CircuitGraph) -> CoverData:
     glue nodes are stated here; :func:`_cover` derives targets and fibers.
     """
     side_of = {c: f"R{k % 2 + 1}" for k, c in enumerate(CIRCUIT_ORDER)}
-    x_node_name = {c: "m" + t[1:] for c, t in circuit.tail_of.items()}
+    tail_of = circuit.tail_of
+    x_node_name = {c: "m" + t[1:] for c, t in tail_of.items()}
+    tail_target = {t: "R" + t[1:] for t in tail_of.values()}
     # circuit nodes all map to n0, unramified on both sides; X nodes have
     # both branches ramified (fiber 2X of |Y+Z|, map |2N| on the tail)
     source_nodes = _source_nodes(
         circuit,
         2,
-        lambda c1, c2: x_node_name[c1] if c2 in circuit.tail_node else "n0",
+        lambda c1, c2: x_node_name[c1] if tail_of.get(c1) == c2 else "n0",
     )
 
     # rational fillers: over each new target node, the two non-X circuit
     # components on the circuit side contribute two fiber points each, all of
     # which must be nodes gluing degree-1 rational components on the tail
-    # side; the pair of fiber points of the pencil |Y+Z| over a point has
-    # class y + z, realized as fresh s and (y + z) - s
+    # side R'i; the pair of fiber points of the pencil |Y+Z| over a point has
+    # the class of Y + Z, realized as fresh s and (Y + Z) - s
     slots = sorted(
-        (other, node_name)
-        for comp, node_name in x_node_name.items()
+        (other, x_node_name[comp], tail_target[tail])
+        for comp, tail in tail_of.items()
         for other in CIRCUIT_ORDER
         if other != comp and side_of[other] == side_of[comp]
     )
     onto = {}
-    for other, node_name in slots:
+    for other, node_name, tail_side in slots:
         s, at = f"s_{other}_{node_name}", f"{other}@{node_name}"
+        yz = Divisor.of(circuit.point(other, "Y"), circuit.point(other, "Z"))
         for p in (
             Point.make(f"F1[{at}]", other, **{s: 1}),
-            Point.make(f"F2[{at}]", other, **{f"y_{other}": 1, f"z_{other}": 1, s: -1}),
+            Point.make(f"F2[{at}]", other, **yz.class_vector(), **{s: -1}),
         ):
             t = f"T{len(onto) + 1}"
             t_point = Point.make(f"N[{t}]", t, **{f"t_{t}": 1})
             glued = ((other, p, 1), (t, t_point, 1))
             source_nodes.append(SourceNode(f"glue[{t}]", glued, node_name))
-            onto[t] = (0, "R" + node_name[1:], 1)  # the tail side of m'i is R'i
+            onto[t] = (0, tail_side, 1)
     onto.update({c: (1, side_of[c], 2) for c in CIRCUIT_ORDER})
-    tail_target = {t: "R" + t[1:] for t in circuit.tail_of.values()}
     onto.update({t: (1, r, 2) for t, r in tail_target.items()})
     return _cover(("R1", "R2", *tail_target.values()), {}, onto, source_nodes)
 

@@ -40,11 +40,13 @@ GOLDEN_TABLES_G5 = {
 }
 
 
-def check_component_count(max_a: int):
+def check_component_count(max_a: int, graphs):
     for a in range(1, max_a + 1):
         census = limit_series_census(2 * a + 1, 1, a + 2)
         if census.kind != "curve" or census.count != (2 * a + 1) * catalan(a):
             return False, f"a={a}: census {census}"
+        if a <= len(graphs) and graphs[a - 1].nu != census.count:
+            return False, f"a={a}: census {census.count}, graph {graphs[a - 1].nu}"
     return True, f"nu = (2a+1)*c_a for a <= {max_a}"
 
 
@@ -206,7 +208,7 @@ def run_selftest(max_a: int | None = None) -> bool:
 
     graphs = [build_bn_curve(a) for a in range(1, bound(6) + 1)]
     checks = [
-        ("component count nu = (2a+1) c_a", check_component_count, bound(8)),
+        ("component count nu = (2a+1) c_a", check_component_count, bound(8), graphs),
         ("node count delta, both forms", check_node_count, graphs),
         ("genus, graph vs closed form", check_genus, graphs),
         ("published-formula discrepancy flagged", check_eh_discrepancy),

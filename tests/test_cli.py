@@ -201,6 +201,21 @@ class TestSelftest:
             (line,) = [s for s in lines if s.startswith(f"[PASS] {prefix}")]
             assert line.endswith("a <= 3")
 
+    def test_component_count_compares_each_graph_with_the_census(
+        self, monkeypatch, capsys
+    ):
+        module = sys.modules["bncurve.selfcheck"]
+
+        def a1_graph_for_a2(a, _original=module.build_bn_curve):
+            # a connected curve graph, with 3 components where a = 2 has 10
+            return _original(1 if a == 2 else a)
+
+        monkeypatch.setattr(module, "build_bn_curve", a1_graph_for_a2)
+        assert main(["selftest", "--max-a", "2"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        (line,) = [s for s in lines if "component count" in s]
+        assert line == "[FAIL] component count nu = (2a+1) c_a: a=2: census 10, graph 3"
+
     def test_max_a_bounds_the_graphs_built(self, monkeypatch, capsys):
         module = sys.modules["bncurve.selfcheck"]
         built = []

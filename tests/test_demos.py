@@ -1,4 +1,5 @@
-"""Every demo script runs to completion and prints something.
+"""Every demo script runs to completion and prints something; the gonality
+demo prints its results.
 
 Each script in demos/ runs in its own interpreter with the checkout's src/
 on PYTHONPATH, so no install is needed.
@@ -15,8 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
-def test_demo_runs(script):
+def run_demo(script):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
         [sys.executable, str(script)],
@@ -26,4 +26,20 @@ def test_demo_runs(script):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    return proc.stdout
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
+def test_demo_runs(script):
+    assert run_demo(script).strip()
+
+
+def test_gonality_demo_verifies_both_covers():
+    lines = run_demo(ROOT / "demos" / "04_gonality.py").splitlines()
+    covers = [line for line in lines if "passed = " in line]
+    assert [line.split("cover")[0] for line in covers] == [
+        "degree-6 ",
+        "etale double ",
+    ]
+    assert all(line.endswith("passed = True") for line in covers)
+    assert lines[-1] == "gonality = 6"

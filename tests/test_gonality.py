@@ -56,6 +56,15 @@ class TestOracle:
         with pytest.raises(ValueError):
             lin_equiv(Divisor.of(y1), Divisor.of(y2))
 
+    def test_zero_multiplicity_adds_no_term(self, circuit):
+        x = circuit.point("C'2", "X")
+        y = circuit.point("C'2", "Y")
+        d = Divisor.of((x, 0), y)
+        assert d == Divisor.of(y)
+        assert str(d) == "C'2: Y[C'2]" and d.degree == 1
+        with pytest.raises(ValueError, match="need at least one marked point"):
+            Divisor.of((x, 0))
+
     def test_equivalence_relation_laws(self, circuit):
         x = circuit.point("C'4", "X")
         y = circuit.point("C'4", "Y")
@@ -87,8 +96,7 @@ class TestOracle:
         z = circuit.point("C''2", "Z")
 
         def divisor(mults):
-            terms = [(p, m) for p, m in zip((x, y, z), mults) if m]
-            return Divisor.of(*terms) if terms else None
+            return Divisor.of(*zip((x, y, z), mults))
 
         shapes = [
             (i, j, k)
@@ -146,7 +154,11 @@ class TestCircuit:
             "C''2": "C''1",
             "C''4": "C''5",
         }
-        assert set(circuit.tail_node) == set(circuit.tail_of.values())
+        # each tail meets only its host, at its attachment point N[t]
+        assert {t: list(circuit.facing[t]) for t in circuit.tail_of.values()} == {
+            t: [c] for c, t in circuit.tail_of.items()
+        }
+        assert circuit.facing["C'1"]["C'2"].name == "N[C'1]"
         # the cycle closes: n6 joins C''4 and C'2
         assert circuit.node_point(6, "C''4") == circuit.facing["C''4"]["C'2"]
         assert circuit.node_point(6, "C'2") == circuit.point("C'2", "Z")
@@ -163,6 +175,14 @@ class TestCircuit:
         for i in range(1, 6):
             assert component_name(BNComponentId(SEQ_PRIME, i)) == f"C'{i}"
             assert component_name(BNComponentId(SEQ_DOUBLE_PRIME, i)) == f"C''{i}"
+
+    def test_facing_holds_both_points_of_every_node(self, circuit):
+        # the 10 nodes of the graph give 20 distinct points, each on its own
+        # end of the node, and facing holds no other
+        ends = [(component_name(n.x), component_name(n.y)) for n in circuit.graph.nodes]
+        points = [circuit.facing[c1][c2] for e in ends for c1, c2 in (e, e[::-1])]
+        assert [p.component for p in points] == [c for e in ends for c in e]
+        assert len(set(points)) == sum(map(len, circuit.facing.values())) == 20
 
     def test_c2_prime_offsets(self, circuit):
         assert role_offsets(circuit, "C'2") == {"Y": 2, "Z": 0, "X": 1}
@@ -594,3 +614,57 @@ class TestGonality:
         )
         with pytest.raises(AssertionError, match="double cover failed"):
             gonality()
+
+
+def trace_layout(trace):
+    """The JSON layout of a proof trace, written out by hand."""
+    return {
+        "subject": trace.subject,
+        "steps": [
+            {
+                "claim": s.claim,
+                "oracle_calls": [
+                    {"lin_equiv": list(c.lin_equiv), "result": c.result}
+                    for c in s.oracle_calls
+                ],
+                "verdict": s.verdict,
+            }
+            for s in trace.steps
+        ],
+        "conclusion": trace.conclusion,
+    }
+
+
+def report_layout(report):
+    """The JSON layout of a verification report, written out by hand."""
+    return {
+        "passed": report.passed,
+        "checks": [
+            {"check": n, "ok": ok, "detail": d} for n, ok, d in report.checks
+        ],
+    }
+
+
+class TestSerializers:
+    @pytest.mark.parametrize("deg", [1, 2, 3, 4, 5])
+    def test_trace_dumps_the_layout(self, circuit, deg):
+        trace = exclude_degree(deg, circuit)
+        assert any(s.oracle_calls for s in trace.steps)
+        assert trace.dumps() == json.dumps(trace_layout(trace), indent=2)
+
+    @pytest.mark.parametrize("build", [build_degree6_cover, build_double_cover])
+    def test_report_dumps_the_layout(self, circuit, build):
+        report = verify_cover(build(circuit))
+        assert report.checks
+        assert report.dumps() == json.dumps(report_layout(report), indent=2)
+
+    def test_failed_step_and_check_keep_the_layout(self, circuit):
+        trace = exclude_degree(1, circuit)
+        trace.steps[0].verdict = "forced failure"
+        assert trace.dumps() == json.dumps(trace_layout(trace), indent=2)
+        report = VerificationReport()
+        report.record("forced failure", False, "detail")
+        assert json.loads(report.dumps()) == {
+            "passed": False,
+            "checks": [{"check": "forced failure", "ok": False, "detail": "detail"}],
+        }
