@@ -23,7 +23,13 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 
-from .combinatorics import _unchecked, catalan, enumerate_ballot, generalized_catalan
+from .combinatorics import (
+    _catalan_exceeds,
+    _unchecked,
+    catalan,
+    enumerate_ballot,
+    generalized_catalan,
+)
 from .combinatorics import is_admissible
 
 
@@ -245,11 +251,8 @@ def render_tables(chain: ChainSpec, fmt: str = "text") -> str:
     if fmt not in ("csv", "text"):
         raise ValueError(f"unknown table format: {fmt!r}")
     g, a = chain.g, chain.a  # chain.a validates the rho=1 shape
-    c = 1
-    for k in range(a):  # c = catalan(k + 1), stopped once over budget
-        c = c * (4 * k + 2) // (k + 2)
-        if g * g * c > TABLE_CELL_BUDGET:
-            raise ValueError(f"tables for g={g} exceed {TABLE_CELL_BUDGET} cells")
+    if _catalan_exceeds(a, TABLE_CELL_BUDGET, lambda k, cat, cat_next: g * g * cat):
+        raise ValueError(f"tables for g={g} exceed {TABLE_CELL_BUDGET} cells")
     names = [bundle_name(u, chain.d) for u in range(chain.d + 1)]
     marks = ["|" + str(i) for i in range(1, g + 1)]
     words = [

@@ -53,6 +53,23 @@ def catalan(a: int) -> int:
     return math.comb(2 * a, a) // (a + 1)
 
 
+def _catalan_exceeds(a: int, budget: int, size) -> bool:
+    """True when size(k, c_k, c_{k+1}) > budget for some k in 1..a, for a
+    `size` that grows with k: the one budget loop of the curve and table
+    builders, run before any enumeration.
+
+    The Catalan numbers are stepped by c_{k+1} = c_k (4k + 2) / (k + 2),
+    and the loop stops at the first k over budget, so even a huge `a` costs
+    only the steps it takes to pass the budget.
+    """
+    cat, cat_next = 1, 1
+    for k in range(1, a + 1):
+        cat, cat_next = cat_next, cat_next * (4 * k + 2) // (k + 2)
+        if size(k, cat, cat_next) > budget:
+            return True
+    return False
+
+
 def generalized_catalan(a: int, m: int) -> int:
     """Number of ballot words with `a` copies of each of m symbols.
 
@@ -135,23 +152,73 @@ def is_admissible(symbols, a: int, m: int) -> bool:
     return True
 
 
+# the tail length of :func:`enumerate_ballot`'s blocks: at most p(10) = 42
+# count states are this far from the end of a word, and 10 enumerated the
+# benchmark's shapes fastest of the lengths 6..14 tried
+_TAIL = 10
+
+
+def _step(word: list, counts: list, larger: list, lo: int, end: int) -> bool:
+    """Step word[:end] in place to the lexicographically next ballot prefix
+    that differs from it only at positions >= lo, refilling word[p + 1:] in
+    increasing order; False, with word[lo:end] un-counted, when there is
+    none.
+
+    `counts[s]` is the number of s in word[:end], and is again on True;
+    counts[0] = a is a sentinel, so a symbol t is allowed after a prefix iff
+    its count is below that of t - 1.  The step walks back from `end`,
+    un-counting each symbol, until some position p can take a larger symbol
+    t that word[:p] allows: t occurs there fewer times than t - 1, and so
+    fewer than `a` times.  It writes the smallest such t at p and refills
+    the rest of the word with the remaining symbols in increasing order.
+    That refill completes every ballot prefix, since it adds each symbol
+    only once all smaller ones are used `a` times, and it is the
+    lex-smallest completion, since each slot gets the smallest symbol still
+    unused.  So the step keeps the longest possible prefix and then the
+    smallest allowed symbol, which is the lexicographic order.
+    """
+    p = end
+    while p > lo:
+        p -= 1
+        s = word[p]
+        counts[s] -= 1
+        for t in larger[s]:
+            if counts[t] < counts[t - 1]:
+                break
+        else:
+            continue
+        # the un-counted symbols, less t, in increasing order; t is among
+        # them because counts[t] < a
+        rest = word[p:]
+        rest.remove(t)
+        rest.sort()
+        word[p] = t
+        word[p + 1:] = rest
+        for s in word[p:end]:
+            counts[s] += 1
+        return True
+    return False
+
+
 def enumerate_ballot(a: int, m: int = 2) -> Iterator[BallotSequence]:
     """Yield every admissible (a, m) sequence once, in lexicographic order.
 
-    The walk starts at the lex-smallest word 1^a 2^a ... m^a and steps each
-    word in place to its lexicographic successor.  To step, it walks back
-    from the end, un-counting each symbol, until some position p can take a
-    larger symbol t that the prefix before p allows: t occurs there fewer
-    times than t-1, and so fewer than `a` times.  It writes the smallest
-    such t at p and refills the rest with the remaining symbols in increasing
-    order.  That refill completes every ballot prefix, since it adds each
-    symbol only once all smaller ones are used `a` times, and it is the
-    lex-smallest completion, since each slot gets the smallest symbol still
-    unused.  So the successor keeps the longest possible prefix and then the
-    smallest allowed symbol, which is the lexicographic order.  The walk
-    uses no recursion, so a*m is not limited by the recursion limit.  Every
-    word is admissible by construction, so it is built by :func:`_unchecked`,
-    without the constructor's re-check.
+    A word of length n = a*m is read as a prefix word[:n-k] and a tail of
+    the last k = min(10, n) symbols.  Which tails complete a ballot prefix
+    depends only on its count vector, and the words that share a prefix are
+    contiguous in lex order and ordered by their tails.  So the walk steps
+    only the prefix, by :func:`_step` with the lex-smallest tail refilled
+    behind it, starting at the lex-smallest word 1^a 2^a ... m^a; and for
+    each count state it meets it builds the lex-ordered block of tails once,
+    by the same step confined to positions >= n-k, and keeps it in a dict
+    local to the call.  Each word is then the prefix tuple plus a tail
+    tuple.  The blocks are bounded independent of a and m: a state k
+    symbols from the end has deficits a - count(s) that do not decrease
+    with s and sum to k, a partition of k, so there are at most p(10) = 42
+    of them.  The walk is lazy and uses no recursion, so a*m is not
+    limited by the recursion limit.  Every word is admissible by
+    construction, so it is built by :func:`_unchecked`, without the
+    constructor's re-check.
     """
     if a < 1:
         raise ValueError("a must be positive")
@@ -159,31 +226,29 @@ def enumerate_ballot(a: int, m: int = 2) -> Iterator[BallotSequence]:
         raise ValueError("m must be at least 2")
     word = [s for s in range(1, m + 1) for _ in range(a)]
     n = len(word)
-    # counts[s] is the number of s before the walk's position
-    counts = [a] * (m + 1)
-    full = counts[1:]
+    cut = max(n - _TAIL, 0)
+    # counts[s] is the number of s in the prefix word[:cut]
+    counts = [0] * (m + 1)
+    counts[0] = a
+    for s in word[:cut]:
+        counts[s] += 1
     larger = [range(s + 1, m + 1) for s in range(m + 1)]
     word_of = _unchecked(BallotSequence)
+    blocks = {}  # count state -> its lex-ordered tails
     while True:
-        yield word_of(symbols=tuple(word), a=a, m=m)
-        p = n
-        while p:
-            p -= 1
-            s = word[p]
-            counts[s] -= 1
-            for t in larger[s]:
-                if counts[t] < counts[t - 1]:
-                    break
-            else:
-                continue
-            # the un-counted symbols, less t, in increasing order; t is
-            # among them because counts[t] < a
-            tail = word[p:]
-            tail.remove(t)
-            tail.sort()
-            word[p] = t
-            word[p + 1:] = tail
-            counts[1:] = full
-            break
-        else:
+        state = tuple(counts)
+        tails = blocks.get(state)
+        if tails is None:
+            # word[cut:] is the lex-smallest tail; stepping past the last
+            # tail un-counts the tail again
+            for s in word[cut:]:
+                counts[s] += 1
+            tails = [tuple(word[cut:])]
+            while _step(word, counts, larger, cut, n):
+                tails.append(tuple(word[cut:]))
+            blocks[state] = tails
+        prefix = tuple(word[:cut])
+        for tail in tails:
+            yield word_of(prefix + tail, a, m)
+        if not _step(word, counts, larger, 0, cut):
             return

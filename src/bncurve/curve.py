@@ -35,7 +35,8 @@ through :func:`_forward_meets`; :func:`build_bn_curve` scans the runs of
 each ballot word once, writes the word's path edges (s, i) - (s, i + 1)
 with no rule call, asks :func:`_moved` for every slot of every run but the
 last, keys each node by the int (x index) * nu + (y index) and sorts the
-ints.
+ints; and :func:`_word_nodes` counts, from the same scan read as a proof,
+each word's nodes with no graph at all.
 
 Two more nodal-curve rules are defined here once, for this graph and the
 genus-5 covers of :mod:`bncurve.gonality` alike: :func:`arithmetic_genus`
@@ -50,10 +51,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate, islice
 from math import factorial
+from operator import eq
 
 from .chain import BNComponentId, ChainSpec, _slot_offset, all_components, propagate
-from .combinatorics import _unchecked, catalan
+from .combinatorics import _catalan_exceeds, _unchecked, catalan
 
 DEFAULT_MAX_A = 6
 CURVE_SIZE_BUDGET = 10**7
@@ -207,6 +210,37 @@ def _moved(seq: tuple, p: int, q: int) -> tuple[tuple, int] | None:
     return seq[:p] + seq[q : q + 1] + seq[p:q] + seq[q + 1 :], q + 2
 
 
+def _word_nodes(seq: tuple) -> int:
+    """The number of nodes whose endpoint of smaller marked index lies on
+    the word seq, of length g - 1 = 2a: g - 1 + 2a - D - R, where D is the
+    length of seq's final run of 2s and R its number of returns to height
+    0 (the height of a prefix is its count of 1s less its count of 2s).
+
+    Proof from :func:`_moved`.  A node's endpoint of smaller marked index
+    is some (seq, i), and by the rule of the module docstring (seq, i)
+    meets at most two components of larger marked index: (seq, i + 1), for
+    each of the g - 1 slots i < g, and the move of the run read right after
+    slot i.  That run is seq[p:q] with p = i - 1, so every slot of every
+    run but the last has a move to ask :func:`_moved` for, 2a - D slots in
+    all, and the last run has none.  Moving a 1 forward keeps the ballot
+    property.  Moving the 2 that ends a run of 1s seq[start:q] to position
+    p keeps it iff seq[:p] has positive height, and that height is the
+    height of seq[:start] plus p - start; so the move fails only at the
+    first slot of a run of 1s that starts at height 0.  Those runs are the
+    first run and the one after each return to 0 but the last, R in all.
+
+    Summed over all Dyck words, sum(D) = sum(R) = 3a c_a / (a + 2), so the
+    counts add up to 4a c_a - 6a c_a / (a + 2) = :func:`delta_closed`.
+    """
+    a = len(seq) // 2
+    final = seq[::-1].index(1)  # D: seq ends in 2s and holds a 1
+    # R: seq[:2j] is at height 0 iff it holds j 1s and j 2s, so sums to 3j
+    returns = sum(
+        map(eq, islice(accumulate(seq), 1, None, 2), range(3, 3 * a + 1, 3))
+    )
+    return 4 * a - final - returns
+
+
 def _forward_meets(seq: tuple, i: int):
     """Yield (t, j), j > i, for every component (t, j) that meets (seq, i).
 
@@ -299,15 +333,16 @@ def build_bn_curve(a: int, *, max_a: int = DEFAULT_MAX_A) -> BNCurveGraph:
     """
     if a < 1:
         raise ValueError("a must be positive")
-    cat, cat_next = 1, 1
-    for k in range(1, a + 1):  # cat = catalan(k), stopped once over budget
-        cat, cat_next = cat_next, cat_next * (4 * k + 2) // (k + 2)
+    if _catalan_exceeds(
+        a,
+        CURVE_SIZE_BUDGET,
         # nu + delta = (2k+1) c_k + 2((2k+1) c_k - c_{k+1})
-        if 3 * (2 * k + 1) * cat - 2 * cat_next > CURVE_SIZE_BUDGET:
-            raise ValueError(
-                f"the a={a} curve has more than {CURVE_SIZE_BUDGET} "
-                "components and nodes"
-            )
+        lambda k, cat, cat_next: 3 * (2 * k + 1) * cat - 2 * cat_next,
+    ):
+        raise ValueError(
+            f"the a={a} curve has more than {CURVE_SIZE_BUDGET} "
+            "components and nodes"
+        )
     if a > max_a:
         raise ValueError(
             f"a={a} exceeds the guard max_a={max_a}; "

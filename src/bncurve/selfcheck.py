@@ -14,6 +14,7 @@ from .chain import ChainSpec, exhaustive_bound_search, rho
 from .chain import limit_series_census, render_tables
 from .combinatorics import catalan, enumerate_ballot, generalized_catalan
 from .curve import (
+    _word_nodes,
     build_bn_curve,
     component_profile,
     delta_closed,
@@ -56,10 +57,12 @@ def check_node_count(graphs):
             (a - 1) * catalan(a)
             - sum(catalan(k) * catalan(a - k) for k in range(1, a))
         ) + 2 * a * catalan(a)
-        if graph.delta != delta_closed(a) or graph.delta != presimplified:
+        # the third form, from the words alone: each word's own node count
+        per_word = sum(_word_nodes(w.symbols) for w in enumerate_ballot(a))
+        if not graph.delta == delta_closed(a) == presimplified == per_word:
             return False, (
                 f"a={a}: scan {graph.delta}, closed {delta_closed(a)}, "
-                f"pre-simplification {presimplified}"
+                f"pre-simplification {presimplified}, per word {per_word}"
             )
     return True, f"delta matches both closed forms for a <= {len(graphs)}"
 

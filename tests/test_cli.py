@@ -216,6 +216,21 @@ class TestSelftest:
         (line,) = [s for s in lines if "component count" in s]
         assert line == "[FAIL] component count nu = (2a+1) c_a: a=2: census 10, graph 3"
 
+    def test_node_count_compares_the_per_word_counts(self, monkeypatch, capsys):
+        module = sys.modules["bncurve.selfcheck"]
+
+        def one_short_on_1122(seq, _original=module._word_nodes):
+            return _original(seq) - (seq == (1, 1, 2, 2))
+
+        monkeypatch.setattr(module, "_word_nodes", one_short_on_1122)
+        assert main(["selftest", "--max-a", "2"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        (line,) = [s for s in lines if "node count" in s]
+        assert line == (
+            "[FAIL] node count delta, both forms: a=2: scan 10, closed 10, "
+            "pre-simplification 10, per word 9"
+        )
+
     def test_max_a_bounds_the_graphs_built(self, monkeypatch, capsys):
         module = sys.modules["bncurve.selfcheck"]
         built = []

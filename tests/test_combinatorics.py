@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from bncurve import combinatorics
 from bncurve.combinatorics import (
     BallotSequence,
     catalan,
@@ -268,6 +269,41 @@ class TestEnumerateBallot:
             assert set(vars(w)) == names
             # and is stored as compactly as the public constructor's
             assert sys.getsizeof(vars(w)) == sys.getsizeof(vars(public))
+
+    # m = 2..6, each shape's words built with the tail at every length
+    # from 1 to n + 1, so n = k - 1, k and k + 1 among them; at m = 3 and
+    # 4, and k = 10 at (4, 3), many cuts fall inside a run of the first
+    # word 1^a 2^a ... m^a
+    @pytest.mark.parametrize(
+        "a,m", [(5, 2), (6, 2), (3, 3), (4, 3), (2, 4), (2, 5), (1, 6)]
+    )
+    def test_tail_blocks_match_brute_force_at_every_cut(self, monkeypatch, a, m):
+        expected = ballot_words_brute(a, m)
+        for tail in range(1, a * m + 2):
+            monkeypatch.setattr(combinatorics, "_TAIL", tail)
+            got = [s.symbols for s in enumerate_ballot(a, m)]
+            assert got == expected, tail
+
+    @pytest.mark.parametrize("a,m", [(10, 2), (6, 3), (4, 4), (3, 5)])
+    def test_each_count_state_builds_its_tails_once(self, monkeypatch, a, m):
+        cut = a * m - combinatorics._TAIL
+        built = []
+
+        def counted(word, counts, larger, lo, end, _original=combinatorics._step):
+            stepped = _original(word, counts, larger, lo, end)
+            if lo == cut and not stepped:  # the last tail of a block
+                built.append(tuple(counts))
+            return stepped
+
+        monkeypatch.setattr(combinatorics, "_step", counted)
+        words = [s.symbols for s in enumerate_ballot(a, m)]
+        states = {tuple(sorted(w[:cut])) for w in words}
+        assert len(built) == len(set(built)) == len(states) <= 42
+
+    def test_one_long_word(self):
+        # a*m = 1400: one word, a prefix of 1400 - k symbols and one block
+        words = [s.symbols for s in enumerate_ballot(1, 1400)]
+        assert words == [tuple(range(1, 1401))]
 
     def test_long_words_need_no_recursion(self):
         # a*m = 1400 is past the default recursion limit of 1000

@@ -2,17 +2,20 @@ import json
 import sys
 from dataclasses import fields
 from fractions import Fraction
+from itertools import accumulate
+from math import comb
 
 import pytest
 
 import bncurve.curve as curve_module
 from bncurve.chain import BNComponentId, ChainSpec, _walk, all_components, propagate
-from bncurve.combinatorics import catalan
+from bncurve.combinatorics import catalan, enumerate_ballot
 from bncurve.curve import (
     CURVE_SIZE_BUDGET,
     BNCurveGraph,
     IntersectionNode,
     _forward_meets,
+    _word_nodes,
     build_bn_curve,
     component_profile,
     delta_closed,
@@ -545,3 +548,81 @@ class TestNodeTable:
         assert ok
         with pytest.raises(RuntimeError, match="IntersectionNode"):
             graph.nodes
+
+
+def final_run(word):
+    """D: the length of the word's final run of 2s."""
+    return len(word) - len(bytes(word).rstrip(b"\x02"))
+
+
+def returns(word):
+    """R: how many nonempty prefixes are at height 0, the height being the
+    count of 1s less the count of 2s."""
+    return list(accumulate(map((0, 1, -1).__getitem__, word))).count(0)
+
+
+class TestWordNodes:
+    @pytest.mark.parametrize("a", range(1, 9))
+    def test_equals_the_nodes_of_each_word(self, a):
+        # each node counted on the word of its endpoint of smaller marked
+        # index; component k is marked at k % g + 1
+        graph = build_bn_curve(a, max_a=a)
+        g = graph.g
+        counts = [0] * graph.nu
+        for ix, _, iy, _ in table_rows(graph):
+            counts[(ix if ix % g < iy % g else iy) // g] += 1
+        words = [c.sequence for c in graph.components[::g]]
+        assert [_word_nodes(s) for s in words] == counts[: len(words)]
+        assert counts[len(words):] == [0] * (graph.nu - len(words))
+
+    def test_examples(self):
+        # g - 1 + 2a - D - R
+        assert _word_nodes((1, 2)) == 2 + 2 - 1 - 1
+        assert _word_nodes((1, 1, 2, 2)) == 4 + 4 - 2 - 1
+        assert _word_nodes((1, 2, 1, 2)) == 4 + 4 - 1 - 2
+        assert _word_nodes((1, 1, 2, 1, 2, 2)) == 6 + 6 - 2 - 1
+
+    @pytest.mark.parametrize("a", range(1, 13))
+    def test_sums_to_delta_closed_from_words_alone(self, a):
+        # no graph: c_12 = 208,012 words at a = 12
+        words = [w.symbols for w in enumerate_ballot(a)]
+        assert 3 * a * catalan(a) % (a + 2) == 0
+        third = 3 * a * catalan(a) // (a + 2)
+        assert sum(map(final_run, words)) == sum(map(returns, words)) == third
+        assert sum(map(_word_nodes, words)) == delta_closed(a)
+
+
+class TestMirror:
+    """Chain reversal: component k goes to g + 1 - k and P swaps with Q, so
+    (s, i) goes to (s reversed with 1 <-> 2, g + 1 - i) and each node offset
+    u to d - u."""
+
+    @staticmethod
+    def mirror(graph):
+        g = graph.g
+        words = [c.sequence for c in graph.components[::g]]
+        rank = {s: k for k, s in enumerate(words)}
+        return [
+            rank[tuple(3 - v for v in reversed(words[k // g]))] * g + g - 1 - k % g
+            for k in range(graph.nu)
+        ]
+
+    @pytest.mark.parametrize("a", range(1, 9))
+    def test_maps_the_node_table_onto_itself(self, a):
+        graph = build_bn_curve(a, max_a=a)
+        image, d = self.mirror(graph), graph.d
+        rows = table_rows(graph)
+        mirrored = []
+        for ix, x_offset, iy, y_offset in rows:
+            jx, jy = image[ix], image[iy]
+            row = (jx, d - x_offset, jy, d - y_offset)
+            mirrored.append(row if jx < jy else row[2:] + row[:2])
+            assert mirrored[-1] != (ix, x_offset, iy, y_offset)  # no fixed node
+        assert sorted(mirrored) == sorted(rows)
+
+    @pytest.mark.parametrize("a", range(1, 9))
+    def test_fixed_components_are_the_symmetric_words(self, a):
+        graph = build_bn_curve(a, max_a=a)
+        fixed = [k for k, m in enumerate(self.mirror(graph)) if k == m]
+        assert len(fixed) == comb(a, a // 2)
+        assert {graph.components[k].marked for k in fixed} == {a + 1}
