@@ -169,8 +169,13 @@ def _step(word: list, counts: list, larger: list, lo: int, end: int) -> bool:
     its count is below that of t - 1.  The step walks back from `end`,
     un-counting each symbol, until some position p can take a larger symbol
     t that word[:p] allows: t occurs there fewer times than t - 1, and so
-    fewer than `a` times.  It writes the smallest such t at p and refills
-    the rest of the word with the remaining symbols in increasing order.
+    fewer than `a` times.  The counts of a ballot prefix do not increase
+    with the symbol, so the scan for t, upward from the un-counted symbol
+    s, ends at the first drop in the counts, before any symbol word[:p]
+    lacks; when word[:p] lacks s itself, no t is allowed and there is no
+    scan.  So a long word's last, failing step costs O(n), not O(n*m).
+    The step writes the smallest such t at p and refills the rest of the
+    word with the remaining symbols in increasing order.
     That refill completes every ballot prefix, since it adds each symbol
     only once all smaller ones are used `a` times, and it is the
     lex-smallest completion, since each slot gets the smallest symbol still
@@ -182,6 +187,9 @@ def _step(word: list, counts: list, larger: list, lo: int, end: int) -> bool:
         p -= 1
         s = word[p]
         counts[s] -= 1
+        if not counts[s]:
+            # counts do not increase with the symbol: none above s is allowed
+            continue
         for t in larger[s]:
             if counts[t] < counts[t - 1]:
                 break

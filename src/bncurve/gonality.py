@@ -11,12 +11,13 @@ n1..n6), and it is checked against the graph; the cover builders and the
 exclusion traces derive every table they use from the circuit.
 
 Divisor-class identities on the components are decided by a symbolic
-genericity oracle: each circuit component gets a rational vector space
-spanned by symbols y, z for its two circuit node points, the tail attachment
-point X has class (y+z)/2, and free points get fresh symbols.  The only
-relation ever imposed is 2X = Y + Z, which is exactly what holds on the
-actual curve; every other class equality fails, as it does for generic glue
-points.
+genericity oracle: each circuit component gets symbols x, w, its two circuit
+node points have classes Y = x + w and Z = x - w, the tail attachment point X
+has class x, and free points get fresh symbols.  The only relation ever
+imposed is 2X = Y + Z, which is exactly what holds on the actual curve; every
+other class equality fails, as it does for generic glue points.  This is the
+space of Y = y, Z = z, X = (y+z)/2 in the basis x = (y+z)/2, w = (y-z)/2, so
+it decides every equivalence the same way, with integer classes only.
 
 On top of the oracle we run the degree <= 5 exclusion case analysis,
 machine-checking each genericity step, and build two covers of the curve that
@@ -34,14 +35,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 
 from .chain import BNComponentId
 from .curve import BNCurveGraph, arithmetic_genus, build_bn_curve
 from .curve import component_profile, edges_connect
-
-HALF = Fraction(1, 2)
 
 # the circuit in cycle order: D_k = CIRCUIT_ORDER[k-1], node n_k joins D_k and
 # D_{k+1}.  Which components form the circuit is read from the a = 2 graph;
@@ -63,21 +61,25 @@ def component_name(comp: BNComponentId) -> str:
 
 @dataclass(frozen=True)
 class Point:
-    """A marked point on one component with an exact-rational class vector.
+    """A marked point on one component with an integer class vector.
 
     The vector omits the implicit degree coordinate; two points share a class
     iff their vectors agree (glue points are generic, so distinct symbols are
-    independent).
+    independent).  The coefficients are ints: in the x, w basis of the
+    module docstring every class the oracle forms is integral.
     """
 
     name: str
     component: str
-    vector: tuple[tuple[str, Fraction], ...]
+    vector: tuple[tuple[str, int], ...]
 
     @classmethod
     def make(cls, name: str, component: str, **coeffs) -> "Point":
-        vec = tuple(sorted((s, Fraction(c)) for s, c in coeffs.items()))
-        return cls(name, component, vec)
+        """ValueError for a coefficient that is not an int (a bool too)."""
+        for sym, c in coeffs.items():
+            if type(c) is not int:
+                raise ValueError(f"coefficient of {sym} is not an int: {c!r}")
+        return cls(name, component, tuple(sorted(coeffs.items())))
 
     def __str__(self):
         return self.name
@@ -116,11 +118,11 @@ class Divisor:
     def degree(self) -> int:
         return sum(m for _, m in self.terms)
 
-    def class_vector(self) -> dict[str, Fraction]:
-        total: dict[str, Fraction] = {}
+    def class_vector(self) -> dict[str, int]:
+        total: dict[str, int] = {}
         for point, mult in self.terms:
             for sym, c in point.vector:
-                total[sym] = total.get(sym, Fraction(0)) + mult * c
+                total[sym] = total.get(sym, 0) + mult * c
         return {s: c for s, c in total.items() if c}
 
     def multiplicity(self, point: Point) -> int:
@@ -245,16 +247,16 @@ def build_w14_circuit() -> CircuitGraph:
             y_nbr, z_nbr = prev_c, next_c
         else:
             y_nbr, z_nbr = next_c, prev_c
-        ys, zs = f"y_{comp}", f"z_{comp}"
+        xs, ws = f"x_{comp}", f"w_{comp}"
         pts = {
-            "Y": Point.make(f"Y[{comp}]", comp, **{ys: 1}),
-            "Z": Point.make(f"Z[{comp}]", comp, **{zs: 1}),
+            "Y": Point.make(f"Y[{comp}]", comp, **{xs: 1, ws: 1}),
+            "Z": Point.make(f"Z[{comp}]", comp, **{xs: 1, ws: -1}),
         }
         facing[comp] = {y_nbr: pts["Y"], z_nbr: pts["Z"]}
         for tail in tails:
             if 2 * prof[tail] != prof[y_nbr] + prof[z_nbr]:
                 raise AssertionError(f"offset relation 2X = Y + Z fails on {comp}")
-            pts["X"] = Point.make(f"X[{comp}]", comp, **{ys: HALF, zs: HALF})
+            pts["X"] = Point.make(f"X[{comp}]", comp, **{xs: 1})
             facing[comp][tail] = pts["X"]
             facing[tail] = {comp: Point.make(f"N[{tail}]", tail, **{f"n_{tail}": 1})}
             tail_of[comp] = tail
@@ -264,6 +266,25 @@ def build_w14_circuit() -> CircuitGraph:
 
 # ---------------------------------------------------------------------------
 # proof traces
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json(value, pad: str = "\n") -> str:
+    """`value` (str, bool, list, tuple or record) as ``json.dumps(value,
+    default=vars, indent=2)`` writes it, escaped by json's own escaper but
+    not run through its pure-Python indenting encoder; pad is the line
+    break and indent before the value's closing bracket."""
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        items = [_json(v, inner) for v in value]
+        return f"[{inner}{(',' + inner).join(items)}{pad}]" if items else "[]"
+    items = [f"{_quote(k)}: {_json(v, inner)}" for k, v in vars(value).items()]
+    return f"{{{inner}{(',' + inner).join(items)}{pad}}}"
 
 
 @dataclass(frozen=True)
@@ -292,7 +313,7 @@ class ProofTrace:
     def dumps(self) -> str:
         """The trace as JSON, each record written from its fields: every
         field name is its key."""
-        return json.dumps(self, default=vars, indent=2, check_circular=False)
+        return _json(self)
 
 
 def _call(step: TraceStep, d1: Divisor, d2: Divisor) -> bool:
@@ -581,8 +602,17 @@ class VerificationReport:
         return None
 
     def dumps(self) -> str:
-        checks = [{"check": n, "ok": ok, "detail": d} for n, ok, d in self.checks]
-        return json.dumps({"passed": self.passed, "checks": checks}, indent=2)
+        """``json.dumps(..., indent=2)``'s layout of passed and each check as
+        an object with keys check, ok and detail, one f-string per check."""
+        checks = ",".join(
+            [
+                f'\n    {{\n      "check": {_quote(n)},\n      "ok": {_json(ok)},'
+                f'\n      "detail": {_quote(d)}\n    }}'
+                for n, ok, d in self.checks
+            ]
+        )
+        checks = f"[{checks}\n  ]" if checks else "[]"
+        return f'{{\n  "passed": {_json(self.passed)},\n  "checks": {checks}\n}}'
 
 
 def riemann_hurwitz(source_genus: int, target_genus: int, degree: int) -> int:
@@ -826,7 +856,7 @@ def build_degree6_cover(circuit: CircuitGraph) -> CoverData:
     # components on the circuit side contribute two fiber points each, all of
     # which must be nodes gluing degree-1 rational components on the tail
     # side R'i; the pair of fiber points of the pencil |Y+Z| over a point has
-    # the class of Y + Z, realized as fresh s and (Y + Z) - s
+    # the class of Y + Z, realized as fresh s and (Y + Z) - s = 2x - s
     slots = sorted(
         (other, x_node_name[comp], tail_target[tail])
         for comp, tail in tail_of.items()

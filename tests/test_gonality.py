@@ -1,6 +1,8 @@
 import json
 import sys
 from dataclasses import replace
+from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -11,10 +13,12 @@ from bncurve.gonality import (
     SEQ_DOUBLE_PRIME,
     SEQ_PRIME,
     Divisor,
+    OracleCall,
     Point,
     ProofTrace,
     TargetNode,
     TargetTree,
+    TraceStep,
     VerificationReport,
     build_degree6_cover,
     build_double_cover,
@@ -116,6 +120,56 @@ class TestOracle:
                     and diff[2] == -diff[0] // 2
                 )
                 assert lin_equiv(divisor(m1), divisor(m2)) == expected
+
+    @pytest.mark.parametrize("coeff", [Fraction(1, 2), Fraction(1), 1.0, True])
+    def test_point_coefficients_must_be_ints(self, coeff):
+        with pytest.raises(ValueError, match="not an int"):
+            Point.make("P", "C'2", p=coeff)
+        assert Point.make("P", "C'2", p=1, q=-2).vector == (("p", 1), ("q", -2))
+
+    def test_agrees_with_a_rational_model(self, circuit):
+        # an independent model of each circuit component: node classes y, z,
+        # the tail point (y+z)/2 and a fresh point p, in exact rationals;
+        # every pair of effective divisors of degree <= 3 on those points
+        # must get the same verdict from the oracle and from the model
+        half = Fraction(1, 2)
+        model = {
+            "Y": {"y": Fraction(1)},
+            "Z": {"z": Fraction(1)},
+            "X": {"y": half, "z": half},
+            "P": {"p": Fraction(1)},
+        }
+
+        def model_class(roles):
+            total = {}
+            for role in roles:
+                for sym, c in model[role].items():
+                    total[sym] = total.get(sym, 0) + c
+            return {sym: c for sym, c in total.items() if c}
+
+        for comp in CIRCUIT_ORDER:
+            points = {
+                **circuit.points[comp],
+                "P": Point.make(f"P[{comp}]", comp, **{f"p_{comp}": 1}),
+            }
+            multisets = [
+                roles
+                for deg in range(1, 4)
+                for roles in combinations_with_replacement(sorted(points), deg)
+            ]
+            equivalent = 0
+            for r1 in multisets:
+                d1 = Divisor.of(*(points[r] for r in r1))
+                for r2 in multisets:
+                    d2 = Divisor.of(*(points[r] for r in r2))
+                    expected = len(r1) == len(r2) and (
+                        model_class(r1) == model_class(r2)
+                    )
+                    assert lin_equiv(d1, d2) == expected, (comp, r1, r2)
+                    equivalent += expected and r1 != r2
+            # where there is an X: 2X ~ Y + Z and 2X + W ~ Y + Z + W for
+            # W = X, Y, Z, P, each pair counted both ways
+            assert equivalent == (10 if "X" in points else 0)
 
 
 def role_offsets(circuit, comp):
@@ -657,6 +711,40 @@ class TestSerializers:
         report = verify_cover(build(circuit))
         assert report.checks
         assert report.dumps() == json.dumps(report_layout(report), indent=2)
+
+    def test_strings_are_escaped_as_json_dumps_escapes_them(self):
+        odd = 'quote " backslash \\ newline \n tab \t control \x01 é ′'
+        trace = ProofTrace(
+            subject=odd,
+            steps=[
+                TraceStep(claim=odd),
+                TraceStep(
+                    claim="two calls",
+                    oracle_calls=[
+                        OracleCall((odd, "C'2: X[C'2]"), True),
+                        OracleCall(("", odd), False),
+                    ],
+                    verdict=odd,
+                ),
+            ],
+            conclusion=odd,
+        )
+        assert trace.steps[0].oracle_calls == []
+        expected = json.dumps(trace, default=vars, indent=2)
+        assert "\\u2032" in expected and "\\u00e9" in expected
+        assert trace.dumps() == expected
+        assert ProofTrace("").dumps() == json.dumps(
+            ProofTrace(""), default=vars, indent=2
+        )
+        report = VerificationReport()
+        assert report.dumps() == json.dumps(
+            report_layout(report), default=vars, indent=2
+        )
+        report.record(odd, True, odd)
+        report.record("", False)
+        assert report.dumps() == json.dumps(
+            report_layout(report), default=vars, indent=2
+        )
 
     def test_failed_step_and_check_keep_the_layout(self, circuit):
         trace = exclude_degree(1, circuit)
