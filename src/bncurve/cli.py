@@ -10,6 +10,10 @@ too large to compute (recursion depth or memory exhausted).  Errors are
 reported in one line on stderr.  A reader that closes stdout early (as
 `bncurve selftest | head -1` does) ends the command with exit 1 and nothing
 on stderr.  All numeric output is exact decimal text.
+
+`main(argv)` may be called many times in one process, as the benchmark
+worker and the test suite do.  The argparse parser is built on the first
+call, not at import, and reused by every later one.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from .chain import ChainSpec, limit_series_census, render_tables
 from .chain import _log10_generalized_catalan, _refuse_unprintable
@@ -34,7 +39,12 @@ from .gonality import (
 from .selfcheck import run_selftest
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: it costs more than most
+    commands.  Sharing it is safe because `parse_args` leaves the parser as
+    it found it; each call fills a new namespace, and usage and help text
+    are formatted when they are printed."""
     parser = argparse.ArgumentParser(
         prog="bncurve",
         description="Exact invariants of the degenerate Brill-Noether curve "

@@ -152,6 +152,20 @@ def is_admissible(symbols, a: int, m: int) -> bool:
     return True
 
 
+def transpose(word) -> tuple[int, ...]:
+    """The ballot word of the transposed tableau: entry k is
+    word[:k+1].count(word[k]), the number of times word[k] has occurred up
+    to and including position k.
+
+    A ballot word with `a` copies of each of m symbols is the row word of a
+    standard tableau of the m-by-a rectangle: word[k] is the row holding
+    k + 1.  Entry k of the transpose is then the column of k + 1, so the
+    map sends the (a, m) words one-to-one onto the (m, a) words and is its
+    own inverse.  At a = m = 2 it swaps (1, 2, 1, 2) and (1, 1, 2, 2).
+    """
+    return tuple(word[: k + 1].count(s) for k, s in enumerate(word))
+
+
 # the tail length of :func:`enumerate_ballot`'s blocks: at most p(10) = 42
 # count states are this far from the end of a word, and 10 enumerated the
 # benchmark's shapes fastest of the lengths 6..14 tried

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .chain import BNComponentId
+from .combinatorics import transpose
 from .curve import BNCurveGraph, arithmetic_genus, build_bn_curve
 from .curve import component_profile, edges_connect
 
@@ -889,18 +890,20 @@ def build_double_cover(circuit: CircuitGraph) -> CoverData:
     """Degree-2 map of the a = 2 curve onto its quotient by the sheet swap.
 
     The swap exchanges C'i and C''i, the components with the ballot words
-    (1,2,1,2) and (1,1,2,2) at the same marked index.  It must map the nodes
-    of circuit.graph, each taken as the pair of components it joins, to
-    nodes and fix none (AssertionError otherwise).  The quotient then has one
-    elliptic component Ci per orbit {C'i, C''i}, and each source node lies
-    over the target node named by the sorted quotient names of its ends, so
-    :func:`_cover` reads the five components, the node orbits and genus 6
-    (TargetTree.genus) off the graph.  Each C'i and C''i maps isomorphically
-    onto Ci, every target node has two unramified preimages, and
-    verify_cover checks the cover like any other.
+    (1,2,1,2) and (1,1,2,2) at the same marked index: it transposes each
+    word (:func:`bncurve.combinatorics.transpose`) and keeps the marked
+    index.  It must map the nodes of circuit.graph, each taken as the pair
+    of components it joins, to nodes and fix none (AssertionError
+    otherwise).  The quotient then has one elliptic component Ci per orbit
+    {C'i, C''i}, and each source node lies over the target node named by
+    the sorted quotient names of its ends, so :func:`_cover` reads the five
+    components, the node orbits and genus 6 (TargetTree.genus) off the
+    graph.  Each C'i and C''i maps isomorphically onto Ci, every target
+    node has two unramified preimages, and verify_cover checks the cover
+    like any other.
     """
     graph = circuit.graph
-    swap = {SEQ_PRIME: SEQ_DOUBLE_PRIME, SEQ_DOUBLE_PRIME: SEQ_PRIME}
+    swap = {seq: transpose(seq) for seq in {c.sequence for c in graph.components}}
 
     def ends(node, swapped=False):
         return frozenset(

@@ -337,6 +337,39 @@ class TestParsing:
     def test_missing_required_flag(self, capsys):
         assert main(["catalan"]) == 1
 
+    def test_shared_parser_answers_as_a_fresh_one(self, monkeypatch, capsys):
+        # one process, one parser: usage errors and help exits leave nothing
+        # behind, so each call exits and prints as it does with a parser
+        # built for it alone
+        argvs = [
+            [],
+            ["frobnicate"],
+            ["catalan"],
+            ["--help"],
+            ["curve", "--help"],
+            ["catalan", "--a", "5"],
+            ["gonality5", "--degree", "3"],
+        ]
+        cli = sys.modules["bncurve.cli"]
+        cli._build_parser.cache_clear()
+        shared = [(main(argv), *capsys.readouterr()) for argv in argvs]
+        assert cli._build_parser.cache_info().misses == 1
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = [(main(argv), *capsys.readouterr()) for argv in argvs]
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [1, 1, 1, 0, 0, 0, 0]
+
+    def test_importing_the_cli_builds_no_parser(self):
+        # the parser is built by the first main, so import time is unchanged
+        code = (
+            f"import sys; sys.path.insert(0, {str(SRC)!r}); import bncurve.cli; "
+            "print(bncurve.cli._build_parser.cache_info().currsize)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-I", "-c", code], capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
+
 
 def test_arithmetic_error_exits_2(monkeypatch, capsys):
     def fails(a):

@@ -16,6 +16,7 @@ from bncurve.combinatorics import (
     enumerate_ballot,
     generalized_catalan,
     is_admissible,
+    transpose,
 )
 
 
@@ -312,6 +313,30 @@ class TestEnumerateBallot:
         assert words[0] == (1,) * a + (2,) * a
         for k in range(1, 5):
             assert words[k] == (1,) * (a - 1) + (2,) * k + (1,) + (2,) * (a - k)
+
+
+class TestTranspose:
+    @staticmethod
+    def words(a, m):
+        """The (a, m) words in lex order; one symbol used a times admits
+        only the word 1^a, which enumerate_ballot does not take."""
+        if m == 1:
+            return [(1,) * a]
+        return [w.symbols for w in enumerate_ballot(a, m)]
+
+    # every rectangle with m >= 2 rows, a columns and a*m <= 12
+    @pytest.mark.parametrize(
+        "a,m", [(a, m) for a in range(1, 7) for m in range(2, 13) if a * m <= 12]
+    )
+    def test_maps_the_words_one_to_one_onto_the_transposed_shape(self, a, m):
+        words = self.words(a, m)
+        images = [transpose(w) for w in words]
+        assert sorted(images) == self.words(m, a)
+        assert [transpose(t) for t in images] == words
+
+    def test_swaps_the_two_a2_words(self):
+        assert transpose((1, 2, 1, 2)) == (1, 1, 2, 2)
+        assert transpose((1, 1, 2, 2)) == (1, 2, 1, 2)
 
 
 def test_ballot_sequence_validates():
