@@ -25,12 +25,12 @@ from itertools import combinations
 
 from .combinatorics import (
     _catalan_exceeds,
+    _is_dyck,
     _unchecked,
     catalan,
     enumerate_ballot,
     generalized_catalan,
 )
-from .combinatorics import is_admissible
 
 
 class UnsupportedShapeError(ValueError):
@@ -67,37 +67,49 @@ class ChainSpec:
         return cls(g=2 * a + 1, d=a + 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BNComponentId:
     """One component of the Brill-Noether curve: a ballot sequence of 1s and
     2s attached to the non-marked chain components, plus the marked component
-    whose bundle varies freely.  The sequence is stored as a tuple, so an id
-    built from a list hashes and compares like its tuple twin.  Raises
-    ValueError for a sequence that :func:`is_admissible` refuses (symbols
-    that are not the ints 1 and 2, or no iterable at all, included) and for
-    a marked index that is not an int (a bool or a float) or lies outside
-    1..len(sequence) + 1."""
+    whose bundle varies freely.  The sequence is stored as a tuple of plain
+    ints, so an id built from a list, or from bools, hashes, compares,
+    labels and exports like its tuple-of-ints twin.  Raises ValueError for a
+    sequence that :func:`is_admissible` refuses (symbols that are not the
+    ints 1 and 2, or no iterable at all, included) and for a marked index
+    that is not an int (a bool or a float) or lies outside
+    1..len(sequence) + 1.
+
+    The constructor validates in one pass over the word: it takes `bytes`
+    of it once, which admits only ints in 0..255 and so is the exact type
+    check, and runs the m = 2 depth count :func:`_is_dyck`, which
+    :func:`is_admissible` shares, on those bytes.  It is `__new__`, so the
+    record, once valid, is built by :func:`_unchecked` with each field
+    stored once and the symbols read back from the bytes."""
 
     sequence: tuple[int, ...]
     marked: int
 
-    def __post_init__(self):
-        sequence = self.sequence
+    def __new__(cls, sequence, marked):
         if type(sequence) is not tuple:
-            # the field is frozen, so the tuple goes straight into the
-            # instance dict, as cached_property stores `label`
             try:
-                sequence = self.__dict__["sequence"] = tuple(sequence)
+                sequence = tuple(sequence)
             except TypeError:
                 raise ValueError(f"sequence {sequence} is not admissible") from None
-        n = len(sequence)
-        if n % 2 or not is_admissible(sequence, n // 2, 2):
+        try:
+            word = bytes(sequence)
+        except (TypeError, ValueError):
+            raise ValueError(f"sequence {sequence} is not admissible") from None
+        if not _is_dyck(word):
             raise ValueError(f"sequence {sequence} is not admissible")
-        marked = self.marked
         if type(marked) is bool or not isinstance(marked, int):
             raise ValueError(f"marked index {marked!r} is not an int")
-        if not 1 <= marked <= n + 1:
+        if not 1 <= marked <= len(word) + 1:
             raise ValueError(f"marked index {marked} out of range")
+        return _component(tuple(word), marked)
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild an id through the validating constructor
+        return self.sequence, self.marked
 
     @cached_property
     def label(self) -> str:
@@ -105,6 +117,10 @@ class BNComponentId:
 
     def sort_key(self):
         return (self.sequence, self.marked)
+
+
+# builds ids from a validated word and marked index
+_component = _unchecked(BNComponentId)
 
 
 def rho(g: int, r: int, d: int) -> int:

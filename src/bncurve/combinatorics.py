@@ -19,7 +19,8 @@ def _unchecked(cls, *extra):
     """A function that builds `cls` records from their field values, then the
     `extra` ones (cached_property values, such as an id's `label`), without
     `__post_init__`: only for records the library made valid by construction;
-    the public constructors still validate outside input.  It is generated,
+    the public constructors still validate outside input (`BNComponentId`'s
+    validates it, then builds through one).  It is generated,
     as dataclasses generates `__init__`, so a record costs only its field
     stores and keeps compact storage, unlike a `**fields` loop or a filled
     `__dict__`."""
@@ -109,7 +110,9 @@ def is_admissible(symbols, a: int, m: int) -> bool:
     Both cases cost about one comparison per symbol.  For m = 2 the prefix
     condition is a running depth, count(1) - count(2), that never goes
     negative and ends at 0; the word is read as `bytes`, which admits only
-    ints in 0..255, so the conversion is also the type check.  For any
+    ints in 0..255, so the conversion is also the type check, and the depth
+    is counted by :func:`_is_dyck`, the loop the
+    :class:`bncurve.chain.BNComponentId` constructor runs too.  For any
     other m the counts carry a sentinel counts[0] = a: the count vector
     stays non-increasing, so a symbol s is allowed iff counts[s] is still
     below counts[s - 1], one test that both caps the 1s at a and keeps the
@@ -127,15 +130,7 @@ def is_admissible(symbols, a: int, m: int) -> bool:
             word = bytes(symbols)
         except (TypeError, ValueError):
             return False
-        depth = 0
-        for s in word:
-            if s == 1:
-                depth += 1
-            elif s == 2 and depth:
-                depth -= 1
-            else:
-                return False
-        return not depth
+        return _is_dyck(word)
     if not symbols:
         return True
     counts = [0] * (m + 1)
@@ -150,6 +145,23 @@ def is_admissible(symbols, a: int, m: int) -> bool:
     except TypeError:
         return False
     return True
+
+
+def _is_dyck(word: bytes) -> bool:
+    """True iff `word` is a ballot word for m = 2: its running depth,
+    count(1) - count(2), never goes negative and ends at 0, and it holds no
+    byte but 1 and 2.  The one m = 2 check, shared by :func:`is_admissible`
+    and the :class:`bncurve.chain.BNComponentId` constructor, which both
+    convert their word to `bytes` first."""
+    depth = 0
+    for s in word:
+        if s == 1:
+            depth += 1
+        elif s == 2 and depth:
+            depth -= 1
+        else:
+            return False
+    return not depth
 
 
 def transpose(word) -> tuple[int, ...]:

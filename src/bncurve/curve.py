@@ -30,13 +30,16 @@ which the tails agree as the heads did.  r = 0 is the first case.  So every
 component has at most two forward neighbours, and this rule, checked node
 for node against a pair scan of the offsets, is the one definition of
 "meet": the move, with its ballot condition and the target's marked slot,
-is :func:`_moved`.  :func:`intersect` reads it one component at a time,
-through :func:`_forward_meets`; :func:`build_bn_curve` scans the runs of
-each ballot word once, writes the word's path edges (s, i) - (s, i + 1)
-with no rule call, asks :func:`_moved` for every slot of every run but the
-last, keys each node by the int (x index) * nu + (y index) and sorts the
-ints; and :func:`_word_nodes` counts, from the same scan read as a proof,
-each word's nodes with no graph at all.
+is :func:`_moved`.  :func:`intersect` reads it one pair at a time: the two
+forward neighbours have different marked indices, so j fixes which one
+(t, j) can be, (s, i + 1) when j = i + 1 and the move of the run
+s[i-1:j-2] when j >= i + 2, and it tests that one candidate.
+:func:`build_bn_curve` scans the runs of each ballot word once, writes the
+word's path edges (s, i) - (s, i + 1) with no rule call, asks
+:func:`_moved` for every slot of every run but the last, keys each node by
+the int (x index) * nu + (y index) and sorts the ints; and
+:func:`_word_nodes` counts, from the same scan read as a proof, each
+word's nodes with no graph at all.
 
 Two more nodal-curve rules are defined here once, for this graph and the
 genus-5 covers of :mod:`bncurve.gonality` alike: :func:`arithmetic_genus`
@@ -241,61 +244,52 @@ def _word_nodes(seq: tuple) -> int:
     return 4 * a - final - returns
 
 
-def _forward_meets(seq: tuple, i: int):
-    """Yield (t, j), j > i, for every component (t, j) that meets (seq, i).
-
-    The local rule of the module docstring: (seq, i + 1) when i is not the
-    last slot, and, when right after slot i seq reads a maximal run c^r
-    followed by e = 3 - c, the :func:`_moved` component, if any.
-    """
-    n = len(seq)
-    if i > n:
-        return
-    yield seq, i + 1
-    p = i - 1  # sequence position read right after slot i
-    q = p + 1
-    while q < n and seq[q] == seq[p]:
-        q += 1
-    if q < n:
-        moved = _moved(seq, p, q)
-        if moved is not None:
-            yield moved
-
-
 def intersect(
     chain: ChainSpec, x: BNComponentId, y: BNComponentId
 ) -> IntersectionNode | None:
     """Node between x and y, or None.
 
-    They meet iff the one of larger marked index is among the (at most two)
-    forward neighbours that the local rule of the module docstring gives the
-    other (:func:`_forward_meets`).  On a hit nothing is walked: each
-    component's free slot is pinned by the other, and for lo = (s, i) and
-    hi = (t, j), i < j, the pinned entries are read at those two slots
-    alone.  Slot i of hi comes before its marked slot, so the node sits at
-    W_t[i-1] on lo; slot j of lo comes after its marked slot, so the node
-    sits at W_s[j-2] + 1 on hi (the shift identity of
+    With lo = (s, i) and hi = (t, j) the pair ordered so that i < j, j fixes
+    the one forward neighbour of lo that hi can be, by the local rule of the
+    module docstring: for j = i + 1 it is (s, j), so t must be s; for
+    j >= i + 2 it is the move of the run s[i-1:j-2], so that must be one
+    maximal run, s[j-2] the other symbol, and :func:`_moved` of
+    (s, i - 1, j - 2) must be (t, j).  The move is built only when the run
+    check passes.  On a hit nothing is walked: each component's free slot
+    is pinned by the other, and the pinned entries are read at those two
+    slots alone.  Slot i of hi comes before its marked slot, so the node
+    sits at W_t[i-1] on lo; slot j of lo comes after its marked slot, so the
+    node sits at W_s[j-2] + 1 on hi (the shift identity of
     :func:`bncurve.chain.propagate`), each counted by
     :func:`bncurve.chain._slot_offset`.  The node skips the constructor's
     re-check, made here first.  Raises ValueError for x == y, a chain that
     is not of the rho = 1 shape, or a sequence whose length is not g - 1.
     """
-    if x == y:
+    # ids that differ in `marked` are unequal without a sequence compare
+    if x.marked == y.marked and x == y:
         raise ValueError("intersect needs two distinct components")
     chain.a  # validates the rho=1 shape
+    n = chain.g - 1
     for comp in (x, y):
-        if len(comp.sequence) != chain.g - 1:
-            raise ValueError(
-                f"sequence length {len(comp.sequence)} != g-1 = {chain.g - 1}"
-            )
+        if len(comp.sequence) != n:
+            raise ValueError(f"sequence length {len(comp.sequence)} != g-1 = {n}")
     lo, hi = (x, y) if x.marked < y.marked else (y, x)
     s, i, t, j = lo.sequence, lo.marked, hi.sequence, hi.marked
-    if (t, j) not in _forward_meets(s, i):
+    q = j - 2  # the move's symbol s[q] sits right after the run s[i-1:q]
+    if q < i:
+        # j = i + 1, whose one candidate is (s, j), or j = i, where t != s
+        # since x != y
+        if t != s:
+            return None
+    # the symbols are 1 and 2, so s[q] is the other symbol of a maximal
+    # run exactly when it does not occur in it
+    elif s[q] in s[i - 1 : q] or _moved(s, i - 1, q) != (t, j):
         return None
-    lo_offset, hi_offset = _slot_offset(t, i - 1), _slot_offset(s, j - 2) + 1
-    if lo.sort_key() < hi.sort_key():
-        return _node(x=lo, x_offset=lo_offset, y=hi, y_offset=hi_offset)
-    return _node(x=hi, x_offset=hi_offset, y=lo, y_offset=lo_offset)
+    lo_offset, hi_offset = _slot_offset(t, i - 1), _slot_offset(s, q) + 1
+    # i < j, so lo.sort_key() < hi.sort_key() exactly when s <= t
+    if s <= t:
+        return _node(lo, lo_offset, hi, hi_offset)
+    return _node(hi, hi_offset, lo, lo_offset)
 
 
 def build_bn_curve(a: int, *, max_a: int = DEFAULT_MAX_A) -> BNCurveGraph:
@@ -310,8 +304,7 @@ def build_bn_curve(a: int, *, max_a: int = DEFAULT_MAX_A) -> BNCurveGraph:
       rule call;
     * for each maximal run s[start:q] but the last, each slot i = p + 1
       with start <= p < q meets the :func:`_moved` component of (s, p, q),
-      if any: the helper that :func:`_forward_meets` (and so
-      :func:`intersect`) calls too.
+      if any: the helper that :func:`intersect` calls too.
 
     Component (t, j) sits at index (rank of t) * g + j - 1, and each node
     joining indices ix < iy is keyed by the int ix * nu + iy.  The keys are

@@ -1,7 +1,12 @@
+import copy
+import enum
+import json
+import pickle
 import random
+import re
 import runpy
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from itertools import product
 from math import comb, factorial
 from pathlib import Path
@@ -23,8 +28,13 @@ from bncurve.chain import (
     render_tables,
     rho,
 )
-from bncurve.combinatorics import catalan, enumerate_ballot, generalized_catalan
-from bncurve.curve import intersect
+from bncurve.combinatorics import (
+    catalan,
+    enumerate_ballot,
+    generalized_catalan,
+    is_admissible,
+)
+from bncurve.curve import BNCurveGraph, build_bn_curve, export_graph, intersect
 
 PLAN = Path(__file__).resolve().parents[1] / "perfbench" / "plan.py"
 
@@ -250,6 +260,78 @@ class TestComponentId:
     def test_rejects_symbols_that_are_not_ints(self, sequence):
         with pytest.raises(ValueError, match="not admissible"):
             BNComponentId(sequence, 1)
+
+    @pytest.mark.parametrize(
+        "sequence,shown",
+        [
+            (0, "0"),
+            (4, "4"),
+            (None, "None"),
+            ("12", "('1', '2')"),
+            ((1.0, 2), "(1.0, 2)"),
+            ((1, 2, 1), "(1, 2, 1)"),  # odd length
+            ([1, 2, 1], "(1, 2, 1)"),  # a list is shown as its tuple
+            ((2, 1), "(2, 1)"),  # not a ballot word
+            ((1, 1, 2, 3), "(1, 1, 2, 3)"),
+            ((1, 256), "(1, 256)"),  # beyond a byte
+        ],
+    )
+    def test_refusals_name_the_sequence(self, sequence, shown):
+        with pytest.raises(ValueError, match=re.escape(f"sequence {shown} is not")):
+            BNComponentId(sequence, 1)
+
+    def test_symbols_are_stored_as_plain_ints(self):
+        class Symbol(enum.IntEnum):
+            ONE = 1
+            TWO = 2
+
+        twin = BNComponentId((1, 2), 1)
+        for sequence in [(True, 2), (Symbol.ONE, Symbol.TWO), bytes((1, 2))]:
+            comp = BNComponentId(sequence, 1)
+            assert all(type(s) is int for s in comp.sequence)
+            assert comp == twin and hash(comp) == hash(twin)
+            assert (comp.label, repr(comp)) == ("12|1", repr(twin))
+
+    def test_bool_symbols_export_as_their_int_twins(self):
+        graph = build_bn_curve(1)
+        hand = BNCurveGraph(
+            a=1,
+            components=tuple(
+                BNComponentId((True, 2), c.marked) for c in graph.components
+            ),
+            node_table=graph.node_table,
+        )
+        for fmt in ("json", "dot"):
+            assert export_graph(hand, fmt) == export_graph(graph, fmt)
+        assert json.loads(export_graph(hand, "json"))["components"][0][
+            "sequence"
+        ] == [1, 2]
+
+    def test_agrees_with_is_admissible_on_every_short_word(self):
+        for n in range(8):
+            for word in product(range(4), repeat=n):
+                ok = n % 2 == 0 and is_admissible(word, n // 2, 2)
+                try:
+                    BNComponentId(word, 1)
+                except ValueError:
+                    assert not ok, word
+                else:
+                    assert ok, word
+
+    def test_copies_and_replacements_pass_the_constructor(self):
+        comp = BNComponentId([1, 1, 2, 2], 3)
+        for twin in (
+            copy.copy(comp),
+            copy.deepcopy(comp),
+            pickle.loads(pickle.dumps(comp)),
+            replace(comp),
+        ):
+            assert twin == comp and vars(twin).keys() == vars(comp).keys()
+        assert replace(comp, marked=5) == BNComponentId((1, 1, 2, 2), 5)
+        with pytest.raises(ValueError, match="out of range"):
+            replace(comp, marked=6)
+        with pytest.raises(ValueError, match="not admissible"):
+            replace(comp, sequence=(2, 2, 1, 1))
 
     @pytest.mark.parametrize("a", range(1, 7))
     def test_all_components_pass_the_public_constructor(self, a):

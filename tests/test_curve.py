@@ -14,7 +14,7 @@ from bncurve.curve import (
     CURVE_SIZE_BUDGET,
     BNCurveGraph,
     IntersectionNode,
-    _forward_meets,
+    _moved,
     _word_nodes,
     build_bn_curve,
     component_profile,
@@ -85,6 +85,26 @@ def meet_key_nodes(a):
         )
         for i, j in sorted(pairs)
     ]
+
+
+def forward_meets(seq, i):
+    """Oracle: yield (t, j), j > i, for every component (t, j) that meets
+    (seq, i), one component at a time, by the local rule of the curve module
+    docstring: (seq, i + 1) when i is not the last slot, and, when right
+    after slot i seq reads a maximal run c^r followed by e = 3 - c, the
+    `_moved` component, if any."""
+    n = len(seq)
+    if i > n:
+        return
+    yield seq, i + 1
+    p = i - 1  # sequence position read right after slot i
+    q = p + 1
+    while q < n and seq[q] == seq[p]:
+        q += 1
+    if q < n:
+        moved = _moved(seq, p, q)
+        if moved is not None:
+            yield moved
 
 
 def reference_payload(graph):
@@ -159,7 +179,7 @@ class TestIntersect:
         y = BNComponentId((1, 2), 3)
         assert intersect(chain, x, y) is None
 
-    @pytest.mark.parametrize("a", [1, 2, 3, 4])
+    @pytest.mark.parametrize("a", [1, 2, 3, 4, 5])
     def test_agrees_with_naive_scan_on_every_pair(self, a):
         chain = ChainSpec.rho_one(a)
         comps = all_components(chain)
@@ -275,13 +295,13 @@ class TestBuild:
     @pytest.mark.parametrize("a", range(1, 8))
     def test_pairs_are_the_forward_meets(self, a):
         # the per-word scan finds, as index pairs, exactly the meets that
-        # _forward_meets gives component by component
+        # forward_meets gives component by component
         graph = build_bn_curve(a, max_a=a)
         index = {(c.sequence, c.marked): k for k, c in enumerate(graph.components)}
         expected = sorted(
             (min(ix, iy), max(ix, iy))
             for ix, c in enumerate(graph.components)
-            for iy in (index[m] for m in _forward_meets(c.sequence, c.marked))
+            for iy in (index[m] for m in forward_meets(c.sequence, c.marked))
         )
         assert [row[::2] for row in table_rows(graph)] == expected
 
