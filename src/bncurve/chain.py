@@ -77,7 +77,8 @@ class BNComponentId:
     sequence that :func:`is_admissible` refuses (symbols that are not the
     ints 1 and 2, or no iterable at all, included) and for a marked index
     that is not an int (a bool or a float) or lies outside
-    1..len(sequence) + 1.
+    1..len(sequence) + 1.  A marked index of an int subclass is stored as
+    its plain int, as the symbols are.
 
     The constructor validates in one pass over the word: it takes `bytes`
     of it once, which admits only ints in 0..255 and so is the exact type
@@ -105,6 +106,8 @@ class BNComponentId:
             raise ValueError(f"marked index {marked!r} is not an int")
         if not 1 <= marked <= len(word) + 1:
             raise ValueError(f"marked index {marked} out of range")
+        if type(marked) is not int:
+            marked = int(marked)  # an int subclass, such as an IntEnum
         return _component(tuple(word), marked)
 
     def __getnewargs__(self):
@@ -243,6 +246,19 @@ def all_components(chain: ChainSpec) -> list[BNComponentId]:
 TABLE_CELL_BUDGET = 10**7
 
 
+def _lay_out(template: tuple, n: int, *columns) -> list[str]:
+    """n copies of the template's pieces, one after another, with its None
+    slots filled, in order, from the columns, each of n pieces.  Each column
+    goes into place by one slice assignment, so no record is built as a
+    string: the joined text is the only copy of its pieces."""
+    width = len(template)
+    pieces = list(template) * n
+    holes = [k for k, piece in enumerate(template) if piece is None]
+    for k, column in zip(holes, columns):
+        pieces[k::width] = column
+    return pieces
+
+
 def render_tables(chain: ChainSpec, fmt: str = "text") -> str:
     """Render the component tables, one row per chain component and one
     column per component, each cell the :func:`bundle_name` of its offset.
@@ -253,16 +269,29 @@ def render_tables(chain: ChainSpec, fmt: str = "text") -> str:
     TABLE_CELL_BUDGET cells: nu * g = g^2 * catalan(a), so g <= 21 fits and
     g >= 23 does not.
 
+    The layout is written once, as :func:`_table_pieces`, which returns the
+    text's piece list, and the text is its one join.  The list holds
+    references to runs of cells made once per line and name, so no line
+    and no cell is built as a string and the join makes the only copy of
+    the text.
+    """
+    return "".join(_table_pieces(chain, fmt))
+
+
+def _table_pieces(chain: ChainSpec, fmt: str) -> list[str]:
+    """The pieces of :func:`render_tables`'s text, in order, made after
+    the checks that :func:`render_tables` documents.
+
     The columns come from one :func:`_walk` per ballot word s, in lex
     order: with walk the offsets of (s, g) less its final None and shifted
     each of them plus one, the offsets of (s, i) are walk[:i-1], then None,
     then shifted[i-1:] (the shift identity of :func:`propagate`).  Read
     across the g components instead, chain component r carries
     shifted[r-2] on each (s, i) with i < r, None on (s, r) and walk[r-1] on
-    each i > r.  So each line is assembled straight from the walks, with no
+    each i > r.  So each line is laid out straight from the walks, with no
     table and no component record: in line r the g cells of a word are
-    r - 1 copies of one name, "L", then g - r copies of another, joined
-    from runs made once per line and name.
+    r - 1 copies of one name, "L", then g - r copies of another, three
+    pieces taken from runs made once per line and name.
     """
     if fmt not in ("csv", "text"):
         raise ValueError(f"unknown table format: {fmt!r}")
@@ -271,10 +300,14 @@ def render_tables(chain: ChainSpec, fmt: str = "text") -> str:
         raise ValueError(f"tables for g={g} exceed {TABLE_CELL_BUDGET} cells")
     names = [bundle_name(u, chain.d) for u in range(chain.d + 1)]
     marks = ["|" + str(i) for i in range(1, g + 1)]
-    words = [
-        ("".join(map(str, seq.symbols)), *_walk(seq.symbols))
-        for seq in enumerate_ballot(a, 2)
-    ]
+    digits, walks, shifts = [], [], []
+    for seq in enumerate_ballot(a, 2):
+        walk, shifted = _walk(seq.symbols)
+        digits.append("".join(map(str, seq.symbols)))
+        walks.append(walk)
+        shifts.append(shifted)
+    # slot k of every word's walk, and of every shifted walk, in word order
+    walk_slots, shift_slots = list(zip(*walks)), list(zip(*shifts))
     if fmt == "csv":
         sep, first, widths = ",", 0, [0] * g
     else:
@@ -285,25 +318,27 @@ def render_tables(chain: ChainSpec, fmt: str = "text") -> str:
         # g + len(str(i)), for every s.
         sep, first = "  ", max(len("C_i"), len(str(g)))
         widths = [g + len(mark) - 1 for mark in marks]
-    header = [digits + (sep + digits).join(marks) for digits, _, _ in words]
-    lines = [sep.join(["C_i".rjust(first)] + header)]
+    pieces = ["C_i".rjust(first)]
+    # the header cells of a word, each of its g labels after a separator
+    pieces += [sep + text + (sep + text).join(marks) for text in digits]
     for r in range(1, g + 1):
         # line r reads shifted[r-2] under (s, 1..r-1) and walk[r-1], which
         # is walk[r-g], under (s, r+1..g); at r = 1 and r = g the index
         # wraps round to an entry that is written zero times
         lead = [
-            "".join(name.rjust(w) + sep for w in widths[: r - 1]) for name in names
+            sep + "".join(name.rjust(w) + sep for w in widths[: r - 1])
+            for name in names
         ]
-        free = "L".rjust(widths[r - 1])
         trail = ["".join(sep + name.rjust(w) for w in widths[r:]) for name in names]
-        cells = [str(r).rjust(first)]
-        cells += [
-            lead[shifted[r - 2]] + free + trail[walk[r - g]]
-            for _, walk, shifted in words
-        ]
-        lines.append(sep.join(cells))
-    lines.append("")  # a final newline, without copying the joined text
-    return "\n".join(lines)
+        pieces.append("\n" + str(r).rjust(first))
+        pieces += _lay_out(
+            (None, "L".rjust(widths[r - 1]), None),
+            len(digits),
+            map(lead.__getitem__, shift_slots[r - 2]),
+            map(trail.__getitem__, walk_slots[r - g]),
+        )
+    pieces.append("\n")
+    return pieces
 
 
 def exhaustive_bound_search(g: int, r: int, d: int) -> list[tuple]:

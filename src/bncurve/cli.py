@@ -19,6 +19,7 @@ call, not at import, and reused by every later one.
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import os
 import sys
@@ -99,19 +100,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_SLICE = 1 << 20  # characters encoded and written at a time
+
+
 def _write_stdout(text: str) -> None:
-    """Write text to stdout in full.  Unbuffered (`python -u`), the text layer
-    drops the rest of a short raw write, so the bytes are fed to stdout.buffer
-    until all are taken; a reader that has gone away then raises
-    BrokenPipeError.  A stdout with no buffer (a StringIO) takes the text."""
+    """Write text to stdout in full.  The text is encoded a slice of _SLICE
+    characters at a time, by one incremental encoder whose last call, on
+    the last slice (empty when _SLICE divides the length), has
+    `final=True`; so the encoded copy never holds more than one slice, and
+    a stateful codec (utf-16 and its BOM) writes what one `encode` of the
+    whole text would.  Unbuffered (`python -u`), the text layer drops the
+    rest of a short raw write, so each slice's bytes are fed to
+    stdout.buffer until all are taken; a reader that has gone away then
+    raises BrokenPipeError.  A stdout with no buffer (a StringIO) takes the
+    text."""
     buffer = getattr(sys.stdout, "buffer", None)
     if buffer is None:
         sys.stdout.write(text)
         return
     sys.stdout.flush()
-    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
-    while data:
-        data = data[buffer.write(data) :]
+    encode = codecs.getincrementalencoder(sys.stdout.encoding)(sys.stdout.errors).encode
+    for start in range(0, len(text) + 1, _SLICE):
+        end = start + _SLICE
+        data = memoryview(encode(text[start:end], end > len(text)))
+        while data:
+            data = data[buffer.write(data) :]
 
 
 def _cmd_catalan(args) -> int:

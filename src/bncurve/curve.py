@@ -56,9 +56,16 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, islice
 from math import factorial
-from operator import eq
+from operator import attrgetter, eq
 
-from .chain import BNComponentId, ChainSpec, _slot_offset, all_components, propagate
+from .chain import (
+    BNComponentId,
+    ChainSpec,
+    _lay_out,
+    _slot_offset,
+    all_components,
+    propagate,
+)
 from .combinatorics import _catalan_exceeds, _unchecked, catalan
 
 DEFAULT_MAX_A = 6
@@ -447,20 +454,107 @@ def component_profile(
     return list(profile)
 
 
-def _json_array(items: list[str], indent: str) -> list[str]:
-    """The pieces of a JSON array of already-encoded items, laid out as
+def _json_array(indent: str, lead: str, n: int, *columns) -> list[str]:
+    """The pieces of a JSON array of n already-encoded items, laid out as
     json.dumps(..., indent=2) lays it out when its opening bracket sits on a
-    line indented by `indent`.  The caller joins them with the rest of its
-    text, so the items are copied once, into that text."""
-    if not items:
+    line indented by `indent`.  Item k is `lead` followed by piece k of each
+    column, as :func:`_lay_out` places them."""
+    if not n:
         return ["[]"]
     inner = "\n" + indent + "  "
-    sep = "," + inner
-    pieces = []
-    for item in items:
-        pieces += (sep, item)
-    pieces[0] = "[" + inner
-    pieces.append("\n" + indent + "]")
+    close = "\n" + indent + "]"
+    if not lead and len(columns) == 1:
+        # short items, such as a sequence's symbols: one join costs less
+        return ["[" + inner + ("," + inner).join(columns[0]) + close]
+    pieces = _lay_out(("," + inner + lead,) + (None,) * len(columns), n, *columns)
+    pieces[0] = "[" + inner + lead
+    pieces.append(close)
+    return pieces
+
+
+class _Texts(dict):
+    """A table of field texts made once per distinct value: the text of a
+    key is made by `make` on its first lookup and kept, so a column is
+    read through the table with no pass to find its values first."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        text = self[key] = self.make(key)
+        return text
+
+
+def _json_pieces(graph: BNCurveGraph) -> list[str]:
+    """The pieces of the JSON export, in order.  Between two fields sits one
+    constant string, and each field is read from a table made once per
+    export: the labels, one text per distinct sequence (with the key before
+    it), one tail per distinct marked index (with the record's close), one
+    text per distinct offset on each side (with the key after it)."""
+    comps = graph.components
+    labels = list(map(attrgetter("label"), comps))
+    seq_text = _Texts(
+        lambda seq: '",\n      "sequence": '
+        + "".join(_json_array("      ", "", len(seq), map(str, seq)))
+    )
+    marked_text = _Texts(',\n      "marked": {}\n    }}'.format)
+    x_text = _Texts('",\n      "x_offset": {},\n      "y": "'.format)
+    y_text = _Texts('",\n      "y_offset": {}\n    }}'.format)
+    table = graph.node_table
+    components = _json_array(
+        "  ",
+        '{\n      "id": "',
+        len(comps),
+        labels,
+        map(seq_text.__getitem__, map(attrgetter("sequence"), comps)),
+        map(marked_text.__getitem__, map(attrgetter("marked"), comps)),
+    )
+    components[0] = (
+        f'{{\n  "a": {graph.a},\n  "g": {graph.g},\n  "d": {graph.d},'
+        f'\n  "nu": "{graph.nu}",\n  "delta": "{graph.delta}",'
+        f'\n  "genus": "{genus_from_graph(graph)}",\n  "components": '
+    ) + components[0]
+    pieces = _json_array(
+        "  ",
+        '{\n      "x": "',
+        graph.delta,
+        map(labels.__getitem__, islice(table, 0, None, 4)),
+        map(x_text.__getitem__, islice(table, 1, None, 4)),
+        map(labels.__getitem__, islice(table, 2, None, 4)),
+        map(y_text.__getitem__, islice(table, 3, None, 4)),
+    )
+    pieces[0] = ',\n  "nodes": ' + pieces[0]
+    pieces.append("\n}\n")
+    # The node pieces, the longer list from a = 2 on, take the component
+    # pieces in front: in the benchmark's a = 8 worker that left max RSS
+    # about 1 MB lower than growing the component list by the nodes.
+    pieces[:0] = components
+    return pieces
+
+
+def _dot_pieces(graph: BNCurveGraph) -> list[str]:
+    """The pieces of the DOT export, in order: constant strings between the
+    labels, and each node's edge label "x_offset/y_offset" as two texts,
+    each read from a table made once per distinct offset on its side.  Two
+    int-keyed tables cost less than one keyed by the offset pairs."""
+    labels = list(map(attrgetter("label"), graph.components))
+    table = graph.node_table
+    x_text = _Texts('" [label="{}/'.format)
+    y_text = _Texts('{}"];'.format)
+    pieces = ["graph bn_curve {"]
+    pieces += _lay_out(
+        ('\n  "', None, '" [label="', None, '"];'), len(labels), labels, labels
+    )
+    pieces += _lay_out(
+        ('\n  "', None, '" -- "', None, None, None),
+        graph.delta,
+        map(labels.__getitem__, islice(table, 0, None, 4)),
+        map(labels.__getitem__, islice(table, 2, None, 4)),
+        map(x_text.__getitem__, islice(table, 1, None, 4)),
+        map(y_text.__getitem__, islice(table, 3, None, 4)),
+    )
+    pieces.append("\n}\n")
     return pieces
 
 
@@ -474,52 +568,18 @@ def export_graph(graph: BNCurveGraph, fmt: str) -> str:
     nodes: [{x, x_offset, y, y_offset}]}, written with string joins because
     json.dumps falls back to its pure-Python encoder whenever it indents.
     Nodes are read from the node table, each end's label by its index.
+
+    Each layout is written once, as a private function that returns the
+    piece list of its text (:func:`_json_pieces`, :func:`_dot_pieces`),
+    and the text is its one join.  The list holds references to shared
+    strings, the constant layout between two fields and tables of field
+    texts made once per export, so no string is built per component or per
+    node and the join makes the only copy of the text.
     """
     if fmt not in ("json", "dot"):
         raise ValueError(f"unknown export format: {fmt!r}")
     # A label holds only the digits 1 and 2, "|" and the decimal marked
     # index, and a count only digits, so none needs JSON escaping: each is
     # written between quotes as it is.
-    labels = [c.label for c in graph.components]
-    rows = iter(graph.node_table)
-    rows = zip(rows, rows, rows, rows)
-    if fmt == "json":
-        genus = genus_from_graph(graph)
-        sequences: dict[tuple, str] = {}  # every sequence labels g components
-        components = []
-        for c, label in zip(graph.components, labels):
-            seq = sequences.get(c.sequence)
-            if seq is None:
-                seq = sequences[c.sequence] = "".join(
-                    _json_array([str(v) for v in c.sequence], "      ")
-                )
-            components.append(
-                f'{{\n      "id": "{label}",\n      "sequence": {seq},'
-                f'\n      "marked": {c.marked}\n    }}'
-            )
-        nodes = [
-            f'{{\n      "x": "{labels[ix]}",\n      "x_offset": {x_offset},'
-            f'\n      "y": "{labels[iy]}",\n      "y_offset": {y_offset}\n    }}'
-            for ix, x_offset, iy, y_offset in rows
-        ]
-        return "".join(
-            [
-                f'{{\n  "a": {graph.a},\n  "g": {graph.g},\n  "d": {graph.d},'
-                f'\n  "nu": "{graph.nu}",\n  "delta": "{graph.delta}",'
-                f'\n  "genus": "{genus}",\n  "components": ',
-                *_json_array(components, "  "),
-                ',\n  "nodes": ',
-                *_json_array(nodes, "  "),
-                "\n}\n",
-            ]
-        )
-    lines = ["graph bn_curve {"]
-    for label in labels:
-        lines.append(f'  "{label}" [label="{label}"];')
-    for ix, x_offset, iy, y_offset in rows:
-        lines.append(
-            f'  "{labels[ix]}" -- "{labels[iy]}" '
-            f'[label="{x_offset}/{y_offset}"];'
-        )
-    lines += ["}", ""]  # the empty last line ends the text with a newline
-    return "\n".join(lines)
+    pieces = _json_pieces if fmt == "json" else _dot_pieces
+    return "".join(pieces(graph))

@@ -6,6 +6,7 @@ import random
 import re
 import runpy
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from itertools import product
 from math import comb, factorial
@@ -292,6 +293,52 @@ class TestComponentId:
             assert comp == twin and hash(comp) == hash(twin)
             assert (comp.label, repr(comp)) == ("12|1", repr(twin))
 
+    def test_an_int_subclass_marked_index_is_stored_as_a_plain_int(self):
+        class Mark(enum.IntEnum):
+            ONE, TWO, THREE = 1, 2, 3
+
+        twin = BNComponentId((1, 2), 2)
+        comp = BNComponentId((1, 2), Mark.TWO)
+        assert type(comp.marked) is int
+        assert comp == twin and hash(comp) == hash(twin)
+        assert (comp.label, repr(comp)) == ("12|2", repr(twin))
+        for copied in (copy.copy(comp), pickle.loads(pickle.dumps(comp))):
+            assert copied == twin and type(copied.marked) is int
+        replaced = replace(twin, marked=Mark.THREE)
+        assert replaced == BNComponentId((1, 2), 3) and type(replaced.marked) is int
+        graph = build_bn_curve(1)
+        hand = BNCurveGraph(
+            a=1,
+            components=tuple(
+                BNComponentId(c.sequence, Mark(c.marked)) for c in graph.components
+            ),
+            node_table=graph.node_table,
+        )
+        assert hand == graph
+        for fmt in ("json", "dot"):
+            assert export_graph(hand, fmt) == export_graph(graph, fmt)
+
+    @pytest.mark.parametrize(
+        "marked, message",
+        [
+            (True, "marked index True is not an int"),
+            (2.0, "marked index 2.0 is not an int"),
+            (None, "marked index None is not an int"),
+            (0, "marked index 0 out of range"),
+            (4, "marked index 4 out of range"),
+        ],
+    )
+    def test_marked_refusals_keep_their_messages(self, marked, message):
+        class Mark(enum.IntEnum):
+            ZERO, FOUR = 0, 4
+
+        for value in [marked, Mark(marked)] if type(marked) is int else [marked]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                BNComponentId((1, 2), value)
+        twin = BNComponentId((1, 2), 1)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(twin, marked=marked)
+
     def test_bool_symbols_export_as_their_int_twins(self):
         graph = build_bn_curve(1)
         hand = BNCurveGraph(
@@ -447,6 +494,19 @@ class TestComponentTables:
     def test_render_equals_the_cell_by_cell_reference(self, g, fmt):
         chain = ChainSpec(g, (g - 1) // 2 + 2)
         assert render_tables(chain, fmt) == reference_render(chain, fmt)
+
+    def test_text_peak_memory_is_bounded_by_its_text(self):
+        # the piece list holds references to runs made once per line and
+        # name: the traced peak, text included, stays under 1.6 times the
+        # text (one string per cell group and per line peaked at about 2.3)
+        chain = ChainSpec(15, 9)
+        tracemalloc.start()
+        try:
+            text = render_tables(chain, "text")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * len(text)
 
     def test_every_name_fits_under_each_label(self):
         # text pads column (s, i) to its label's width, g + len(str(i)) >= 2a + 2

@@ -1,4 +1,5 @@
 import gc
+import io
 import json
 import os
 import re
@@ -369,6 +370,20 @@ class TestParsing:
             [sys.executable, "-I", "-c", code], capture_output=True, text=True
         )
         assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "utf-16"])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_stdout_slices_encode_as_the_whole_text(monkeypatch, encoding, extra):
+    # around two slices: one short, exactly two (the final encode is then
+    # of an empty slice), one over; a non-ASCII character sits on the seam
+    cli = sys.modules["bncurve.cli"]
+    text = "a" * (cli._SLICE - 1) + "é" + "b" * (cli._SLICE + extra)
+    raw = io.BytesIO()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding=encoding))
+    cli._write_stdout(text)
+    sys.stdout.flush()
+    assert raw.getvalue() == text.encode(encoding)
 
 
 def test_arithmetic_error_exits_2(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import json
 import sys
+import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
 from itertools import accumulate
@@ -107,6 +108,16 @@ def forward_meets(seq, i):
             yield moved
 
 
+def reference_rows(graph):
+    """Each node table row as (x label, x_offset, y label, y_offset), each
+    end's label read by its index, as the export reads it.  This needs no
+    IntersectionNode, whose constructor refuses a row whose ends are out of
+    sort_key order, as they are in a graph whose components are listed in
+    another order."""
+    labels = [c.label for c in graph.components]
+    return [(labels[ix], xo, labels[iy], yo) for ix, xo, iy, yo in table_rows(graph)]
+
+
 def reference_payload(graph):
     """The object export_graph's JSON text encodes."""
     return {
@@ -121,13 +132,8 @@ def reference_payload(graph):
             for c in graph.components
         ],
         "nodes": [
-            {
-                "x": n.x.label,
-                "x_offset": n.x_offset,
-                "y": n.y.label,
-                "y_offset": n.y_offset,
-            }
-            for n in graph.nodes
+            {"x": x, "x_offset": x_offset, "y": y, "y_offset": y_offset}
+            for x, x_offset, y, y_offset in reference_rows(graph)
         ],
     }
 
@@ -138,14 +144,33 @@ def reference_json(graph):
 
 
 def reference_dot(graph):
-    """export_graph's DOT text, written from the IntersectionNode records."""
+    """export_graph's DOT text, written one line per component and node."""
     lines = ["graph bn_curve {"]
     lines += [f'  "{c.label}" [label="{c.label}"];' for c in graph.components]
     lines += [
-        f'  "{n.x.label}" -- "{n.y.label}" [label="{n.x_offset}/{n.y_offset}"];'
-        for n in graph.nodes
+        f'  "{x}" -- "{y}" [label="{x_offset}/{y_offset}"];'
+        for x, x_offset, y, y_offset in reference_rows(graph)
     ]
     return "\n".join(lines + ["}"]) + "\n"
+
+
+def reordered_graph(graph, order):
+    """The same curve with its components listed in another order, order[k]
+    being the old index of the new component k: each row's ends are
+    renamed, swapped where needed to keep x index below y index, and the
+    rows sorted again."""
+    new = {old: k for k, old in enumerate(order)}
+    rows = sorted(
+        (new[ix], x_offset, new[iy], y_offset)
+        if new[ix] < new[iy]
+        else (new[iy], y_offset, new[ix], x_offset)
+        for ix, x_offset, iy, y_offset in table_rows(graph)
+    )
+    return BNCurveGraph(
+        graph.a,
+        tuple(graph.components[old] for old in order),
+        tuple(v for row in rows for v in row),
+    )
 
 
 def table_rows(graph):
@@ -493,6 +518,51 @@ class TestExport:
     def test_dot_matches_the_node_records(self, a):
         graph = build_bn_curve(a)
         assert export_graph(graph, "dot") == reference_dot(graph)
+        assert reference_rows(graph) == [
+            (n.x.label, n.x_offset, n.y.label, n.y_offset) for n in graph.nodes
+        ]
+
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    @pytest.mark.parametrize("order", ["reversed", "marked first"])
+    def test_components_in_another_order_export_by_their_table(self, order, fmt):
+        built = build_bn_curve(3)
+        index = range(built.nu)
+        if order == "reversed":
+            # the first g components are marked g, ..., 1
+            index = index[::-1]
+        else:
+            # the first g components are all marked 1
+            index = sorted(index, key=lambda k: built.components[k].marked)
+        graph = reordered_graph(built, index)
+        reference = reference_json if fmt == "json" else reference_dot
+        assert export_graph(graph, fmt) == reference(graph)
+        assert export_graph(graph, fmt) != export_graph(built, fmt)
+        assert genus_from_graph(graph) == genus_from_graph(built)
+
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    def test_offsets_outside_0_to_d_export_as_given(self, fmt):
+        built = build_bn_curve(2)
+        table = list(built.node_table)
+        # the constructor checks only the index columns
+        table[1], table[3], table[7] = -1, 10**6, -1
+        graph = BNCurveGraph(2, built.components, tuple(table))
+        reference = reference_json if fmt == "json" else reference_dot
+        text = export_graph(graph, fmt)
+        assert text == reference(graph)
+        assert ("-1" in text) and ("1000000" in text)
+
+    def test_json_peak_memory_is_bounded_by_its_text(self):
+        # the piece list holds references, not one string per record: the
+        # traced peak, text included, stays under 1.6 times the text (the
+        # per-record design peaked at about 2.5 times)
+        graph = build_bn_curve(6)
+        tracemalloc.start()
+        try:
+            text = export_graph(graph, "json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * len(text)
 
     def test_json_round_trips_a7(self):
         graph = build_bn_curve(7, max_a=7)

@@ -5,14 +5,17 @@ perfbench/expected.json holds the sha256 and byte length of the stdout of
 `selftest`, `gonality5`, `gonality5 --degree 1..6`, the g=17 csv and g=15
 text tables, the a=7 DOT export and the a=8 JSON export; this test reruns
 each through `bncurve.cli.main`, with the argv the benchmark uses, and
-compares stdout.  It also holds, for each `enumerate_ballot(a, m)` shape
-the benchmark runs, the word count and the sha256 of the words' symbols
-concatenated as bytes; this test recomputes both.  It only reads that
-file.  Each command and enumeration also runs under `python -O`, which
-strips `assert` statements, and must give the same digest there: no result
-relies on an `assert`.
+compares stdout.  The a=8 export and the g=17 csv tables also run as a
+subprocess writing to a pipe, buffered and unbuffered, and the a=8 export
+once more with PYTHONIOENCODING=utf-16.  The file also holds, for each
+`enumerate_ballot(a, m)` shape the benchmark runs, the word count and the
+sha256 of the words' symbols concatenated as bytes; this test recomputes
+both.  It only reads that file.  Each command and enumeration also runs
+under `python -O`, which strips `assert` statements, and must give the
+same digest there: no result relies on an `assert`.
 """
 
+import codecs
 import hashlib
 import json
 import os
@@ -112,3 +115,39 @@ def test_optimized_enumeration_matches_recorded_digest(expected, name):
 
 def test_every_recorded_entry_is_checked(expected):
     assert set(expected) == set(COMMANDS) | set(ENUM_SHAPES)
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("name", ["curve_a8_json", "tables_g17_csv"])
+def test_real_stdout_matches_recorded_digest(expected, name, unbuffered):
+    # through a pipe, not a StringIO: the text is encoded and written a
+    # slice at a time, to a buffered stream or, unbuffered, to the raw file
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env["PYTHONUNBUFFERED"] = unbuffered
+    proc = subprocess.run(
+        [sys.executable, "-m", "bncurve", *COMMANDS[name]],
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert digest(proc.stdout) == expected[name]
+
+
+def test_stateful_encoding_writes_one_bom():
+    # the 11 MB a=8 export crosses many slice boundaries; utf-16 writes its
+    # BOM once, on the first slice, as one encode of the whole text would
+    out = StringIO()
+    with redirect_stdout(out):
+        assert main(COMMANDS["curve_a8_json"]) == 0
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONIOENCODING": "utf-16"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bncurve", *COMMANDS["curve_a8_json"]],
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(codecs.BOM_UTF16)
+    assert proc.stdout.count(codecs.BOM_UTF16) == 1
+    assert proc.stdout.decode("utf-16") == out.getvalue()
