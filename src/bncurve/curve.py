@@ -104,8 +104,9 @@ class BNCurveGraph:
     A tuple keeps the graph immutable and hashable, which its cached
     connectivity and profiles rely on.  `nodes` builds the IntersectionNode
     records from it on first use.  Raises ValueError for a table whose length
-    is not a multiple of 4, a row whose x index is not below its y index, or
-    an index outside 0..nu-1.
+    is not a multiple of 4, an entry that is not a plain int (a bool, a
+    float or an int subclass prints differently from its int twin), a row
+    whose x index is not below its y index, or an index outside 0..nu-1.
     """
 
     a: int
@@ -116,6 +117,9 @@ class BNCurveGraph:
         table, nu = self.node_table, len(self.components)
         if len(table) % 4:
             raise ValueError("a node table holds four ints per node")
+        for v in table:
+            if type(v) is not int:
+                raise ValueError(f"node table entry {v!r} is not an int")
         for ix, iy in zip(table[0::4], table[2::4]):
             if not 0 <= ix < iy < nu:
                 raise ValueError(
@@ -463,9 +467,6 @@ def _json_array(indent: str, lead: str, n: int, *columns) -> list[str]:
         return ["[]"]
     inner = "\n" + indent + "  "
     close = "\n" + indent + "]"
-    if not lead and len(columns) == 1:
-        # short items, such as a sequence's symbols: one join costs less
-        return ["[" + inner + ("," + inner).join(columns[0]) + close]
     pieces = _lay_out(("," + inner + lead,) + (None,) * len(columns), n, *columns)
     pieces[0] = "[" + inner + lead
     pieces.append(close)

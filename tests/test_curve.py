@@ -543,7 +543,7 @@ class TestExport:
     def test_offsets_outside_0_to_d_export_as_given(self, fmt):
         built = build_bn_curve(2)
         table = list(built.node_table)
-        # the constructor checks only the index columns
+        # the constructor checks the offsets' type, not their range
         table[1], table[3], table[7] = -1, 10**6, -1
         graph = BNCurveGraph(2, built.components, tuple(table))
         reference = reference_json if fmt == "json" else reference_dot
@@ -607,6 +607,12 @@ class TestNodeTable:
             (-1, 0, 0, 1),  # index below 0
             (0, 0, 10, 1),  # index at nu
             (0, 1, 1, 0, 4, 0, 12, 1),
+            # an entry that is not a plain int: an offset True would export
+            # as the text of the offset 1 before it, None is not JSON
+            (0, 1, 1, True),
+            (0, 1.0, 1, 0),
+            (0, 0, 1, None),
+            (True, 0, 2, 1),  # index
         ],
     )
     def test_malformed_table_is_rejected(self, table):
