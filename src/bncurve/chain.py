@@ -25,7 +25,6 @@ from itertools import combinations
 
 from .combinatorics import (
     _catalan_exceeds,
-    _is_dyck,
     _unchecked,
     catalan,
     enumerate_ballot,
@@ -74,18 +73,19 @@ class BNComponentId:
     whose bundle varies freely.  The sequence is stored as a tuple of plain
     ints, so an id built from a list, or from bools, hashes, compares,
     labels and exports like its tuple-of-ints twin.  Raises ValueError for a
-    sequence that :func:`is_admissible` refuses (symbols that are not the
-    ints 1 and 2, or no iterable at all, included) and for a marked index
-    that is not an int (a bool or a float) or lies outside
+    sequence that :func:`is_admissible` refuses at m = 2 (symbols that are
+    not the ints 1 and 2, or no iterable at all, included) and for a marked
+    index that is not an int (a bool or a float) or lies outside
     1..len(sequence) + 1.  A marked index of an int subclass is stored as
     its plain int, as the symbols are.
 
     The constructor validates in one pass over the word: it takes `bytes`
     of it once, which admits only ints in 0..255 and so is the exact type
-    check, and runs the m = 2 depth count :func:`_is_dyck`, which
-    :func:`is_admissible` shares, on those bytes.  It is `__new__`, so the
-    record, once valid, is built by :func:`_unchecked` with each field
-    stored once and the symbols read back from the bytes."""
+    check, and runs the m = 2 depth count :func:`_is_dyck` on those bytes,
+    which costs less than half of what the general :func:`is_admissible`
+    costs per word.  It is `__new__`, so the record, once valid, is
+    built by :func:`_unchecked` with each field stored once and the
+    symbols read back from the bytes."""
 
     sequence: tuple[int, ...]
     marked: int
@@ -124,6 +124,21 @@ class BNComponentId:
 
 # builds ids from a validated word and marked index
 _component = _unchecked(BNComponentId)
+
+
+def _is_dyck(word: bytes) -> bool:
+    """True iff `word` is a ballot word for m = 2: its running depth,
+    count(1) - count(2), never goes negative and ends at 0, and it holds no
+    byte but 1 and 2."""
+    depth = 0
+    for s in word:
+        if s == 1:
+            depth += 1
+        elif s == 2 and depth:
+            depth -= 1
+        else:
+            return False
+    return not depth
 
 
 def rho(g: int, r: int, d: int) -> int:
@@ -370,35 +385,35 @@ class Census:
     count: int = 0
 
 
-def _refuse_unprintable(log10_count: float) -> None:
-    """Raise ValueError when a count of about 10**log10_count is clearly,
+def _refuse_unprintable(a: int, m: int, times: int = 1) -> None:
+    """Raise ValueError when times * generalized_catalan(a, m) is clearly,
     by a digit's margin, too long for `str` under the interpreter's
     int-to-str limit (`sys.get_int_max_str_digits()`, 0 for none).  Counts
-    near the limit are left to be computed exactly."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and log10_count > limit + 1:
-        raise ValueError(
-            f"the count has at least {int(log10_count)} digits, more than "
-            f"the {limit} that can be printed"
-        )
+    near the limit are left to be computed exactly, and a < 1 refuses
+    nothing.
 
-
-def _log10_generalized_catalan(a: int, m: int) -> float:
-    """log10 of generalized_catalan(a, m), estimated with math.lgamma.
-
-    The count is symmetric in a and m (it counts the standard tableaux of an
-    a-by-m rectangle), so the sum runs over the shorter side.  Both sides
-    are capped at 10**4, so no input costs more than 10**4 lgamma calls;
-    the count never shrinks as a side grows, so past the cap the estimate
-    is a lower bound.
+    log10 of the count is estimated with math.lgamma.  The count is
+    symmetric in a and m (it counts the standard tableaux of an a-by-m
+    rectangle), so the sum runs over the shorter side.  Both sides are
+    capped at 10**4, so no input costs more than 10**4 lgamma calls; the
+    count never shrinks as a side grows, so past the cap the estimate is a
+    lower bound.
     """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or a < 1:
+        return
     a, m = min(a, 10**4), min(m, 10**4)
     if m > a:
         a, m = m, a
     ln = math.lgamma(a * m + 1) + sum(
         math.lgamma(i + 1) - math.lgamma(a + i + 1) for i in range(m)
     )
-    return ln / math.log(10)
+    log10_count = math.log10(times) + ln / math.log(10)
+    if log10_count > limit + 1:
+        raise ValueError(
+            f"the count has at least {int(log10_count)} digits, more than "
+            f"the {limit} that can be printed"
+        )
 
 
 def limit_series_census(g: int, r: int, d: int) -> Census:
@@ -417,15 +432,13 @@ def limit_series_census(g: int, r: int, d: int) -> Census:
     a = g - d + r
     if p == 0:
         if a >= 1:
-            _refuse_unprintable(_log10_generalized_catalan(a, r + 1))
+            _refuse_unprintable(a, r + 1)
             return Census("finite", generalized_catalan(a, r + 1))
         raise UnsupportedShapeError(
             f"rho=0 shape (g={g}, r={r}, d={d}) is out of modeled range"
         )
     if p == 1 and r == 1 and a >= 1:
-        _refuse_unprintable(
-            math.log10(2 * a + 1) + _log10_generalized_catalan(a, 2)
-        )
+        _refuse_unprintable(a, 2, times=2 * a + 1)
         return Census("curve", (2 * a + 1) * catalan(a))
     raise UnsupportedShapeError(
         f"(g={g}, r={r}, d={d}) with rho={p} is out of modeled range"

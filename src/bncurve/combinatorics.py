@@ -32,19 +32,32 @@ def _unchecked(cls, *extra):
     return namespace["build"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BallotSequence:
-    """An admissible word: `a` copies of each symbol in 1..m, ballot-ordered."""
+    """An admissible word: `a` copies of each symbol in 1..m, ballot-ordered.
+
+    `__new__` reads `symbols` once, checks the word with :func:`is_admissible`
+    and builds the record by :func:`_unchecked` with the word as a tuple of
+    plain ints, so one built from an iterator, a list or bools equals and
+    hashes as its tuple twin.  Raises ValueError, naming the input as given,
+    for a refused word."""
 
     symbols: tuple[int, ...]
     a: int
     m: int
 
-    def __post_init__(self):
-        if not is_admissible(self.symbols, self.a, self.m):
-            raise ValueError(
-                f"not an admissible ({self.a}, {self.m}) sequence: {self.symbols}"
-            )
+    def __new__(cls, symbols, a, m):
+        try:
+            word = tuple(symbols)
+        except TypeError:
+            word = None  # which is_admissible refuses
+        if not is_admissible(word, a, m):
+            raise ValueError(f"not an admissible ({a}, {m}) sequence: {symbols}")
+        return _unchecked(cls)(tuple(map(int, word)), a, m)
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild a word through the validating constructor
+        return self.symbols, self.a, self.m
 
 
 def catalan(a: int) -> int:
@@ -107,17 +120,11 @@ def is_admissible(symbols, a: int, m: int) -> bool:
     not an int in 1..m (a float, a string, None) makes it False, never
     True, and so does a `symbols` that is not iterable (None, an int).
 
-    Both cases cost about one comparison per symbol.  For m = 2 the prefix
-    condition is a running depth, count(1) - count(2), that never goes
-    negative and ends at 0; the word is read as `bytes`, which admits only
-    ints in 0..255, so the conversion is also the type check, and the depth
-    is counted by :func:`_is_dyck`, the loop the
-    :class:`bncurve.chain.BNComponentId` constructor runs too.  For any
-    other m the counts carry a sentinel counts[0] = a: the count vector
-    stays non-increasing, so a symbol s is allowed iff counts[s] is still
-    below counts[s - 1], one test that both caps the 1s at a and keeps the
-    ballot order.  A word of length a*m whose counts never exceed a then
-    holds each symbol exactly a times.
+    It costs about one comparison per symbol.  The counts carry a sentinel
+    counts[0] = a: the count vector stays non-increasing, so a symbol s is
+    allowed iff counts[s] is still below counts[s - 1], one test that both
+    caps the 1s at a and keeps the ballot order.  A word of length a*m
+    whose counts never exceed a then holds each symbol exactly a times.
     """
     try:
         symbols = tuple(symbols)
@@ -125,12 +132,6 @@ def is_admissible(symbols, a: int, m: int) -> bool:
         return False
     if len(symbols) != a * m:
         return False
-    if m == 2:
-        try:
-            word = bytes(symbols)
-        except (TypeError, ValueError):
-            return False
-        return _is_dyck(word)
     if not symbols:
         return True
     counts = [0] * (m + 1)
@@ -145,23 +146,6 @@ def is_admissible(symbols, a: int, m: int) -> bool:
     except TypeError:
         return False
     return True
-
-
-def _is_dyck(word: bytes) -> bool:
-    """True iff `word` is a ballot word for m = 2: its running depth,
-    count(1) - count(2), never goes negative and ends at 0, and it holds no
-    byte but 1 and 2.  The one m = 2 check, shared by :func:`is_admissible`
-    and the :class:`bncurve.chain.BNComponentId` constructor, which both
-    convert their word to `bytes` first."""
-    depth = 0
-    for s in word:
-        if s == 1:
-            depth += 1
-        elif s == 2 and depth:
-            depth -= 1
-        else:
-            return False
-    return not depth
 
 
 def transpose(word) -> tuple[int, ...]:

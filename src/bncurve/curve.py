@@ -103,7 +103,8 @@ class BNCurveGraph:
     y index, y_offset), each index into `components` and x index < y index.
     A tuple keeps the graph immutable and hashable, which its cached
     connectivity and profiles rely on.  `nodes` builds the IntersectionNode
-    records from it on first use.  Raises ValueError for a table whose length
+    records from it on first use.  Raises ValueError for a component whose
+    word length is not 2a, a component listed twice, a table whose length
     is not a multiple of 4, an entry that is not a plain int (a bool, a
     float or an int subclass prints differently from its int twin), a row
     whose x index is not below its y index, or an index outside 0..nu-1.
@@ -115,6 +116,11 @@ class BNCurveGraph:
 
     def __post_init__(self):
         table, nu = self.node_table, len(self.components)
+        for comp in self.components:
+            if len(comp.sequence) != 2 * self.a:
+                raise ValueError(f"component {comp.label} is not of a = {self.a}")
+        if len(set(self.components)) != nu:
+            raise ValueError("a component is listed twice")
         if len(table) % 4:
             raise ValueError("a node table holds four ints per node")
         for v in table:

@@ -44,7 +44,10 @@ GOLDEN_TABLES_G5 = {
 def check_component_count(max_a: int, graphs):
     for a in range(1, max_a + 1):
         census = limit_series_census(2 * a + 1, 1, a + 2)
-        if census.kind != "curve" or census.count != (2 * a + 1) * catalan(a):
+        # generalized_catalan(a, 2), not the catalan(a) the census multiplies,
+        # so a slip in catalan cannot pass on both sides
+        expected = (2 * a + 1) * generalized_catalan(a, 2)
+        if census.kind != "curve" or census.count != expected:
             return False, f"a={a}: census {census}"
         if a <= len(graphs) and graphs[a - 1].nu != census.count:
             return False, f"a={a}: census {census.count}, graph {graphs[a - 1].nu}"

@@ -397,6 +397,52 @@ def test_arithmetic_error_exits_2(monkeypatch, capsys):
     assert "did not divide exactly" in err
 
 
+def test_a_lost_ballot_word_exits_2_in_one_line(monkeypatch, capsys):
+    # the second word of every m = 2 shape with a >= 2 goes missing, so the
+    # curve build looks up a word it never enumerated
+    chain = sys.modules["bncurve.chain"]
+
+    def one_word_lost(a, m=2, _original=chain.enumerate_ballot):
+        for k, word in enumerate(_original(a, m)):
+            if not (a >= 2 and m == 2 and k == 1):
+                yield word
+
+    monkeypatch.setattr(chain, "enumerate_ballot", one_word_lost)
+    assert main(["selftest"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert err == "internal failure: KeyError((1, 2, 1, 2))\n"
+
+
+# each command with the library name it calls in bncurve.cli; the cached
+# parser holds the _cmd_* handlers themselves, so the library name is patched
+LIBRARY_CALLS = [
+    (["catalan", "--a", "5"], "catalan"),
+    (["castelnuovo", "--a", "2", "--r", "1"], "limit_series_census"),
+    (["census", "--g", "5", "--r", "1", "--d", "4"], "limit_series_census"),
+    (["tables", "--g", "5", "--d", "4"], "render_tables"),
+    (["curve", "--a", "2"], "build_bn_curve"),
+    (["gonality5"], "gonality"),
+    (["gonality5", "--degree", "3"], "build_w14_circuit"),
+    (["selftest"], "run_selftest"),
+]
+
+
+@pytest.mark.parametrize("error", [KeyError, OSError])
+@pytest.mark.parametrize(
+    "argv,name", LIBRARY_CALLS, ids=[" ".join(argv) for argv, _ in LIBRARY_CALLS]
+)
+def test_any_other_failure_exits_2_in_one_line(monkeypatch, capsys, argv, name, error):
+    def fails(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(sys.modules["bncurve.cli"], name, fails)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal failure: {error('injected')!r}\n"
+
+
 # hostile argv: each exits with a documented code within seconds, with at
 # most one line on stderr and never a traceback, and, where a row gives a
 # pattern, prints a stdout that matches it.  Each row runs in its own

@@ -1,7 +1,11 @@
 import ast
+import copy
+import enum
 import math
+import pickle
+import re
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from itertools import islice, product
 from math import factorial
 from pathlib import Path
@@ -10,6 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bncurve import combinatorics
+from bncurve.chain import _is_dyck
 from bncurve.combinatorics import (
     BallotSequence,
     catalan,
@@ -217,6 +222,28 @@ class TestIsAdmissible:
     def test_non_int_symbols_are_refused(self, word, a, m):
         assert is_admissible(word, a, m) is False
 
+    def test_m2_answers_as_the_former_bytes_path_on_odd_symbols(self):
+        def bytes_path(symbols, a):
+            # is_admissible's m = 2 branch before the count vector took
+            # every m: the word as bytes, then the depth count
+            symbols = tuple(symbols)
+            if len(symbols) != a * 2:
+                return False
+            try:
+                word = bytes(symbols)
+            except (TypeError, ValueError):
+                return False
+            return _is_dyck(word)
+
+        alphabet = (0, 1, 2, 3, True, False, 1.0, 2.0, "1", None, 256, -1)
+        mismatches = [
+            word
+            for n in range(5)
+            for word in product(alphabet, repeat=n)
+            if is_admissible(word, n // 2, 2) != bytes_path(word, n // 2)
+        ]
+        assert mismatches == []
+
     def test_any_iterable_of_ints(self):
         assert is_admissible([1, 2, 1, 2], 2, 2)
         assert is_admissible(iter((1, 2, 3)), 1, 3)
@@ -345,6 +372,43 @@ def test_ballot_sequence_validates():
         BallotSequence((2, 1, 1, 2), 2, 2)
     with pytest.raises(ValueError):
         BallotSequence((1, 2, 1), 2, 2)
+
+
+class Symbol(enum.IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+def test_ballot_sequence_stores_the_word_it_checked():
+    twin = BallotSequence((1, 2), 1, 2)
+    for symbols in [iter([1, 2]), [1, 2], (True, 2), (Symbol.ONE, Symbol.TWO)]:
+        word = BallotSequence(symbols, 1, 2)
+        assert word.symbols == (1, 2) and type(word.symbols) is tuple
+        assert all(type(s) is int for s in word.symbols)
+        assert word == twin and hash(word) == hash(twin)
+        assert repr(word) == repr(twin)
+
+
+@pytest.mark.parametrize("symbols", [5, None, (2, 1), (1.0, 2)])
+def test_ballot_sequence_refuses_with_value_error(symbols):
+    with pytest.raises(ValueError, match=re.escape(f"sequence: {symbols}")):
+        BallotSequence(symbols, 1, 2)
+
+
+def test_ballot_sequence_copies_and_replacements_pass_the_constructor():
+    word = BallotSequence([1, 1, 2, 2], 2, 2)
+    for twin in (
+        copy.copy(word),
+        copy.deepcopy(word),
+        pickle.loads(pickle.dumps(word)),
+        replace(word),
+    ):
+        assert twin == word and vars(twin).keys() == vars(word).keys()
+    assert replace(word, symbols=iter((1, 2, 1, 2))).symbols == (1, 2, 1, 2)
+    with pytest.raises(ValueError, match="not an admissible"):
+        replace(word, symbols=(2, 2, 1, 1))
+    with pytest.raises(ValueError, match="not an admissible"):
+        replace(word, m=3)
 
 
 def test_only_unchecked_bypasses_the_constructors():

@@ -620,6 +620,17 @@ class TestNodeTable:
         with pytest.raises(ValueError):
             BNCurveGraph(a=2, components=components, node_table=table)
 
+    def test_graph_that_contradicts_itself_is_rejected(self):
+        # a = 2 words under a = 3, whose export would claim g = 7 and d = 5
+        g2 = build_bn_curve(2)
+        with pytest.raises(ValueError, match="is not of a = 3"):
+            BNCurveGraph(3, g2.components, g2.node_table)
+        # one component listed twice, which component_profile would answer
+        # with one of its two rows
+        c = build_bn_curve(1).components[0]
+        with pytest.raises(ValueError, match="listed twice"):
+            BNCurveGraph(1, (c, c), (0, 1, 1, 2))
+
     def test_no_node_record_is_built_until_asked(self, monkeypatch, capsys):
         from bncurve.cli import main
         from bncurve.selfcheck import check_nodal_properties

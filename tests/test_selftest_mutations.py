@@ -1,7 +1,8 @@
 """Every selftest line can fail: a table of model mutations, each with the
 selftest lines that must read [FAIL] under it.
 
-Each row patches one model function where its callers look it up, runs
+Each row patches one model function where its callers look it up (in the
+modules it names, or in every module of the package that binds it), runs
 `run_selftest()` in-process and reads the printed lines.  A mutation is a
 plausible slip in the model, not one written to trip a given line, so a row
 whose lines keep passing has found a check that cannot fail.
@@ -12,13 +13,28 @@ import sys
 
 import pytest
 
+import bncurve.cli  # noqa: F401 (loads every module of the package)
 from bncurve.selfcheck import run_selftest
 
 # the modules by name: the package binds `bncurve.gonality` to the function
+combinatorics = sys.modules["bncurve.combinatorics"]
 chain = sys.modules["bncurve.chain"]
 curve = sys.modules["bncurve.curve"]
 gonality = sys.modules["bncurve.gonality"]
+selfcheck = sys.modules["bncurve.selfcheck"]
 _moved, _walk = curve._moved, chain._walk
+_catalan, _export_graph = combinatorics.catalan, curve.export_graph
+_generalized_catalan = combinatorics.generalized_catalan
+
+
+def every_binding(function):
+    """Every module of the package that binds `function` under its name."""
+    return tuple(
+        module
+        for name, module in sorted(sys.modules.items())
+        if (name == "bncurve" or name.startswith("bncurve."))
+        and getattr(module, function.__name__, None) is function
+    )
 
 
 def moved_one_slot_later(seq, p, q):
@@ -36,43 +52,89 @@ def walk_with_first_shifted_entry_off_by_one(sequence):
     return walk, (shifted[0] + 1, *shifted[1:])
 
 
+def generalized_catalan_33_one_too_large(a, m):
+    return _generalized_catalan(a, m) + ((a, m) == (3, 3))
+
+
+def json_export_without_its_last_newline(graph, fmt):
+    text = _export_graph(graph, fmt)
+    return text[:-1] if fmt == "json" else text
+
+
+def catalan_7_one_too_large(a):
+    return _catalan(a) + (a == 7)
+
+
 MUTATIONS = [
     pytest.param(
-        curve,
+        (curve,),
         "_moved",
         moved_one_slot_later,
         {"nodal properties", "gonality pipeline"},
         id="_moved marks one slot later",
     ),
     pytest.param(
-        curve,
+        (curve,),
         "_moved",
         moved_without_runs_of_three,
         {"node count delta, both forms", "genus, graph vs closed form"},
         id="_moved drops runs of length >= 3",
     ),
     pytest.param(
-        chain,
+        (chain,),
         "_walk",
         walk_with_first_shifted_entry_off_by_one,
         {"g=5 table fidelity", "nodal properties", "gonality pipeline"},
         id="_walk shifted entry off by one",
     ),
     pytest.param(
-        gonality,
+        (gonality,),
         "lin_equiv",
         lambda d1, d2: False,
         {"gonality pipeline"},
         id="lin_equiv always False",
     ),
+    pytest.param(
+        (selfcheck,),
+        "generalized_catalan",
+        generalized_catalan_33_one_too_large,
+        {"Castelnuovo counts vs enumeration"},
+        id="generalized_catalan(3, 3) one too large",
+    ),
+    pytest.param(
+        (selfcheck,),
+        "eh_formula_corrected",
+        curve.eh_formula,
+        {"published-formula discrepancy flagged"},
+        id="eh_formula_corrected is eh_formula",
+    ),
+    pytest.param(
+        (selfcheck,),
+        "export_graph",
+        json_export_without_its_last_newline,
+        {"property suite"},
+        id="json export drops its last newline",
+    ),
+    pytest.param(
+        every_binding(_catalan),
+        "catalan",
+        catalan_7_one_too_large,
+        {
+            "component count nu = (2a+1) c_a",
+            "node count delta, both forms",
+            "property suite",
+        },
+        id="catalan(7) one too large",
+    ),
 ]
 
 
-@pytest.mark.parametrize("module,name,mutant,failing", MUTATIONS)
+@pytest.mark.parametrize("modules,name,mutant,failing", MUTATIONS)
 def test_mutation_fails_its_selftest_lines(
-    monkeypatch, capsys, module, name, mutant, failing
+    monkeypatch, capsys, modules, name, mutant, failing
 ):
-    monkeypatch.setattr(module, name, mutant)
+    for module in modules:
+        monkeypatch.setattr(module, name, mutant)
     # each run starts and ends with an empty walk cache, so no row reads a
     # walk that an earlier test or row left there
     _walk.cache_clear()
