@@ -13,13 +13,16 @@ output is exact decimal text.
 `main(argv)` may be called many times in one process, as the benchmark
 worker and the test suite do.  The argparse parser is built on the first
 call, not at import, and reused by every later one.
+
+Only `gonality5` and `selftest` load the gonality certificate layer
+(`bncurve.gonality`, `bncurve.selfcheck` and `json`), on their first call;
+the other commands never import it.
 """
 
 from __future__ import annotations
 
 import argparse
 import codecs
-import json
 import os
 import sys
 from functools import cache
@@ -28,14 +31,6 @@ from .chain import ChainSpec, _refuse_unprintable, limit_series_census, render_t
 from .combinatorics import catalan
 from .curve import DEFAULT_MAX_A, build_bn_curve, eh_formula, export_graph
 from .curve import eh_formula_corrected, genus_closed, genus_from_graph
-from .gonality import (
-    build_degree6_cover,
-    build_w14_circuit,
-    exclude_degree,
-    gonality,
-    verify_cover,
-)
-from .selfcheck import run_selftest
 
 
 @cache
@@ -188,6 +183,11 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_gonality5(args) -> int:
+    import json
+
+    from .gonality import build_degree6_cover, build_w14_circuit, exclude_degree
+    from .gonality import gonality, verify_cover
+
     if args.degree is not None:
         if not 1 <= args.degree <= 6:
             print("error: --degree must be between 1 and 6", file=sys.stderr)
@@ -213,6 +213,8 @@ def _cmd_gonality5(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .selfcheck import run_selftest
+
     ok = run_selftest(max_a=args.max_a)
     return 0 if ok else 2
 

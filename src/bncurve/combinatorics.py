@@ -36,17 +36,23 @@ def _unchecked(cls, *extra):
 class BallotSequence:
     """An admissible word: `a` copies of each symbol in 1..m, ballot-ordered.
 
-    `__new__` reads `symbols` once, checks the word with :func:`is_admissible`
-    and builds the record by :func:`_unchecked` with the word as a tuple of
-    plain ints, so one built from an iterator, a list or bools equals and
-    hashes as its tuple twin.  Raises ValueError, naming the input as given,
-    for a refused word."""
+    `__new__` first refuses a shape that :func:`enumerate_ballot` refuses:
+    an `a` or `m` that is not a plain int (a bool, a float), `a < 1` or
+    `m < 2`.  It then reads `symbols` once, checks the word with
+    :func:`is_admissible` and builds the record by :func:`_unchecked` with
+    the word as a tuple of plain ints, so one built from an iterator, a list
+    or bools equals and hashes as its tuple twin.  Raises ValueError, naming
+    the input as given, for a refused shape or word."""
 
     symbols: tuple[int, ...]
     a: int
     m: int
 
     def __new__(cls, symbols, a, m):
+        if type(a) is not int or type(m) is not int or a < 1 or m < 2:
+            raise ValueError(
+                f"a must be an int >= 1 and m an int >= 2, not a={a!r}, m={m!r}"
+            )
         try:
             word = tuple(symbols)
         except TypeError:

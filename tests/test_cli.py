@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import bncurve.selfcheck  # noqa: F401 (read through sys.modules below)
 from bncurve.cli import main
 from bncurve.combinatorics import catalan
 from bncurve.gonality import VerificationReport
@@ -414,29 +415,35 @@ def test_a_lost_ballot_word_exits_2_in_one_line(monkeypatch, capsys):
     assert err == "internal failure: KeyError((1, 2, 1, 2))\n"
 
 
-# each command with the library name it calls in bncurve.cli; the cached
+# each command with a library name it calls and the module it reads that name
+# from when it runs: bncurve.cli for most, the certificate layer that
+# gonality5 and selftest import on their first call for those two; the cached
 # parser holds the _cmd_* handlers themselves, so the library name is patched
 LIBRARY_CALLS = [
-    (["catalan", "--a", "5"], "catalan"),
-    (["castelnuovo", "--a", "2", "--r", "1"], "limit_series_census"),
-    (["census", "--g", "5", "--r", "1", "--d", "4"], "limit_series_census"),
-    (["tables", "--g", "5", "--d", "4"], "render_tables"),
-    (["curve", "--a", "2"], "build_bn_curve"),
-    (["gonality5"], "gonality"),
-    (["gonality5", "--degree", "3"], "build_w14_circuit"),
-    (["selftest"], "run_selftest"),
+    (["catalan", "--a", "5"], "cli", "catalan"),
+    (["castelnuovo", "--a", "2", "--r", "1"], "cli", "limit_series_census"),
+    (["census", "--g", "5", "--r", "1", "--d", "4"], "cli", "limit_series_census"),
+    (["tables", "--g", "5", "--d", "4"], "cli", "render_tables"),
+    (["curve", "--a", "2"], "cli", "build_bn_curve"),
+    (["gonality5"], "gonality", "gonality"),
+    (["gonality5", "--degree", "3"], "gonality", "build_w14_circuit"),
+    (["selftest"], "selfcheck", "run_selftest"),
 ]
 
 
 @pytest.mark.parametrize("error", [KeyError, OSError])
 @pytest.mark.parametrize(
-    "argv,name", LIBRARY_CALLS, ids=[" ".join(argv) for argv, _ in LIBRARY_CALLS]
+    "argv,module,name",
+    LIBRARY_CALLS,
+    ids=[" ".join(argv) for argv, _, _ in LIBRARY_CALLS],
 )
-def test_any_other_failure_exits_2_in_one_line(monkeypatch, capsys, argv, name, error):
+def test_any_other_failure_exits_2_in_one_line(
+    monkeypatch, capsys, argv, module, name, error
+):
     def fails(*args, **kwargs):
         raise error("injected")
 
-    monkeypatch.setattr(sys.modules["bncurve.cli"], name, fails)
+    monkeypatch.setattr(sys.modules[f"bncurve.{module}"], name, fails)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

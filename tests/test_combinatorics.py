@@ -395,6 +395,23 @@ def test_ballot_sequence_refuses_with_value_error(symbols):
         BallotSequence(symbols, 1, 2)
 
 
+@pytest.mark.parametrize(
+    "symbols,a,m",
+    [
+        ((1, 2), 1.0, 2),  # was accepted, keeping a = 1.0
+        ((1, 2), 1, 2.0),  # was a TypeError from the count vector
+        ((1, 2), True, 2),
+        ((1, 2), 1, Symbol.TWO),
+        ((), 0, 2),  # enumerate_ballot refuses a < 1 and m < 2
+        ((1,), 1, 1),
+        ((), -1, 2),
+    ],
+)
+def test_ballot_sequence_refuses_a_shape_enumerate_ballot_refuses(symbols, a, m):
+    with pytest.raises(ValueError, match=re.escape(f"not a={a!r}, m={m!r}")):
+        BallotSequence(symbols, a, m)
+
+
 def test_ballot_sequence_copies_and_replacements_pass_the_constructor():
     word = BallotSequence([1, 1, 2, 2], 2, 2)
     for twin in (

@@ -13,7 +13,9 @@ import sys
 
 import pytest
 
-import bncurve.cli  # noqa: F401 (loads every module of the package)
+# the cli and selfcheck, which imports gonality, load every module of the
+# package, so every_binding below sees each binding of a patched name
+import bncurve.cli  # noqa: F401
 from bncurve.selfcheck import run_selftest
 
 # the modules by name: the package binds `bncurve.gonality` to the function
