@@ -416,9 +416,8 @@ def test_a_lost_ballot_word_exits_2_in_one_line(monkeypatch, capsys):
 
 
 # each command with a library name it calls and the module it reads that name
-# from when it runs: bncurve.cli for most, the certificate layer that
-# gonality5 and selftest import on their first call for those two; the cached
-# parser holds the _cmd_* handlers themselves, so the library name is patched
+# from as it runs (gonality5 and selftest import theirs when called); the
+# cached parser holds the _cmd_* handlers themselves, so the name is patched
 LIBRARY_CALLS = [
     (["catalan", "--a", "5"], "cli", "catalan"),
     (["castelnuovo", "--a", "2", "--r", "1"], "cli", "limit_series_census"),
