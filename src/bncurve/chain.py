@@ -259,6 +259,10 @@ def all_components(chain: ChainSpec) -> list[BNComponentId]:
 
 
 TABLE_CELL_BUDGET = 10**7
+# the largest a that build_bn_curve and the `curve` command build unless
+# given max_a; defined here so that the CLI's parser reads it without
+# loading bncurve.curve
+DEFAULT_MAX_A = 6
 
 
 def _lay_out(template: tuple, n: int, *columns) -> list[str]:

@@ -14,9 +14,13 @@ output is exact decimal text.
 worker and the test suite do.  The argparse parser is built on the first
 call, not at import, and reused by every later one.
 
-Only `gonality5` and `selftest` load the gonality certificate layer
-(`bncurve.gonality`, `bncurve.selfcheck` and `json`), on their first call;
-the other commands never import it.
+Each command loads what it uses on its first call, and nothing at import.
+`curve`, `gonality5` and `selftest` load the curve graph, `bncurve.curve`;
+`curve` and `selftest` load `fractions` with the published genus formula;
+only `gonality5` and `selftest` load the gonality certificate layer
+(`bncurve.gonality`, `bncurve.selfcheck` and `json`).  `catalan`,
+`castelnuovo`, `census` and `tables` run on `combinatorics` and `chain`
+alone and never import any of these.
 """
 
 from __future__ import annotations
@@ -27,10 +31,9 @@ import os
 import sys
 from functools import cache
 
-from .chain import ChainSpec, _refuse_unprintable, limit_series_census, render_tables
+from .chain import DEFAULT_MAX_A, ChainSpec, _refuse_unprintable
+from .chain import limit_series_census, render_tables
 from .combinatorics import catalan
-from .curve import DEFAULT_MAX_A, build_bn_curve, eh_formula, export_graph
-from .curve import eh_formula_corrected, genus_closed, genus_from_graph
 
 
 @cache
@@ -159,6 +162,9 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_curve(args) -> int:
+    from .curve import build_bn_curve, eh_formula, eh_formula_corrected
+    from .curve import export_graph, genus_closed, genus_from_graph
+
     graph = build_bn_curve(args.a, max_a=args.max_a)
     closed = genus_closed(args.a)
     graph_genus = genus_from_graph(graph)

@@ -9,9 +9,9 @@ larger one.  For m = 2 these are Dyck paths.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from functools import cache
-from typing import Iterator
 
 
 @cache

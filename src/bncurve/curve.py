@@ -52,13 +52,13 @@ names mapped to ints).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, islice
 from math import factorial
 from operator import attrgetter, eq
 
 from .chain import (
+    DEFAULT_MAX_A,
     BNComponentId,
     ChainSpec,
     _lay_out,
@@ -68,7 +68,6 @@ from .chain import (
 )
 from .combinatorics import _catalan_exceeds, _unchecked, catalan
 
-DEFAULT_MAX_A = 6
 CURVE_SIZE_BUDGET = 10**7
 
 
@@ -437,6 +436,8 @@ def eh_formula(g: int, r: int, d: int) -> Fraction:
     (6 and 2 where the chain gives 11 and 3) because the printed formula
     drops the factor (r+1); see :func:`eh_formula_corrected`.
     """
+    from fractions import Fraction  # loaded here: most callers never evaluate it
+
     value = Fraction(g - d + r, g - d + 2 * r + 1)
     for i in range(r + 1):
         value *= Fraction(factorial(i), factorial(g - d + r + i))

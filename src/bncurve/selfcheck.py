@@ -200,34 +200,49 @@ def check_properties(graphs):
 def run_selftest(max_a: int | None = None) -> bool:
     """Run every check, print one line per criterion, return overall pass.
 
-    The checks form one table of (name, check, *args), each bound on a
-    written once there; max_a lowers every bound, and above a bound changes
-    nothing.  The curve graphs for a = 1..min(max_a, 6) are built once, up
-    front, into one list that the graph checks read prefixes of; the list
-    lives until the run ends.  Raises ValueError for max_a < 1, under which
-    the sized checks would loop over nothing and pass."""
+    The checks form one table of (name, check, graphs read, *args), each
+    bound on a written once there; max_a lowers every bound, and above a
+    bound changes nothing.  The curve graphs for a = 1..min(max_a, 6) are
+    built once, up front, into one list that the graph checks read
+    prefixes of; the list lives until the run ends.  A check that raises
+    fails with the exception's type and text, and so does every graph check
+    when the build raises; the lines after it still print.  Raises
+    ValueError for max_a < 1, under which the sized checks would loop over
+    nothing and pass."""
     if max_a is not None and max_a < 1:
         raise ValueError(f"max_a must be at least 1, got {max_a}")
 
     def bound(cap):
         return cap if max_a is None else min(max_a, cap)
 
-    graphs = [build_bn_curve(a) for a in range(1, bound(6) + 1)]
+    try:
+        graphs, build_error = [build_bn_curve(a) for a in range(1, bound(6) + 1)], None
+    except Exception as exc:
+        graphs, build_error = [], exc
+    # the third column is how many of the graphs the check reads, from
+    # a = 1, and passed after the other arguments; None for no graph
     checks = [
-        ("component count nu = (2a+1) c_a", check_component_count, bound(8), graphs),
-        ("node count delta, both forms", check_node_count, graphs),
-        ("genus, graph vs closed form", check_genus, graphs),
-        ("published-formula discrepancy flagged", check_eh_discrepancy),
-        ("Castelnuovo counts vs enumeration", check_castelnuovo, bound(8)),
-        ("g=5 table fidelity", check_table_fidelity),
-        ("nodal properties", check_nodal_properties, graphs[:5]),
-        ("Brill-Noether emptiness, rho < 0", check_bn_emptiness),
-        ("gonality pipeline", check_gonality),
-        ("property suite", check_properties, graphs[:3]),
+        ("component count nu = (2a+1) c_a", check_component_count, 6, bound(8)),
+        ("node count delta, both forms", check_node_count, 6),
+        ("genus, graph vs closed form", check_genus, 6),
+        ("published-formula discrepancy flagged", check_eh_discrepancy, None),
+        ("Castelnuovo counts vs enumeration", check_castelnuovo, None, bound(8)),
+        ("g=5 table fidelity", check_table_fidelity, None),
+        ("nodal properties", check_nodal_properties, 5),
+        ("Brill-Noether emptiness, rho < 0", check_bn_emptiness, None),
+        ("gonality pipeline", check_gonality, None),
+        ("property suite", check_properties, 3),
     ]
     all_ok = True
-    for name, check, *args in checks:
-        ok, detail = check(*args)
+    for name, check, reads, *args in checks:
+        try:
+            if reads is not None:
+                if build_error is not None:
+                    raise build_error
+                args.append(graphs[:reads])
+            ok, detail = check(*args)
+        except Exception as exc:
+            ok, detail = False, f"{type(exc).__name__}: {exc}"
         all_ok &= ok
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     return all_ok

@@ -391,39 +391,72 @@ def test_arithmetic_error_exits_2(monkeypatch, capsys):
     def fails(a):
         raise ArithmeticError("closed form did not divide exactly")
 
-    monkeypatch.setattr(sys.modules["bncurve.cli"], "genus_closed", fails)
+    monkeypatch.setattr(sys.modules["bncurve.curve"], "genus_closed", fails)
     assert main(["curve", "--a", "1"]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.splitlines()) == 1
     assert "did not divide exactly" in err
 
 
+def selftest_with(monkeypatch, capsys, original, mutant):
+    """`main(["selftest"])` with `original` replaced by `mutant` in every
+    module of the package that binds it: it exits 2 with nothing on stderr
+    and ten lines on stdout, returned as (status, name, detail)."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bncurve") and getattr(module, original.__name__, None) is original:
+            monkeypatch.setattr(module, original.__name__, mutant)
+    assert main(["selftest"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = re.findall(r"^\[(PASS|FAIL)\] ([^:]+): (.*)$", captured.out, re.M)
+    assert len(lines) == 10 == len(captured.out.splitlines())
+    return lines
+
+
 def test_a_lost_ballot_word_exits_2_in_one_line(monkeypatch, capsys):
     # the second word of every m = 2 shape with a >= 2 goes missing, so the
-    # curve build looks up a word it never enumerated
-    chain = sys.modules["bncurve.chain"]
+    # up-front curve build looks up a word it never enumerated: each check
+    # that reads the graphs fails with that error in its one line
+    original = sys.modules["bncurve.combinatorics"].enumerate_ballot
 
-    def one_word_lost(a, m=2, _original=chain.enumerate_ballot):
-        for k, word in enumerate(_original(a, m)):
+    def one_word_lost(a, m=2):
+        for k, word in enumerate(original(a, m)):
             if not (a >= 2 and m == 2 and k == 1):
                 yield word
 
-    monkeypatch.setattr(chain, "enumerate_ballot", one_word_lost)
-    assert main(["selftest"]) == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err and len(err.splitlines()) == 1
-    assert err == "internal failure: KeyError((1, 2, 1, 2))\n"
+    lines = selftest_with(monkeypatch, capsys, original, one_word_lost)
+    assert {
+        "component count nu = (2a+1) c_a",
+        "node count delta, both forms",
+        "genus, graph vs closed form",
+        "nodal properties",
+        "property suite",
+    } <= {name for status, name, detail in lines
+          if (status, detail) == ("FAIL", "KeyError: (1, 2, 1, 2)")}
+
+
+def test_a_check_that_raises_fails_its_line_and_the_rest_print(monkeypatch, capsys):
+    # catalan(3) one too large: the genus closed form no longer divides
+    # exactly, so check_genus raises, and the seven lines after it print too
+    original = sys.modules["bncurve.combinatorics"].catalan
+
+    def catalan_3_one_too_large(a):
+        return original(a) + (a == 3)
+
+    lines = selftest_with(monkeypatch, capsys, original, catalan_3_one_too_large)
+    assert ("FAIL", "genus, graph vs closed form",
+            "ArithmeticError: genus formula did not divide exactly") in lines
 
 
 # each command with a library name it calls and the module it reads that name
-# from as it runs (gonality5 and selftest import theirs when called); the
+# from as it runs (curve, gonality5 and selftest import theirs when called); the
 # cached parser holds the _cmd_* handlers themselves, so the name is patched
 LIBRARY_CALLS = [
     (["catalan", "--a", "5"], "cli", "catalan"),
     (["castelnuovo", "--a", "2", "--r", "1"], "cli", "limit_series_census"),
     (["census", "--g", "5", "--r", "1", "--d", "4"], "cli", "limit_series_census"),
     (["tables", "--g", "5", "--d", "4"], "cli", "render_tables"),
-    (["curve", "--a", "2"], "cli", "build_bn_curve"),
+    (["curve", "--a", "2"], "curve", "build_bn_curve"),
     (["gonality5"], "gonality", "gonality"),
     (["gonality5", "--degree", "3"], "gonality", "build_w14_circuit"),
     (["selftest"], "selfcheck", "run_selftest"),

@@ -13,8 +13,8 @@ import sys
 
 import pytest
 
-# the cli and selfcheck, which imports gonality, load every module of the
-# package, so every_binding below sees each binding of a patched name
+# the cli and selfcheck, which imports curve and gonality, load every module
+# of the package, so every_binding below sees each binding of a patched name
 import bncurve.cli  # noqa: F401
 from bncurve.selfcheck import run_selftest
 
@@ -27,6 +27,7 @@ selfcheck = sys.modules["bncurve.selfcheck"]
 _moved, _walk = curve._moved, chain._walk
 _catalan, _export_graph = combinatorics.catalan, curve.export_graph
 _generalized_catalan = combinatorics.generalized_catalan
+_enumerate_ballot = combinatorics.enumerate_ballot
 
 
 def every_binding(function):
@@ -65,6 +66,20 @@ def json_export_without_its_last_newline(graph, fmt):
 
 def catalan_7_one_too_large(a):
     return _catalan(a) + (a == 7)
+
+
+def catalan_3_one_too_large(a):
+    # the genus closed form then no longer divides exactly: check_genus
+    # raises ArithmeticError, which fails its line
+    return _catalan(a) + (a == 3)
+
+
+def enumerate_ballot_losing_a_word(a, m=2):
+    # the second word of each m = 2 shape with a >= 2; the up-front graph
+    # build then raises KeyError, which fails every check that reads graphs
+    for k, word in enumerate(_enumerate_ballot(a, m)):
+        if not (a >= 2 and m == 2 and k == 1):
+            yield word
 
 
 MUTATIONS = [
@@ -127,6 +142,35 @@ MUTATIONS = [
             "property suite",
         },
         id="catalan(7) one too large",
+    ),
+    pytest.param(
+        every_binding(_catalan),
+        "catalan",
+        catalan_3_one_too_large,
+        {
+            "component count nu = (2a+1) c_a",
+            "node count delta, both forms",
+            "genus, graph vs closed form",
+            "nodal properties",
+            "property suite",
+        },
+        id="catalan(3) one too large",
+    ),
+    pytest.param(
+        every_binding(_enumerate_ballot),
+        "enumerate_ballot",
+        enumerate_ballot_losing_a_word,
+        {
+            "component count nu = (2a+1) c_a",
+            "node count delta, both forms",
+            "genus, graph vs closed form",
+            "Castelnuovo counts vs enumeration",
+            "g=5 table fidelity",
+            "nodal properties",
+            "gonality pipeline",
+            "property suite",
+        },
+        id="enumerate_ballot loses the second word of each m = 2 shape with a >= 2",
     ),
 ]
 
