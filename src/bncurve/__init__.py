@@ -114,8 +114,9 @@ class _Package(_ModuleType):
         # submodule's own name is the module unless the module defines that
         # name too, as bncurve.gonality defines the function gonality()
         if _LAZY.get(name) == name and isinstance(value, _ModuleType):
-            for lazy in [lazy for lazy, module in _LAZY.items() if module == name]:
-                super().__setattr__(lazy, getattr(value, lazy, value))
+            for lazy, module in _LAZY.items():
+                if module == name:
+                    super().__setattr__(lazy, getattr(value, lazy, value))
         else:
             super().__setattr__(name, value)
 
