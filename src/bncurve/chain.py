@@ -24,7 +24,6 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .combinatorics import (
-    _catalan_exceeds,
     _unchecked,
     catalan,
     enumerate_ballot,
@@ -315,7 +314,9 @@ def _table_pieces(chain: ChainSpec, fmt: str) -> list[str]:
     if fmt not in ("csv", "text"):
         raise ValueError(f"unknown table format: {fmt!r}")
     g, a = chain.g, chain.a  # chain.a validates the rho=1 shape
-    if _catalan_exceeds(a, TABLE_CELL_BUDGET, lambda k, cat, cat_next: g * g * cat):
+    # g^2 c_k up to k = a, where it is nu * g; the range is lazy, so a huge
+    # a stops at the first k over budget
+    if any(g * g * catalan(k) > TABLE_CELL_BUDGET for k in range(1, a + 1)):
         raise ValueError(f"tables for g={g} exceed {TABLE_CELL_BUDGET} cells")
     names = [bundle_name(u, chain.d) for u in range(chain.d + 1)]
     marks = ["|" + str(i) for i in range(1, g + 1)]

@@ -168,13 +168,11 @@ def _cmd_curve(args) -> int:
     graph = build_bn_curve(args.a, max_a=args.max_a)
     closed = genus_closed(args.a)
     graph_genus = genus_from_graph(graph)
-    if graph_genus != closed:
-        print(
+    if graph_genus != closed:  # an internal failure: main exits 2
+        raise AssertionError(
             f"consistency failure: graph genus {graph_genus} != closed form "
-            f"{closed}",
-            file=sys.stderr,
+            f"{closed}"
         )
-        return 2
     eh = eh_formula(graph.g, 1, graph.d)
     eh_r1 = eh_formula_corrected(graph.g, 1, graph.d)
     flag = "DISCREPANT" if eh != closed else "agrees"
@@ -196,8 +194,7 @@ def _cmd_gonality5(args) -> int:
 
     if args.degree is not None:
         if not 1 <= args.degree <= 6:
-            print("error: --degree must be between 1 and 6", file=sys.stderr)
-            return 1
+            raise ValueError("--degree must be between 1 and 6")
         circuit = build_w14_circuit()
         if args.degree <= 5:
             trace = exclude_degree(args.degree, circuit)

@@ -32,27 +32,32 @@ def _unchecked(cls, *extra):
     return namespace["build"]
 
 
+def _check_shape(a, m) -> None:
+    """Raise ValueError unless `a` and `m` are plain ints (not a bool, not
+    a float) with a >= 1 and m >= 2: the one shape rule of the (a, m) words."""
+    if type(a) is not int or type(m) is not int or a < 1 or m < 2:
+        raise ValueError(
+            f"a must be an int >= 1 and m an int >= 2, not a={a!r}, m={m!r}"
+        )
+
+
 @dataclass(frozen=True, init=False)
 class BallotSequence:
     """An admissible word: `a` copies of each symbol in 1..m, ballot-ordered.
 
-    `__new__` first refuses a shape that :func:`enumerate_ballot` refuses:
-    an `a` or `m` that is not a plain int (a bool, a float), `a < 1` or
-    `m < 2`.  It then reads `symbols` once, checks the word with
-    :func:`is_admissible` and builds the record by :func:`_unchecked` with
-    the word as a tuple of plain ints, so one built from an iterator, a list
-    or bools equals and hashes as its tuple twin.  Raises ValueError, naming
-    the input as given, for a refused shape or word."""
+    `__new__` first refuses a shape by :func:`_check_shape`.  It then reads
+    `symbols` once, checks the word with :func:`is_admissible` and builds
+    the record by :func:`_unchecked` with the word as a tuple of plain ints,
+    so one built from an iterator, a list or bools equals and hashes as its
+    tuple twin.  Raises ValueError, naming the input as given, for a refused
+    shape or word."""
 
     symbols: tuple[int, ...]
     a: int
     m: int
 
     def __new__(cls, symbols, a, m):
-        if type(a) is not int or type(m) is not int or a < 1 or m < 2:
-            raise ValueError(
-                f"a must be an int >= 1 and m an int >= 2, not a={a!r}, m={m!r}"
-            )
+        _check_shape(a, m)
         try:
             word = tuple(symbols)
         except TypeError:
@@ -73,23 +78,6 @@ def catalan(a: int) -> int:
     return math.comb(2 * a, a) // (a + 1)
 
 
-def _catalan_exceeds(a: int, budget: int, size) -> bool:
-    """True when size(k, c_k, c_{k+1}) > budget for some k in 1..a, for a
-    `size` that grows with k: the one budget loop of the curve and table
-    builders, run before any enumeration.
-
-    The Catalan numbers are stepped by c_{k+1} = c_k (4k + 2) / (k + 2),
-    and the loop stops at the first k over budget, so even a huge `a` costs
-    only the steps it takes to pass the budget.
-    """
-    cat, cat_next = 1, 1
-    for k in range(1, a + 1):
-        cat, cat_next = cat_next, cat_next * (4 * k + 2) // (k + 2)
-        if size(k, cat, cat_next) > budget:
-            return True
-    return False
-
-
 def generalized_catalan(a: int, m: int) -> int:
     """Number of ballot words with `a` copies of each of m symbols.
 
@@ -99,12 +87,10 @@ def generalized_catalan(a: int, m: int) -> int:
     side with factors (a+i)!/i! = perm(a+i, a); the denominator divides
     (a*m)!, so the work is bounded by the size of (a*m)!.  A shorter side
     of 1 (a = 1: one copy of each symbol) admits only the word 1 2 ... m,
-    so that count is 1 with no factorial at all.
+    so that count is 1 with no factorial at all.  Raises ValueError for a
+    shape that :func:`_check_shape` refuses.
     """
-    if a < 1:
-        raise ValueError("a must be positive")
-    if m < 2:
-        raise ValueError("m must be at least 2")
+    _check_shape(a, m)
     if m > a:
         a, m = m, a
     if m == 1:
@@ -242,12 +228,10 @@ def enumerate_ballot(a: int, m: int = 2) -> Iterator[BallotSequence]:
     of them.  The walk is lazy and uses no recursion, so a*m is not
     limited by the recursion limit.  Every word is admissible by
     construction, so it is built by :func:`_unchecked`, without the
-    constructor's re-check.
+    constructor's re-check.  Raises ValueError, on the first `next`, for a
+    shape that :func:`_check_shape` refuses.
     """
-    if a < 1:
-        raise ValueError("a must be positive")
-    if m < 2:
-        raise ValueError("m must be at least 2")
+    _check_shape(a, m)
     word = [s for s in range(1, m + 1) for _ in range(a)]
     n = len(word)
     cut = max(n - _TAIL, 0)

@@ -66,7 +66,7 @@ from .chain import (
     all_components,
     propagate,
 )
-from .combinatorics import _catalan_exceeds, _unchecked, catalan
+from .combinatorics import _unchecked, catalan
 
 CURVE_SIZE_BUDGET = 10**7
 
@@ -340,13 +340,12 @@ def build_bn_curve(a: int, *, max_a: int = DEFAULT_MAX_A) -> BNCurveGraph:
     a >= 12 does not), and for a > max_a (a guard; pass a larger max_a, the
     CLI's --max-a, to override).
     """
-    if a < 1:
-        raise ValueError("a must be positive")
-    if _catalan_exceeds(
-        a,
-        CURVE_SIZE_BUDGET,
-        # nu + delta = (2k+1) c_k + 2((2k+1) c_k - c_{k+1})
-        lambda k, cat, cat_next: 3 * (2 * k + 1) * cat - 2 * cat_next,
+    chain = ChainSpec.rho_one(a)  # refuses a < 1
+    # nu + delta of the a = k curve for each k <= a; the range is lazy, so
+    # a huge a stops at the first k over budget
+    if any(
+        (2 * k + 1) * catalan(k) + delta_closed(k) > CURVE_SIZE_BUDGET
+        for k in range(1, a + 1)
     ):
         raise ValueError(
             f"the a={a} curve has more than {CURVE_SIZE_BUDGET} "
@@ -357,7 +356,6 @@ def build_bn_curve(a: int, *, max_a: int = DEFAULT_MAX_A) -> BNCurveGraph:
             f"a={a} exceeds the guard max_a={max_a}; "
             "pass --max-a (max_a= in Python) to override"
         )
-    chain = ChainSpec.rho_one(a)
     g = chain.g
     # ordered (sequence lex, marked), so index order is sort_key order and
     # the component (t, j) sits at index (rank of t) * g + j - 1

@@ -158,17 +158,23 @@ class TestGonality5:
 
     def test_out_of_range_degree(self, capsys):
         assert main(["gonality5", "--degree", "7"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --degree must be between 1 and 6\n"
 
     def test_failing_double_cover_exits_2(self, monkeypatch, capsys):
-        failing = VerificationReport()
-        failing.record("forced failure", False)
         monkeypatch.setattr(
-            sys.modules["bncurve.gonality"],
-            "verify_double_cover",
-            lambda cover=None: failing,
+            sys.modules["bncurve.gonality"], "verify_double_cover", failing_report
         )
         assert main(["gonality5"]) == 2
         assert "double cover failed verification" in capsys.readouterr().err
+
+
+def failing_report(cover=None):
+    """A stand-in for `verify_double_cover` whose one check fails."""
+    report = VerificationReport()
+    report.record("forced failure", False)
+    return report
 
 
 @pytest.mark.parametrize("argv", [["gonality5"], ["selftest"]])
@@ -398,6 +404,19 @@ def test_arithmetic_error_exits_2(monkeypatch, capsys):
     assert "did not divide exactly" in err
 
 
+def test_a_graph_genus_off_the_closed_form_exits_2_in_one_line(monkeypatch, capsys):
+    module = sys.modules["bncurve.curve"]
+    closed = module.genus_closed
+    monkeypatch.setattr(module, "genus_closed", lambda a: closed(a) + 1)
+    assert main(["curve", "--a", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal failure: AssertionError('consistency failure: graph genus "
+        "11 != closed form 12')\n"
+    )
+
+
 def selftest_with(monkeypatch, capsys, original, mutant):
     """`main(["selftest"])` with `original` replaced by `mutant` in every
     module of the package that binds it: it exits 2 with nothing on stderr
@@ -446,6 +465,16 @@ def test_a_check_that_raises_fails_its_line_and_the_rest_print(monkeypatch, caps
     lines = selftest_with(monkeypatch, capsys, original, catalan_3_one_too_large)
     assert ("FAIL", "genus, graph vs closed form",
             "ArithmeticError: genus formula did not divide exactly") in lines
+
+
+def test_a_failing_double_cover_fails_only_the_gonality_line(monkeypatch, capsys):
+    original = sys.modules["bncurve.gonality"].verify_double_cover
+    lines = selftest_with(monkeypatch, capsys, original, failing_report)
+    failed = [(name, detail) for status, name, detail in lines if status == "FAIL"]
+    assert len(failed) == 1 and failed[0][0] == "gonality pipeline"
+    assert failed[0][1].startswith(
+        "AssertionError: double cover failed verification: "
+    )
 
 
 # each command with a library name it calls and the module it reads that name

@@ -408,8 +408,15 @@ def test_ballot_sequence_refuses_with_value_error(symbols):
     ],
 )
 def test_ballot_sequence_refuses_a_shape_enumerate_ballot_refuses(symbols, a, m):
-    with pytest.raises(ValueError, match=re.escape(f"not a={a!r}, m={m!r}")):
-        BallotSequence(symbols, a, m)
+    # one shape rule: the constructor, the enumeration and the count refuse
+    # the same shapes with the same message
+    for refuse in (
+        lambda: BallotSequence(symbols, a, m),
+        lambda: next(enumerate_ballot(a, m)),
+        lambda: generalized_catalan(a, m),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"not a={a!r}, m={m!r}")):
+            refuse()
 
 
 def test_ballot_sequence_copies_and_replacements_pass_the_constructor():

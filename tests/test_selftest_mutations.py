@@ -192,3 +192,14 @@ def test_mutation_fails_its_selftest_lines(
     assert len(lines) == 10
     assert not ok
     assert failing <= {line for status, line in lines if status == "FAIL"}
+
+
+def test_every_line_but_the_rho_negative_search_has_a_failing_row(capsys):
+    # the one known exception: exhaustive_bound_search builds only the
+    # subsets of size at most rho, so for rho < 0 it returns [] without
+    # looking, and no slip in the model can flip that line
+    run_selftest()
+    lines = re.findall(r"^\[PASS\] ([^:]+):", capsys.readouterr().out, re.M)
+    assert len(lines) == 10
+    failing = set().union(*(row.values[3] for row in MUTATIONS))
+    assert failing == set(lines) - {"Brill-Noether emptiness, rho < 0"}
