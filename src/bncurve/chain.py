@@ -60,8 +60,8 @@ class ChainSpec:
 
     @classmethod
     def rho_one(cls, a: int) -> "ChainSpec":
-        if a < 1:
-            raise ValueError("a must be positive")
+        if type(a) is not int or a < 1:
+            raise ValueError(f"a must be an int >= 1, not {a!r}")
         return cls(g=2 * a + 1, d=a + 2)
 
 

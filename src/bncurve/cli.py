@@ -6,7 +6,8 @@ invalid input, including input over a size budget checked before any work
 `curve.CURVE_SIZE_BUDGET` components and nodes, or a `catalan`,
 `castelnuovo` or `census` count with more digits than the interpreter
 prints), 2 any other failure.  Errors are reported in one line on
-stderr.  A reader that closes stdout early (as `bncurve selftest | head -1`
+stderr, usage errors too (argparse alone prints a usage block and exits
+2).  A reader that closes stdout early (as `bncurve selftest | head -1`
 does) ends the command with exit 1 and nothing on stderr.  All numeric
 output is exact decimal text.
 
@@ -36,13 +37,22 @@ from .chain import limit_series_census, render_tables
 from .combinatorics import catalan
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ValueError, where
+    argparse's own print a usage block and exit 2, so that `main` reports
+    them as it does any invalid input.  Subparsers inherit the class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built once per process: it costs more than most
     commands.  Sharing it is safe because `parse_args` leaves the parser as
     it found it; each call fills a new namespace, and usage and help text
     are formatted when they are printed."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bncurve",
         description="Exact invariants of the degenerate Brill-Noether curve "
         "on a chain of elliptic curves.",
@@ -92,13 +102,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--degree",
         type=int,
+        choices=range(1, 7),
         default=None,
         help="run a single exclusion (1..5) or cover verification (6)",
     )
 
     p = sub.add_parser("selftest", help="run the full acceptance checks")
     p.set_defaults(run=_cmd_selftest)
-    p.add_argument("--max-a", type=int, default=None)
 
     return parser
 
@@ -193,8 +203,6 @@ def _cmd_gonality5(args) -> int:
     from .gonality import gonality, verify_cover
 
     if args.degree is not None:
-        if not 1 <= args.degree <= 6:
-            raise ValueError("--degree must be between 1 and 6")
         circuit = build_w14_circuit()
         if args.degree <= 5:
             trace = exclude_degree(args.degree, circuit)
@@ -218,20 +226,17 @@ def _cmd_gonality5(args) -> int:
 def _cmd_selftest(args) -> int:
     from .selfcheck import run_selftest
 
-    ok = run_selftest(max_a=args.max_a)
-    return 0 if ok else 2
+    return 0 if run_selftest() else 2
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code else 0
-    try:
+        args = _build_parser().parse_args(argv)
         code = args.run(args)
         sys.stdout.flush()
         return code
+    except SystemExit as exc:  # --help, which argparse prints and exits 0 after
+        return 1 if exc.code else 0
     except BrokenPipeError:
         # the reader is gone; point stdout at devnull so that the flush at
         # interpreter exit does not raise again (the Python docs' idiom)

@@ -248,8 +248,10 @@ def _word_nodes(seq: tuple) -> int:
     first slot of a run of 1s that starts at height 0.  Those runs are the
     first run and the one after each return to 0 but the last, R in all.
 
-    Summed over all Dyck words, sum(D) = sum(R) = 3a c_a / (a + 2), so the
-    counts add up to 4a c_a - 6a c_a / (a + 2) = :func:`delta_closed`.
+    D and R are each distributed over the Dyck words as the ballot numbers
+    b(a, k) = k/(2a-k) C(2a-k, a), so sum(D) = sum(R) = 3a c_a / (a + 2)
+    and the counts add up to 4a c_a - 6a c_a / (a + 2) = :func:`delta_closed`
+    (TestWordNodes in tests/test_curve.py checks each of these steps).
     """
     a = len(seq) // 2
     final = seq[::-1].index(1)  # D: seq ends in 2s and holds a 1
@@ -335,12 +337,12 @@ def build_bn_curve(a: int, *, max_a: int = DEFAULT_MAX_A) -> BNCurveGraph:
     and its connectivity is checked by the int union-find
     :func:`edges_connect`.
 
-    Raises ValueError, before any enumeration, for a < 1, when nu + delta
-    would exceed CURVE_SIZE_BUDGET, which max_a cannot lift (a <= 11 fits,
-    a >= 12 does not), and for a > max_a (a guard; pass a larger max_a, the
-    CLI's --max-a, to override).
+    Raises ValueError, before any enumeration, for an a that is not an int
+    >= 1, when nu + delta would exceed CURVE_SIZE_BUDGET, which max_a
+    cannot lift (a <= 11 fits, a >= 12 does not), and for a > max_a (a
+    guard; pass a larger max_a, the CLI's --max-a, to override).
     """
-    chain = ChainSpec.rho_one(a)  # refuses a < 1
+    chain = ChainSpec.rho_one(a)  # refuses a that is not an int >= 1
     # nu + delta of the a = k curve for each k <= a; the range is lazy, so
     # a huge a stops at the first k over budget
     if any(

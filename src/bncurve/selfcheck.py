@@ -41,8 +41,8 @@ GOLDEN_TABLES_G5 = {
 }
 
 
-def check_component_count(max_a: int, graphs):
-    for a in range(1, max_a + 1):
+def check_component_count(graphs):
+    for a in range(1, 9):
         census = limit_series_census(2 * a + 1, 1, a + 2)
         # generalized_catalan(a, 2), not the catalan(a) the census multiplies,
         # so a slip in catalan cannot pass on both sides
@@ -51,7 +51,7 @@ def check_component_count(max_a: int, graphs):
             return False, f"a={a}: census {census}"
         if a <= len(graphs) and graphs[a - 1].nu != census.count:
             return False, f"a={a}: census {census.count}, graph {graphs[a - 1].nu}"
-    return True, f"nu = (2a+1)*c_a for a <= {max_a}"
+    return True, "nu = (2a+1)*c_a for a <= 8"
 
 
 def check_node_count(graphs):
@@ -93,9 +93,8 @@ def check_eh_discrepancy():
     )
 
 
-def check_castelnuovo(max_a: int):
-    shapes = [(max_a, 1), (min(max_a, 4), 2), (min(max_a, 3), 3)]
-    for bound, r in shapes:
+def check_castelnuovo():
+    for bound, r in [(8, 1), (4, 2), (3, 3)]:
         for a in range(1, bound + 1):
             n = sum(1 for _ in enumerate_ballot(a, r + 1))
             if n != generalized_catalan(a, r + 1):
@@ -194,36 +193,27 @@ def check_properties(graphs):
     return True, "recursion, specialization, ballot oracle, export determinism"
 
 
-def run_selftest(max_a: int | None = None) -> bool:
+def run_selftest() -> bool:
     """Run every check, print one line per criterion, return overall pass.
 
-    The checks form one table of (name, check, graphs read, *args), each
-    bound on a written once there; max_a lowers every bound, and above a
-    bound changes nothing.  The curve graphs for a = 1..min(max_a, 6) are
-    built once, up front, into one list that the graph checks read
+    The checks form one table of (name, check, graphs read), each bound on
+    a written once, in the check itself.  The curve graphs for a = 1..6
+    are built once, up front, into one list that the graph checks read
     prefixes of; the list lives until the run ends.  A check that raises
     fails with the exception's type and text, and so does every graph check
-    when the build raises; the lines after it still print.  Raises
-    ValueError for max_a < 1, under which the sized checks would loop over
-    nothing and pass."""
-    if max_a is not None and max_a < 1:
-        raise ValueError(f"max_a must be at least 1, got {max_a}")
-
-    def bound(cap):
-        return cap if max_a is None else min(max_a, cap)
-
+    when the build raises; the lines after it still print."""
     try:
-        graphs, build_error = [build_bn_curve(a) for a in range(1, bound(6) + 1)], None
+        graphs, build_error = [build_bn_curve(a) for a in range(1, 7)], None
     except Exception as exc:
         graphs, build_error = [], exc
     # the third column is how many of the graphs the check reads, from
-    # a = 1, and passed after the other arguments; None for no graph
+    # a = 1, and passes as its one argument; None for no graph
     checks = [
-        ("component count nu = (2a+1) c_a", check_component_count, 6, bound(8)),
+        ("component count nu = (2a+1) c_a", check_component_count, 6),
         ("node count delta, both forms", check_node_count, 6),
         ("genus, graph vs closed form", check_genus, 6),
         ("published-formula discrepancy flagged", check_eh_discrepancy, None),
-        ("Castelnuovo counts vs enumeration", check_castelnuovo, None, bound(8)),
+        ("Castelnuovo counts vs enumeration", check_castelnuovo, None),
         ("g=5 table fidelity", check_table_fidelity, None),
         ("nodal properties", check_nodal_properties, 5),
         ("Brill-Noether emptiness, rho < 0", check_bn_emptiness, None),
@@ -231,13 +221,11 @@ def run_selftest(max_a: int | None = None) -> bool:
         ("property suite", check_properties, 3),
     ]
     all_ok = True
-    for name, check, reads, *args in checks:
+    for name, check, reads in checks:
         try:
-            if reads is not None:
-                if build_error is not None:
-                    raise build_error
-                args.append(graphs[:reads])
-            ok, detail = check(*args)
+            if reads is not None and build_error is not None:
+                raise build_error
+            ok, detail = check() if reads is None else check(graphs[:reads])
         except Exception as exc:
             ok, detail = False, f"{type(exc).__name__}: {exc}"
         all_ok &= ok

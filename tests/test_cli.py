@@ -157,10 +157,14 @@ class TestGonality5:
         assert payload["passed"] is True
 
     def test_out_of_range_degree(self, capsys):
-        assert main(["gonality5", "--degree", "7"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: --degree must be between 1 and 6\n"
+        # argparse refuses it against choices=range(1, 7), in one line
+        for degree in ("0", "7"):
+            assert main(["gonality5", "--degree", degree]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1
+            assert captured.err.startswith(
+                f"error: argument --degree: invalid choice: {degree} "
+            )
 
     def test_failing_double_cover_exits_2(self, monkeypatch, capsys):
         monkeypatch.setattr(
@@ -201,14 +205,6 @@ class TestSelftest:
         assert len(lines) == 10
         assert all(line.startswith("[PASS] ") for line in lines)
 
-    def test_max_a_bounds_the_sized_checks(self, capsys):
-        assert main(["selftest", "--max-a", "3"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        sized = ("component count", "node count", "genus", "nodal properties")
-        for prefix in sized:
-            (line,) = [s for s in lines if s.startswith(f"[PASS] {prefix}")]
-            assert line.endswith("a <= 3")
-
     def test_component_count_compares_each_graph_with_the_census(
         self, monkeypatch, capsys
     ):
@@ -219,7 +215,7 @@ class TestSelftest:
             return _original(1 if a == 2 else a)
 
         monkeypatch.setattr(module, "build_bn_curve", a1_graph_for_a2)
-        assert main(["selftest", "--max-a", "2"]) == 2
+        assert main(["selftest"]) == 2
         lines = capsys.readouterr().out.splitlines()
         (line,) = [s for s in lines if "component count" in s]
         assert line == "[FAIL] component count nu = (2a+1) c_a: a=2: census 10, graph 3"
@@ -231,26 +227,13 @@ class TestSelftest:
             return _original(seq) - (seq == (1, 1, 2, 2))
 
         monkeypatch.setattr(module, "_word_nodes", one_short_on_1122)
-        assert main(["selftest", "--max-a", "2"]) == 2
+        assert main(["selftest"]) == 2
         lines = capsys.readouterr().out.splitlines()
         (line,) = [s for s in lines if "node count" in s]
         assert line == (
             "[FAIL] node count delta, both forms: a=2: scan 10, closed 10, "
             "pre-simplification 10, per word 9"
         )
-
-    def test_max_a_bounds_the_graphs_built(self, monkeypatch, capsys):
-        module = sys.modules["bncurve.selfcheck"]
-        built = []
-
-        def counted(a, _original=module.build_bn_curve):
-            built.append(a)
-            return _original(a)
-
-        monkeypatch.setattr(module, "build_bn_curve", counted)
-        assert main(["selftest", "--max-a", "3"]) == 0
-        # a = 1..3 once each, then the property suite's second a = 3 build
-        assert built == [1, 2, 3, 3]
 
     def test_each_graph_is_built_once_and_dropped_after_use(
         self, monkeypatch, capsys
@@ -324,15 +307,9 @@ class TestSelftest:
         assert module.check_table_fidelity() == (
             False, "g=5 tables differ from the golden tables"
         )
-        assert main(["selftest", "--max-a", "1"]) == 2
+        assert main(["selftest"]) == 2
         out = capsys.readouterr().out
         assert "[FAIL] g=5 table fidelity: g=5 tables differ" in out
-
-    def test_max_a_above_every_cap_changes_nothing(self, capsys):
-        assert main(["selftest"]) == 0
-        default = capsys.readouterr().out
-        assert main(["selftest", "--max-a", "9"]) == 0
-        assert capsys.readouterr().out == default
 
 
 class TestParsing:
@@ -531,9 +508,16 @@ HOSTILE = [
     (["catalan", "--a", "100000"], {1}, None),
     (["curve", "--a", "0"], {1}, None),
     (["gonality5", "--degree", "7"], {1}, None),
-    (["selftest", "--max-a", "0"], {1}, ""),  # sized checks would loop over nothing
+    # usage errors: argparse's own would print a usage block and exit 2
+    ([], {1}, ""),
+    (["frobnicate"], {1}, ""),
+    (["catalan"], {1}, ""),
+    (["catalan", "--a", "x"], {1}, ""),
+    (["curve", "--a", "2", "--format", "xml"], {1}, ""),
+    (["selftest", "--max-a", "3"], {1}, ""),  # selftest takes no option
+    (["selftest", "--max-a", "0"], {1}, ""),
     (["selftest", "--max-a", "-3"], {1}, ""),
-    (["selftest", "--max-a", "100000"], {0}, r"(\[PASS\] [^\n]*\n){10}"),
+    (["selftest", "--max-a", "100000"], {1}, ""),
 ]
 SRC = Path(__file__).resolve().parents[1] / "src"
 

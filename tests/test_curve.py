@@ -1,6 +1,7 @@
 import json
 import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
 from itertools import accumulate
@@ -370,6 +371,17 @@ class TestBuild:
             with pytest.raises(RuntimeError, match="enumerated"):
                 build_bn_curve(a, max_a=a)
 
+    @pytest.mark.parametrize("a", [True, False, 2.0, 0, -1])
+    def test_a_that_is_not_an_int_at_least_1_is_refused_before_enumerating(
+        self, monkeypatch, a
+    ):
+        def enumerated(chain):
+            raise RuntimeError("enumerated")
+
+        monkeypatch.setattr(curve_module, "all_components", enumerated)
+        with pytest.raises(ValueError, match="a must be an int >= 1"):
+            build_bn_curve(a)
+
     def test_size_budget_is_nu_plus_delta(self):
         def size(a):
             return (2 * a + 1) * catalan(a) + delta_closed(a)
@@ -668,6 +680,13 @@ def returns(word):
     return list(accumulate(map((0, 1, -1).__getitem__, word))).count(0)
 
 
+def ballot_number(a, k):
+    """b(a, k) = k/(2a-k) C(2a-k, a), 1 <= k <= a; the division is exact."""
+    numerator = k * comb(2 * a - k, a)
+    assert numerator % (2 * a - k) == 0
+    return numerator // (2 * a - k)
+
+
 class TestWordNodes:
     @pytest.mark.parametrize("a", range(1, 9))
     def test_equals_the_nodes_of_each_word(self, a):
@@ -697,6 +716,25 @@ class TestWordNodes:
         third = 3 * a * catalan(a) // (a + 2)
         assert sum(map(final_run, words)) == sum(map(returns, words)) == third
         assert sum(map(_word_nodes, words)) == delta_closed(a)
+
+    @pytest.mark.parametrize("a", range(1, 11))
+    def test_final_run_and_returns_are_each_ballot_distributed(self, a):
+        # the Dyck words with D = k, and those with R = k, number b(a, k)
+        words = [w.symbols for w in enumerate_ballot(a)]
+        expected = {k: ballot_number(a, k) for k in range(1, a + 1)}
+        assert Counter(map(final_run, words)) == expected
+        assert Counter(map(returns, words)) == expected
+
+    def test_ballot_numbers_sum_to_delta_closed_far_past_enumeration(self):
+        # exact integers, no words: each word has g - 1 + 2a = 4a slots less
+        # D + R, and D and R each have mean 3a / (a + 2)
+        for a in range(1, 400):
+            b = [ballot_number(a, k) for k in range(1, a + 1)]
+            moment = sum(k * n for k, n in enumerate(b, start=1))
+            assert sum(b) == catalan(a)
+            assert (a + 2) * moment == 3 * a * catalan(a)
+            assert 4 * a * catalan(a) - 2 * moment == delta_closed(a)
+            assert delta_closed(a) + 1 == genus_closed(a)
 
 
 class TestMirror:

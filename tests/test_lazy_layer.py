@@ -113,7 +113,7 @@ COMMAND_LOADS = [
     (["curve", "--a", "1", "--format", "dot"], {"bncurve.curve", "fractions"}),
     (["gonality5"], {"bncurve.curve", "bncurve.gonality", "json"}),
     (["gonality5", "--degree", "6"], {"bncurve.curve", "bncurve.gonality", "json"}),
-    (["selftest", "--max-a", "2"], {*CURVE, *LAYER}),
+    (["selftest"], {*CURVE, *LAYER}),
 ]
 
 

@@ -1,11 +1,17 @@
-"""The private names that one module of the package imports from another.
+"""The private names that one module of the package imports from another,
+and the options that each CLI subcommand takes.
 
 Each such pair is a helper that two modules know, so a new one arrives only
-as a reviewed edit to SHARED_PRIVATE_NAMES.
+as a reviewed edit to SHARED_PRIVATE_NAMES; each option is a knob that the
+CLI documents and tests, so a new one arrives only as a reviewed edit to
+CLI_OPTIONS.
 """
 
+import argparse
 import ast
 from pathlib import Path
+
+from bncurve import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bncurve"
 
@@ -30,3 +36,33 @@ def test_private_names_shared_between_modules_are_the_recorded_ones():
         if alias.name.startswith("_")
     }
     assert shared == SHARED_PRIVATE_NAMES
+
+
+# the option strings of the top-level parser and of each subcommand, less
+# -h/--help: 13 in all
+CLI_OPTIONS = {
+    "bncurve": set(),
+    "catalan": {"--a"},
+    "castelnuovo": {"--a", "--r"},
+    "census": {"--g", "--r", "--d"},
+    "tables": {"--g", "--d", "--format"},
+    "curve": {"--a", "--format", "--max-a"},
+    "gonality5": {"--degree"},
+    "selftest": set(),
+}
+
+
+def test_cli_options_are_the_recorded_ones():
+    parser = cli._build_parser()
+    (sub,) = [
+        action
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    options = {
+        name: {s for action in p._actions for s in action.option_strings}
+        - {"-h", "--help"}
+        for name, p in [("bncurve", parser), *sub.choices.items()]
+    }
+    assert options == CLI_OPTIONS
+    assert sum(map(len, options.values())) == 13
