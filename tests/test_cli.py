@@ -235,6 +235,37 @@ class TestSelftest:
             "pre-simplification 10, per word 9"
         )
 
+    def test_max_a_bounds_the_graphs_built(self, monkeypatch, capsys):
+        from bncurve.chain import DEFAULT_MAX_A
+
+        module = sys.modules["bncurve.selfcheck"]
+        calls = []
+
+        def recorded(a, _original=module.build_bn_curve, **kwargs):
+            calls.append((a, kwargs))
+            return _original(a, **kwargs)
+
+        monkeypatch.setattr(module, "build_bn_curve", recorded)
+        assert main(["selftest"]) == 0
+        # every build stays under the default guard, which it does not lift
+        assert all(kwargs == {} for _, kwargs in calls)
+        assert max(a for a, _ in calls) == DEFAULT_MAX_A
+        capsys.readouterr()
+
+        # a guard one below the largest graph refuses that build, so every
+        # graph check fails with the guard's error and the rest still pass
+        def guarded(a, _original=module.build_bn_curve):
+            return _original(a, max_a=DEFAULT_MAX_A - 1)
+
+        monkeypatch.setattr(module, "build_bn_curve", guarded)
+        assert main(["selftest"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        failed = [s for s in lines if s.startswith("[FAIL]")]
+        assert len(failed) == 5 and len(lines) == 10
+        assert all(
+            f"ValueError: a={DEFAULT_MAX_A} exceeds the guard" in s for s in failed
+        )
+
     def test_each_graph_is_built_once_and_dropped_after_use(
         self, monkeypatch, capsys
     ):
