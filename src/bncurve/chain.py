@@ -24,6 +24,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .combinatorics import (
+    _check_shape,
     _unchecked,
     catalan,
     enumerate_ballot,
@@ -43,10 +44,9 @@ class ChainSpec:
     d: int
 
     def __post_init__(self):
-        if self.g < 2:
-            raise ValueError("need at least 2 components")
-        if self.d < 1:
-            raise ValueError("degree must be positive")
+        g, d = self.g, self.d
+        if type(g) is not int or type(d) is not int or g < 2 or d < 1:
+            raise ValueError(f"need ints g >= 2 and d >= 1, not g={g!r}, d={d!r}")
 
     @cached_property
     def a(self) -> int:
@@ -60,8 +60,7 @@ class ChainSpec:
 
     @classmethod
     def rho_one(cls, a: int) -> "ChainSpec":
-        if type(a) is not int or a < 1:
-            raise ValueError(f"a must be an int >= 1, not {a!r}")
+        _check_shape(a, 2)  # refuses an a that is not a plain int >= 1
         return cls(g=2 * a + 1, d=a + 2)
 
 
@@ -90,15 +89,12 @@ class BNComponentId:
     marked: int
 
     def __new__(cls, sequence, marked):
-        if type(sequence) is not tuple:
-            try:
-                sequence = tuple(sequence)
-            except TypeError:
-                raise ValueError(f"sequence {sequence} is not admissible") from None
         try:
+            if type(sequence) is not tuple:
+                sequence = tuple(sequence)
             word = bytes(sequence)
         except (TypeError, ValueError):
-            raise ValueError(f"sequence {sequence} is not admissible") from None
+            word = b""  # which _is_dyck refuses
         if not _is_dyck(word):
             raise ValueError(f"sequence {sequence} is not admissible")
         if type(marked) is bool or not isinstance(marked, int):
@@ -126,9 +122,9 @@ _component = _unchecked(BNComponentId)
 
 
 def _is_dyck(word: bytes) -> bool:
-    """True iff `word` is a ballot word for m = 2: its running depth,
-    count(1) - count(2), never goes negative and ends at 0, and it holds no
-    byte but 1 and 2."""
+    """True iff `word` is a ballot word for m = 2, as :func:`is_admissible`
+    decides it: it is not empty, its running depth, count(1) - count(2),
+    never goes negative and ends at 0, and it holds no byte but 1 and 2."""
     depth = 0
     for s in word:
         if s == 1:
@@ -137,13 +133,13 @@ def _is_dyck(word: bytes) -> bool:
             depth -= 1
         else:
             return False
-    return not depth
+    return not depth and word != b""
 
 
 def rho(g: int, r: int, d: int) -> int:
-    """Brill-Noether number g - (r+1)(g-d+r)."""
-    if g < 0 or d < 0 or r < 1:
-        raise ValueError("need g, d >= 0 and r >= 1")
+    """Brill-Noether number g - (r+1)(g-d+r), for plain ints g, d >= 0, r >= 1."""
+    if {type(g), type(r), type(d)} != {int} or g < 0 or d < 0 or r < 1:
+        raise ValueError(f"need ints g, d >= 0 and r >= 1, not {g!r}, {r!r}, {d!r}")
     return g - (r + 1) * (g - d + r)
 
 
@@ -301,15 +297,15 @@ def _table_pieces(chain: ChainSpec, fmt: str) -> list[str]:
     the checks that :func:`render_tables` documents.
 
     The columns come from one :func:`_walk` per ballot word s, in lex
-    order: with walk the offsets of (s, g) less its final None and shifted
-    each of them plus one, the offsets of (s, i) are walk[:i-1], then None,
-    then shifted[i-1:] (the shift identity of :func:`propagate`).  Read
-    across the g components instead, chain component r carries
-    shifted[r-2] on each (s, i) with i < r, None on (s, r) and walk[r-1] on
-    each i > r.  So each line is laid out straight from the walks, with no
-    table and no component record: in line r the g cells of a word are
-    r - 1 copies of one name, "L", then g - r copies of another, three
-    pieces taken from runs made once per line and name.
+    order: with walk the offsets of (s, g) less its final None, the offsets
+    of (s, i) are walk[:i-1], then None, then each of walk[i-1:] plus one
+    (the shift identity of :func:`propagate`).  Read across the g
+    components instead, chain component r carries walk[r-2] + 1 on each
+    (s, i) with i < r, None on (s, r) and walk[r-1] on each i > r.  So each
+    line is laid out straight from the walks, with no table and no
+    component record: in line r the g cells of a word are r - 1 copies of
+    one name, "L", then g - r copies of another, three pieces taken from
+    runs made once per line and name, the + 1 read as an index into lead[1:].
     """
     if fmt not in ("csv", "text"):
         raise ValueError(f"unknown table format: {fmt!r}")
@@ -320,14 +316,11 @@ def _table_pieces(chain: ChainSpec, fmt: str) -> list[str]:
         raise ValueError(f"tables for g={g} exceed {TABLE_CELL_BUDGET} cells")
     names = [bundle_name(u, chain.d) for u in range(chain.d + 1)]
     marks = ["|" + str(i) for i in range(1, g + 1)]
-    digits, walks, shifts = [], [], []
+    digits, walks = [], []
     for seq in enumerate_ballot(a, 2):
-        walk, shifted = _walk(seq.symbols)
         digits.append("".join(map(str, seq.symbols)))
-        walks.append(walk)
-        shifts.append(shifted)
-    # slot k of every word's walk, and of every shifted walk, in word order
-    walk_slots, shift_slots = list(zip(*walks)), list(zip(*shifts))
+        walks.append(_walk(seq.symbols)[0])
+    walk_slots = list(zip(*walks))  # slot k of every word's walk, in word order
     if fmt == "csv":
         sep, first, widths = ",", 0, [0] * g
     else:
@@ -342,7 +335,7 @@ def _table_pieces(chain: ChainSpec, fmt: str) -> list[str]:
     # the header cells of a word, each of its g labels after a separator
     pieces += [sep + text + (sep + text).join(marks) for text in digits]
     for r in range(1, g + 1):
-        # line r reads shifted[r-2] under (s, 1..r-1) and walk[r-1], which
+        # line r reads walk[r-2] + 1 under (s, 1..r-1) and walk[r-1], which
         # is walk[r-g], under (s, r+1..g); at r = 1 and r = g the index
         # wraps round to an entry that is written zero times
         lead = [
@@ -354,7 +347,7 @@ def _table_pieces(chain: ChainSpec, fmt: str) -> list[str]:
         pieces += _lay_out(
             (None, "L".rjust(widths[r - 1]), None),
             len(digits),
-            map(lead.__getitem__, shift_slots[r - 2]),
+            map(lead[1:].__getitem__, walk_slots[r - 2]),
             map(trail.__getitem__, walk_slots[r - g]),
         )
     pieces.append("\n")

@@ -72,9 +72,9 @@ class BallotSequence:
 
 
 def catalan(a: int) -> int:
-    """The a-th Catalan number, (2a)! / (a! (a+1)!)."""
-    if a < 0:
-        raise ValueError("a must be nonnegative")
+    """The a-th Catalan number, (2a)! / (a! (a+1)!), for a plain int a >= 0."""
+    if type(a) is not int or a < 0:
+        raise ValueError(f"a must be a nonnegative int, not {a!r}")
     return math.comb(2 * a, a) // (a + 1)
 
 
@@ -107,10 +107,11 @@ def generalized_catalan(a: int, m: int) -> int:
 def is_admissible(symbols, a: int, m: int) -> bool:
     """True iff `symbols` is a valid ballot word for (a, m).
 
-    Requires length a*m, each symbol in 1..m occurring exactly a times, and
-    in every prefix count(s) >= count(t) whenever s < t.  A symbol that is
-    not an int in 1..m (a float, a string, None) makes it False, never
-    True, and so does a `symbols` that is not iterable (None, an int).
+    Requires a shape that :func:`_check_shape` admits, so the empty word is
+    no word, length a*m, each symbol in 1..m occurring exactly a times, and
+    in every prefix count(s) >= count(t) whenever s < t.  It is False, and
+    never raises, for a refused shape, a symbol that is not an int in 1..m
+    (a float, a string, None) and a `symbols` that is not iterable.
 
     It costs about one comparison per symbol.  The counts carry a sentinel
     counts[0] = a: the count vector stays non-increasing, so a symbol s is
@@ -119,23 +120,17 @@ def is_admissible(symbols, a: int, m: int) -> bool:
     whose counts never exceed a then holds each symbol exactly a times.
     """
     try:
+        _check_shape(a, m)
         symbols = tuple(symbols)
-    except TypeError:
-        return False
-    if len(symbols) != a * m:
-        return False
-    if not symbols:
-        return True
-    counts = [0] * (m + 1)
-    counts[0] = a
-    try:
-        if min(symbols) < 1 or max(symbols) > m:
+        if len(symbols) != a * m or min(symbols) < 1 or max(symbols) > m:
             return False
+        counts = [0] * (m + 1)
+        counts[0] = a
         for s in symbols:
             if counts[s] >= counts[s - 1]:
                 return False
             counts[s] += 1
-    except TypeError:
+    except (TypeError, ValueError):
         return False
     return True
 

@@ -102,11 +102,12 @@ class BNCurveGraph:
     y index, y_offset), each index into `components` and x index < y index.
     A tuple keeps the graph immutable and hashable, which its cached
     connectivity and profiles rely on.  `nodes` builds the IntersectionNode
-    records from it on first use.  Raises ValueError for a component whose
-    word length is not 2a, a component listed twice, a table whose length
-    is not a multiple of 4, an entry that is not a plain int (a bool, a
-    float or an int subclass prints differently from its int twin), a row
-    whose x index is not below its y index, or an index outside 0..nu-1.
+    records from it on first use.  Raises ValueError for an a that
+    :meth:`ChainSpec.rho_one` refuses, a component whose word length is not
+    2a, a component listed twice, a table whose length is not a multiple of
+    4, an entry that is not a plain int (a bool, a float or an int subclass
+    prints differently from its int twin), a row whose x index is not below
+    its y index, or an index outside 0..nu-1.
     """
 
     a: int
@@ -114,6 +115,7 @@ class BNCurveGraph:
     node_table: tuple[int, ...]
 
     def __post_init__(self):
+        ChainSpec.rho_one(self.a)  # refuses an a that is not an int >= 1
         table, nu = self.node_table, len(self.components)
         for comp in self.components:
             if len(comp.sequence) != 2 * self.a:
@@ -249,9 +251,21 @@ def _word_nodes(seq: tuple) -> int:
     first run and the one after each return to 0 but the last, R in all.
 
     D and R are each distributed over the Dyck words as the ballot numbers
-    b(a, k) = k/(2a-k) C(2a-k, a), so sum(D) = sum(R) = 3a c_a / (a + 2)
-    and the counts add up to 4a c_a - 6a c_a / (a + 2) = :func:`delta_closed`
-    (TestWordNodes in tests/test_curve.py checks each of these steps).
+    b(a, k) = k/(2a-k) C(2a-k, a).  For R: a word with R = k is k primes
+    1 w 2 in a row, and b(a, k) is the coefficient of x^a in (x c(x))^k,
+    where c is the Catalan series.  For D: the mirror, s reversed with 1
+    and 2 swapped, permutes the Dyck words and sends the final run of 2s
+    to the first run of 1s, the height of the first peak; and Deutsch's
+    involution ("An involution on Dyck paths and its consequences",
+    Discrete Math. 204, 1999) shows that height distributed as R.  So
+    sum(D) = sum(R) = sum_k k b(a, k) = 3a c_a / (a + 2), and the counts
+    add up to 4a c_a - 6a c_a / (a + 2) = :func:`delta_closed`.
+    TestWordNodes (tests/test_curve.py) checks each step: the count,
+    test_equals_the_nodes_of_each_word; the mirror and Deutsch's
+    equidistribution, test_mirror_sends_the_final_run_to_the_first_peak;
+    the ballot numbers, test_final_run_and_returns_are_each_ballot_distributed;
+    the sum, in exact integers for a < 400,
+    test_ballot_numbers_sum_to_delta_closed_far_past_enumeration.
     """
     a = len(seq) // 2
     final = seq[::-1].index(1)  # D: seq ends in 2s and holds a 1
@@ -404,15 +418,13 @@ def build_bn_curve(a: int, *, max_a: int = DEFAULT_MAX_A) -> BNCurveGraph:
 
 def delta_closed(a: int) -> int:
     """Closed-form node count 2((2a+1) c_a - c_{a+1})."""
-    if a < 1:
-        raise ValueError("a must be positive")
+    ChainSpec.rho_one(a)  # refuses an a that is not an int >= 1
     return 2 * ((2 * a + 1) * catalan(a) - catalan(a + 1))
 
 
 def genus_closed(a: int) -> int:
     """Closed-form genus 1 + 2a(2a+1)/(a+2) * c_a; the division is exact."""
-    if a < 1:
-        raise ValueError("a must be positive")
+    ChainSpec.rho_one(a)  # refuses an a that is not an int >= 1
     num = 2 * a * (2 * a + 1) * catalan(a)
     if num % (a + 2):
         raise ArithmeticError("genus formula did not divide exactly")

@@ -136,6 +136,30 @@ class TestRho:
         assert checked == [(5, 1, 3)] * 3
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: ChainSpec(5.0, 4), id="ChainSpec(5.0, 4)"),
+        pytest.param(lambda: ChainSpec(5, True), id="ChainSpec(5, True)"),
+        pytest.param(
+            lambda: render_tables(ChainSpec(5.0, 4)),
+            id="render_tables(ChainSpec(5.0, 4))",
+        ),
+        pytest.param(
+            lambda: limit_series_census(5.0, 1, 4), id="limit_series_census(5.0, 1, 4)"
+        ),
+        pytest.param(lambda: rho(True, 1, 1), id="rho(True, 1, 1)"),
+        pytest.param(lambda: rho(5, 1.0, 4), id="rho(5, 1.0, 4)"),
+        pytest.param(lambda: catalan(2.0), id="catalan(2.0)"),
+        pytest.param(lambda: catalan(True), id="catalan(True)"),
+    ],
+)
+def test_chain_shapes_and_counts_refuse_what_is_not_a_plain_int(call):
+    # a float raised TypeError from deep inside, and a bool passed as 1
+    with pytest.raises(ValueError, match="int"):
+        call()
+
+
 class TestPropagate:
     def test_table_column_c1_prime(self):
         chain = ChainSpec.rho_one(2)
@@ -242,6 +266,7 @@ class TestComponentId:
         BNComponentId((1, 2, 1, 2), 5)
         for sequence, marked in [
             ((2, 1, 1, 2), 1),  # not a ballot word
+            ((), 1),  # the empty word is no word: a >= 1
             ((1, 2, 1), 1),  # odd length
             ((1, 2, 1, 2), 0),
             ((1, 2, 1, 2), 6),  # n + 2

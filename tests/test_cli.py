@@ -550,6 +550,10 @@ HOSTILE = [
     (["selftest", "--max-a", "-3"], {1}, ""),
     (["selftest", "--max-a", "100000"], {1}, ""),
 ]
+# the exact stderr line of a refused input, where it is pinned
+HOSTILE_STDERR = {
+    "curve --a 0": "error: a must be an int >= 1 and m an int >= 2, not a=0, m=2\n",
+}
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -572,6 +576,7 @@ def test_hostile_argv_exits_with_a_documented_code(argv, codes, stdout):
         assert proc.stderr.startswith("error: "), proc.stderr
     if stdout is not None:
         assert re.fullmatch(stdout, proc.stdout)
+    assert proc.stderr == HOSTILE_STDERR.get(" ".join(argv), proc.stderr)
 
 
 @pytest.mark.parametrize(

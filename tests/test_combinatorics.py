@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bncurve import combinatorics
-from bncurve.chain import _is_dyck
+from bncurve.chain import ChainSpec, _is_dyck
 from bncurve.combinatorics import (
     BallotSequence,
     catalan,
@@ -23,6 +23,7 @@ from bncurve.combinatorics import (
     is_admissible,
     transpose,
 )
+from bncurve.curve import BNCurveGraph, build_bn_curve, delta_closed, genus_closed
 
 
 def multiset_permutations(items):
@@ -151,8 +152,11 @@ class TestGeneralizedCatalan:
 
 
 def inline_admissible(word, a, m):
-    """The ballot rule spelled out: length a*m, every symbol an int in 1..m,
-    no prefix holding more t than t - 1, and a copies of each symbol."""
+    """The ballot rule spelled out: a and m plain ints with a >= 1 and
+    m >= 2, length a*m, every symbol an int in 1..m, no prefix holding more
+    t than t - 1, and a copies of each symbol."""
+    if type(a) is not int or type(m) is not int or a < 1 or m < 2:
+        return False
     if len(word) != a * m or not all(type(s) is int and 1 <= s <= m for s in word):
         return False
     counts = [0] * (m + 1)
@@ -195,8 +199,8 @@ class TestIsAdmissible:
                 ok = inline_admissible(word, a, m)
                 assert is_admissible(word, a, m) == ok, word
                 admitted += ok
-        # the empty word, then generalized_catalan(a, m) words per a >= 1
-        assert admitted == 1 + sum(
+        # generalized_catalan(a, m) words per a >= 1; the empty word is none
+        assert admitted == sum(
             generalized_catalan(a, m) for a in range(1, longest // m + 1)
         )
 
@@ -403,13 +407,15 @@ def test_ballot_sequence_refuses_with_value_error(symbols):
         ((1, 2), True, 2),
         ((1, 2), 1, Symbol.TWO),
         ((), 0, 2),  # enumerate_ballot refuses a < 1 and m < 2
+        ((), 0, 5),
         ((1,), 1, 1),
         ((), -1, 2),
     ],
 )
 def test_ballot_sequence_refuses_a_shape_enumerate_ballot_refuses(symbols, a, m):
     # one shape rule: the constructor, the enumeration and the count refuse
-    # the same shapes with the same message
+    # the same shapes with the same message, and the predicate answers False
+    assert is_admissible(symbols, a, m) is False
     for refuse in (
         lambda: BallotSequence(symbols, a, m),
         lambda: next(enumerate_ballot(a, m)),
@@ -417,6 +423,52 @@ def test_ballot_sequence_refuses_a_shape_enumerate_ballot_refuses(symbols, a, m)
     ):
         with pytest.raises(ValueError, match=re.escape(f"not a={a!r}, m={m!r}")):
             refuse()
+
+
+# every entry point that takes an a, each called with it at m = 2
+TAKES_A = {
+    "BallotSequence": lambda a: BallotSequence((1, 2), a, 2),
+    "enumerate_ballot": lambda a: next(enumerate_ballot(a, 2)),
+    "generalized_catalan": lambda a: generalized_catalan(a, 2),
+    "ChainSpec.rho_one": ChainSpec.rho_one,
+    "build_bn_curve": build_bn_curve,
+    "delta_closed": delta_closed,
+    "genus_closed": genus_closed,
+    "BNCurveGraph": lambda a: BNCurveGraph(a, (), ()),
+}
+
+
+@pytest.mark.parametrize("a", [0, -1, True, 2.0], ids=repr)
+@pytest.mark.parametrize("entry", TAKES_A.values(), ids=TAKES_A.keys())
+def test_every_entry_point_refuses_a_bad_a_with_the_shape_rule(entry, a):
+    # one rule, one message: _check_shape's, through every entry point
+    message = f"a must be an int >= 1 and m an int >= 2, not a={a!r}, m=2"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        entry(a)
+    for word in ((), (1, 2), (1, 1, 2, 2)):
+        assert is_admissible(word, a, 2) is False
+
+
+# ints, floats, bools, None and strings, as symbols and as a and m
+SCALARS = st.one_of(
+    st.integers(-2, 4),
+    st.sampled_from((1.0, 2.0, 0.5)),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(("1", "2", "")),
+)
+
+
+@given(st.one_of(st.lists(SCALARS, max_size=8), SCALARS), SCALARS, SCALARS)
+def test_is_admissible_never_raises_and_agrees_with_the_constructor(symbols, a, m):
+    answer = is_admissible(symbols, a, m)
+    try:
+        BallotSequence(symbols, a, m)
+    except ValueError:
+        accepted = False
+    else:
+        accepted = True
+    assert answer is accepted
 
 
 def test_ballot_sequence_copies_and_replacements_pass_the_constructor():

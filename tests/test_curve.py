@@ -517,14 +517,14 @@ class TestExport:
         assert export_graph(graph, "json") == reference_json(graph)
 
     def test_json_empty_lists(self):
-        # one component with an empty sequence and no nodes: both lists
-        # must render as []
+        # one a = 1 component and no nodes: the node list must render as [];
+        # a >= 1, so no sequence list is empty
         graph = BNCurveGraph(
-            a=0, components=(BNComponentId((), 1),), node_table=()
+            a=1, components=(BNComponentId((1, 2), 1),), node_table=()
         )
         text = export_graph(graph, "json")
         assert text == reference_json(graph)
-        assert '"sequence": []' in text and '"nodes": []' in text
+        assert '"nodes": []' in text and '"sequence": []' not in text
 
     @pytest.mark.parametrize("a", [1, 2, 3, 4, 5, 6])
     def test_dot_matches_the_node_records(self, a):
@@ -716,6 +716,17 @@ class TestWordNodes:
         third = 3 * a * catalan(a) // (a + 2)
         assert sum(map(final_run, words)) == sum(map(returns, words)) == third
         assert sum(map(_word_nodes, words)) == delta_closed(a)
+
+    @pytest.mark.parametrize("a", range(1, 11))
+    def test_mirror_sends_the_final_run_to_the_first_peak(self, a):
+        # s reversed with 1 <-> 2 permutes the words and turns D into the
+        # first run of 1s, whose length Deutsch's involution distributes as R
+        words = [w.symbols for w in enumerate_ballot(a)]
+        mirrors = [tuple(3 - v for v in reversed(s)) for s in words]
+        assert sorted(mirrors) == words
+        first_peak = [s.index(2) for s in mirrors]
+        assert first_peak == list(map(final_run, words))
+        assert Counter(first_peak) == Counter(map(returns, words))
 
     @pytest.mark.parametrize("a", range(1, 11))
     def test_final_run_and_returns_are_each_ballot_distributed(self, a):

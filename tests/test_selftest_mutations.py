@@ -55,6 +55,11 @@ def walk_with_first_shifted_entry_off_by_one(sequence):
     return walk, (shifted[0] + 1, *shifted[1:])
 
 
+def walk_with_first_entry_off_by_one(sequence):
+    walk, shifted = _walk(sequence)
+    return (walk[0] + 1, *walk[1:]), shifted
+
+
 def generalized_catalan_33_one_too_large(a, m):
     return _generalized_catalan(a, m) + ((a, m) == (3, 3))
 
@@ -101,8 +106,16 @@ MUTATIONS = [
         (chain,),
         "_walk",
         walk_with_first_shifted_entry_off_by_one,
-        {"g=5 table fidelity", "nodal properties", "gonality pipeline"},
+        {"nodal properties", "gonality pipeline"},
         id="_walk shifted entry off by one",
+    ),
+    pytest.param(
+        # the tables read each word's walk alone, shifted by index
+        (chain,),
+        "_walk",
+        walk_with_first_entry_off_by_one,
+        {"g=5 table fidelity"},
+        id="_walk entry off by one",
     ),
     pytest.param(
         (gonality,),

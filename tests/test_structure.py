@@ -17,6 +17,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "bncurve"
 
 # (importing module, module.name) for each `from .module import _name`
 SHARED_PRIVATE_NAMES = {
+    ("chain", "combinatorics._check_shape"),
     ("chain", "combinatorics._unchecked"),
     ("cli", "chain._refuse_unprintable"),
     ("curve", "chain._lay_out"),
