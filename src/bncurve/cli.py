@@ -11,6 +11,14 @@ stderr, usage errors too (argparse alone prints a usage block and exits
 does) ends the command with exit 1 and nothing on stderr.  All numeric
 output is exact decimal text.
 
+`curve` holds no graph: it lays its export out a ballot word at a time
+from the meet rule (`curve._curve_pieces`), with the refusals of
+`build_bn_curve` first and the same bytes as `export_graph` of the built
+graph.  It checks the genus, counted from the rows, against the closed
+form before it writes a byte, so a failure leaves stdout empty; then it
+writes the pieces a slice of about 1 MiB at a time, with no join of the
+whole text.
+
 `main(argv)` may be called many times in one process, as the benchmark
 worker and the test suite do.  The argparse parser is built on the first
 call, not at import, and reused by every later one.
@@ -113,31 +121,49 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_SLICE = 1 << 20  # characters encoded and written at a time
+_SLICE = 1 << 20  # characters encoded and written at a time, at most
+_BATCH = _SLICE // 64  # pieces joined at a time
 
 
-def _write_stdout(text: str) -> None:
-    """Write text to stdout in full.  The text is encoded a slice of _SLICE
-    characters at a time, by one incremental encoder whose last call, on
-    the last slice (empty when _SLICE divides the length), has
-    `final=True`; so the encoded copy never holds more than one slice, and
-    a stateful codec (utf-16 and its BOM) writes what one `encode` of the
-    whole text would.  Unbuffered (`python -u`), the text layer drops the
-    rest of a short raw write, so each slice's bytes are fed to
-    stdout.buffer until all are taken; a reader that has gone away then
-    raises BrokenPipeError.  A stdout with no buffer (a StringIO) takes the
-    text."""
+def _slices(pieces: list):
+    """The text of the pieces, in order, in slices of at most _SLICE
+    characters.  _BATCH pieces are joined at a time, each join in one
+    call, and a text longer than _SLICE is cut, so no copy of the whole
+    text is made: the curve's pieces, a few dozen characters each, give
+    slices of about half a slice, and a table's text is cut into slices."""
+    for start in range(0, len(pieces), _BATCH):
+        text = "".join(pieces[start : start + _BATCH])
+        for cut in range(0, len(text), _SLICE):
+            yield text[cut : cut + _SLICE]
+
+
+def _write_stdout(pieces: list) -> None:
+    """Write the text of the pieces, a list of str, to stdout in full.
+
+    A stdout with no buffer (a StringIO) keeps the whole text, so it takes
+    it in one write of one join.  Otherwise the text is written a slice at
+    a time (:func:`_slices`), each slice encoded by one incremental
+    encoder, which a last call with `final=True` flushes, so the encoded
+    copy never holds more than one slice, and a stateful codec (utf-16 and
+    its BOM) writes what one `encode` of the whole text would.
+    Unbuffered (`python -u`), the text layer drops the rest of a short raw
+    write, so each slice's bytes are fed to stdout.buffer until all are
+    taken; a reader that has gone away then raises BrokenPipeError."""
     buffer = getattr(sys.stdout, "buffer", None)
     if buffer is None:
-        sys.stdout.write(text)
+        sys.stdout.write("".join(pieces))
         return
     sys.stdout.flush()
     encode = codecs.getincrementalencoder(sys.stdout.encoding)(sys.stdout.errors).encode
-    for start in range(0, len(text) + 1, _SLICE):
-        end = start + _SLICE
-        data = memoryview(encode(text[start:end], end > len(text)))
+
+    def put(data):
+        data = memoryview(data)
         while data:
             data = data[buffer.write(data) :]
+
+    for text in _slices(pieces):
+        put(encode(text))
+    put(encode("", True))
 
 
 def _cmd_catalan(args) -> int:
@@ -167,24 +193,23 @@ def _cmd_census(args) -> int:
 
 def _cmd_tables(args) -> int:
     chain = ChainSpec(g=args.g, d=args.d)
-    _write_stdout(render_tables(chain, args.format))
+    _write_stdout([render_tables(chain, args.format)])
     return 0
 
 
 def _cmd_curve(args) -> int:
-    from .curve import build_bn_curve, eh_formula, eh_formula_corrected
-    from .curve import export_graph, genus_closed, genus_from_graph
+    from .curve import _curve_pieces, eh_formula, eh_formula_corrected
+    from .curve import genus_closed
 
-    graph = build_bn_curve(args.a, max_a=args.max_a)
+    pieces, genus = _curve_pieces(args.a, args.format, args.max_a)
     closed = genus_closed(args.a)
-    graph_genus = genus_from_graph(graph)
-    if graph_genus != closed:  # an internal failure: main exits 2
+    if genus != closed:  # an internal failure: main exits 2
         raise AssertionError(
-            f"consistency failure: graph genus {graph_genus} != closed form "
-            f"{closed}"
+            f"consistency failure: graph genus {genus} != closed form {closed}"
         )
-    eh = eh_formula(graph.g, 1, graph.d)
-    eh_r1 = eh_formula_corrected(graph.g, 1, graph.d)
+    chain = ChainSpec.rho_one(args.a)
+    eh = eh_formula(chain.g, 1, chain.d)
+    eh_r1 = eh_formula_corrected(chain.g, 1, chain.d)
     flag = "DISCREPANT" if eh != closed else "agrees"
     flag_r1 = "DISCREPANT" if eh_r1 != closed else "agrees"
     print(
@@ -192,7 +217,7 @@ def _cmd_curve(args) -> int:
         f"{closed} ({flag}); with the (r+1) factor it gives {eh_r1} ({flag_r1})",
         file=sys.stderr,
     )
-    _write_stdout(export_graph(graph, args.format))
+    _write_stdout(pieces)
     return 0
 
 

@@ -41,6 +41,23 @@ the int (x index) * nu + (y index) and sorts the ints; and
 :func:`_word_nodes` counts, from the same scan read as a proof, each
 word's nodes with no graph at all.
 
+:func:`_node_rows` yields the same node table a word at a time, each node
+from the word that holds its smaller index, so the rows come out in
+order with no graph.  Moving a 2 forward keeps the head and then raises
+a 1 to a 2, so it lands on a higher word; moving a 1 forward lands on a
+lower one.  So a word t keeps its own 2-moves, and takes each 1-move
+that lands on it as a backward candidate: t reads head.1.2^R.tail, and
+the candidate s = head.2^r.1.2^(R-r).tail, r = 1..R, gives t when its 1
+moves to the front of its run of 2s.  Every 1-move of every word is one
+such candidate of its target, so no node is missed or found twice; a
+candidate is kept only if it is a ballot word and :func:`_moved` maps it
+back to t.  The offsets are read off t's runs, and connectivity is one
+byte per word: every word but 1^a 2^a holds a 1 right after a 2, whose
+move lands lower, so each word after the first is reached by a backward
+row before its turn.  The `curve` command lays these rows out through
+the export's own layout (:func:`_curve_pieces`), with no BNCurveGraph,
+no :func:`propagate` and no union-find.
+
 Two more nodal-curve rules are defined here once, for this graph and the
 genus-5 covers of :mod:`bncurve.gonality` alike: :func:`arithmetic_genus`
 (genus_from_graph, TargetTree.genus, CoverData.source_genus) and the
@@ -66,7 +83,7 @@ from .chain import (
     all_components,
     propagate,
 )
-from .combinatorics import _unchecked, catalan
+from .combinatorics import _unchecked, catalan, enumerate_ballot
 
 CURVE_SIZE_BUDGET = 10**7
 
@@ -276,6 +293,84 @@ def _word_nodes(seq: tuple) -> int:
     return 4 * a - final - returns
 
 
+def _node_rows(chain: ChainSpec):
+    """Yield (t, rows) for each ballot word t of the chain, in lex order,
+    where rows are the node rows whose smaller index lies on t, four ints
+    per node (x index, x_offset, y index, y_offset) in (x index, y index)
+    order: joined in turn, they are the :func:`build_bn_curve` node table.
+    Words are bytes, and component (t, i) has index k * g + i - 1, k the
+    rank of t.
+
+    The rows of t, of rank k, are its g - 1 path edges; its 2-moves, which
+    land above k: in each run of 1s t[start:q] followed by a 2, each slot
+    p with :func:`_moved` (t, p, q) = (t', q + 2); and its backward
+    candidates (the module docstring): for the 1 at p in front of a run of
+    2s, each s = t[:p] + 2^r + 1 + t[p + r + 1:], which ranks above k,
+    meets (t, p + r + 2) at (s, p + 1) when the rank dict knows s (it is a
+    ballot word) and :func:`_moved` (s, p, p + r) is (t, p + r + 2).  Once
+    a candidate dips below height 0, so do the longer ones.
+
+    The offsets are read as :func:`intersect` reads them, W_t[i - 1] on the
+    lower end (s, i) and W_s[j - 2] + 1 on the higher one (t, j), all from
+    t's own runs: the walk entry W_t[p] is #2s in t[:p] along a run of 1s
+    and 1 + #1s in t[:p] along a run of 2s.  A 2-move puts a 2 at p behind
+    t's head, so W_t'[p] = 1 + #1s in t[:p]; a candidate s reads its 1 at
+    p + r after r more 2s than t, so W_s[p + r] = W_t[p] + r.
+
+    Connectivity is proved a word at a time.  Each word's g components
+    form a path, and a backward row from t marks its source, one byte per
+    word, so a word that arrives marked meets a lower word, and by
+    induction the curve is connected once every word after the first
+    does (the module docstring proves they all do).  A word after the
+    first that arrives unmarked raises the build's AssertionError.
+    """
+    g, n = chain.g, chain.g - 1
+    words = [bytes(w.symbols) for w in enumerate_ballot(chain.a)]
+    rank = {t: k for k, t in enumerate(words)}
+    reached = bytearray(len(words))  # marked by a backward row
+    for k, t in enumerate(words):
+        if k and not reached[k]:
+            raise AssertionError("Brill-Noether curve graph came out disconnected")
+        base = k * g
+        rows = []  # (x index, y index, x_offset, y_offset), sorted below
+        ones = twos = 0  # #1s and #2s in t[:start]
+        start = 0
+        while start < n:
+            # the run of 1s t[start:q], then the run of 2s t[q:end]
+            q = t.index(2, start)
+            end = t.find(1, q)
+            if end < 0:
+                end = n
+            w1, w2 = twos, 1 + ones + q - start  # W along each run
+            for p in range(start, q):
+                ix = base + p
+                rows.append((ix, ix + 1, w1, w1 + 1))
+                moved = _moved(t, p, q)
+                if moved is not None:
+                    target, j = moved
+                    rows.append(
+                        (ix, rank[target] * g + j - 1, 1 + ones + p - start, w2 + 1)
+                    )
+            for ix in range(base + q, base + end):
+                rows.append((ix, ix + 1, w2, w2 + 1))
+            p = q - 1  # the 1 in front of the run of 2s
+            for r in range(1, end - q + 1):
+                s = t[:p] + t[q : q + r] + t[p:q] + t[q + r :]
+                ks = rank.get(s)
+                if ks is None:
+                    break
+                if _moved(s, p, p + r) == (t, p + r + 2):
+                    rows.append((base + q + r, ks * g + p, w1 + r + 1, w1))
+                    reached[ks] = 1
+            ones += q - start
+            twos += end - q
+            start = end
+        rows.sort()
+        table = [0] * (4 * len(rows))
+        table[0::4], table[2::4], table[1::4], table[3::4] = zip(*rows)
+        yield t, table
+
+
 def intersect(
     chain: ChainSpec, x: BNComponentId, y: BNComponentId
 ) -> IntersectionNode | None:
@@ -324,6 +419,29 @@ def intersect(
     return _node(hi, hi_offset, lo, lo_offset)
 
 
+def _curve_chain(a: int, max_a: int) -> ChainSpec:
+    """The chain of the a curve, after the refusals that
+    :func:`build_bn_curve` documents, made in that order and before any
+    enumeration; the `curve` command makes them through here too."""
+    chain = ChainSpec.rho_one(a)  # refuses a that is not an int >= 1
+    # nu + delta of the a = k curve for each k <= a; the range is lazy, so
+    # a huge a stops at the first k over budget
+    if any(
+        (2 * k + 1) * catalan(k) + delta_closed(k) > CURVE_SIZE_BUDGET
+        for k in range(1, a + 1)
+    ):
+        raise ValueError(
+            f"the a={a} curve has more than {CURVE_SIZE_BUDGET} "
+            "components and nodes"
+        )
+    if a > max_a:
+        raise ValueError(
+            f"a={a} exceeds the guard max_a={max_a}; "
+            "pass --max-a (max_a= in Python) to override"
+        )
+    return chain
+
+
 def build_bn_curve(a: int, *, max_a: int = DEFAULT_MAX_A) -> BNCurveGraph:
     """Build the full curve graph from the local meet rule.
 
@@ -356,22 +474,7 @@ def build_bn_curve(a: int, *, max_a: int = DEFAULT_MAX_A) -> BNCurveGraph:
     cannot lift (a <= 11 fits, a >= 12 does not), and for a > max_a (a
     guard; pass a larger max_a, the CLI's --max-a, to override).
     """
-    chain = ChainSpec.rho_one(a)  # refuses a that is not an int >= 1
-    # nu + delta of the a = k curve for each k <= a; the range is lazy, so
-    # a huge a stops at the first k over budget
-    if any(
-        (2 * k + 1) * catalan(k) + delta_closed(k) > CURVE_SIZE_BUDGET
-        for k in range(1, a + 1)
-    ):
-        raise ValueError(
-            f"the a={a} curve has more than {CURVE_SIZE_BUDGET} "
-            "components and nodes"
-        )
-    if a > max_a:
-        raise ValueError(
-            f"a={a} exceeds the guard max_a={max_a}; "
-            "pass --max-a (max_a= in Python) to override"
-        )
+    chain = _curve_chain(a, max_a)
     g = chain.g
     # ordered (sequence lex, marked), so index order is sort_key order and
     # the component (t, j) sits at index (rank of t) * g + j - 1
@@ -506,14 +609,18 @@ class _Texts(dict):
         return text
 
 
-def _json_pieces(graph: BNCurveGraph) -> list[str]:
-    """The pieces of the JSON export, in order.  Between two fields sits one
-    constant string, and each field is read from a table made once per
-    export: the labels, one text per distinct sequence (with the key before
-    it), one tail per distinct marked index (with the record's close), one
-    text per distinct offset on each side (with the key after it)."""
-    comps = graph.components
-    labels = list(map(attrgetter("label"), comps))
+def _json_pieces(
+    a: int, genus: int, labels: list, sequences, marks, table
+) -> list[str]:
+    """The pieces of the JSON export, in order, of a curve of the given a
+    and genus: its components, in index order, have the given labels,
+    sequences and marked indices, and its nodes are the rows of `table`,
+    four ints per node as in BNCurveGraph.node_table.  Between two fields
+    sits one constant string, and each field is read from a table made
+    once per export: the labels, one text per distinct sequence (with the
+    key before it), one tail per distinct marked index (with the record's
+    close), one text per distinct offset on each side (with the key after
+    it)."""
     seq_text = _Texts(
         lambda seq: '",\n      "sequence": '
         + "".join(_json_array("      ", "", len(seq), map(str, seq)))
@@ -521,24 +628,24 @@ def _json_pieces(graph: BNCurveGraph) -> list[str]:
     marked_text = _Texts(',\n      "marked": {}\n    }}'.format)
     x_text = _Texts('",\n      "x_offset": {},\n      "y": "'.format)
     y_text = _Texts('",\n      "y_offset": {}\n    }}'.format)
-    table = graph.node_table
+    nu, delta = len(labels), len(table) // 4
     components = _json_array(
         "  ",
         '{\n      "id": "',
-        len(comps),
+        nu,
         labels,
-        map(seq_text.__getitem__, map(attrgetter("sequence"), comps)),
-        map(marked_text.__getitem__, map(attrgetter("marked"), comps)),
+        map(seq_text.__getitem__, sequences),
+        map(marked_text.__getitem__, marks),
     )
     components[0] = (
-        f'{{\n  "a": {graph.a},\n  "g": {graph.g},\n  "d": {graph.d},'
-        f'\n  "nu": "{graph.nu}",\n  "delta": "{graph.delta}",'
-        f'\n  "genus": "{genus_from_graph(graph)}",\n  "components": '
+        f'{{\n  "a": {a},\n  "g": {2 * a + 1},\n  "d": {a + 2},'
+        f'\n  "nu": "{nu}",\n  "delta": "{delta}",'
+        f'\n  "genus": "{genus}",\n  "components": '
     ) + components[0]
     pieces = _json_array(
         "  ",
         '{\n      "x": "',
-        graph.delta,
+        delta,
         map(labels.__getitem__, islice(table, 0, None, 4)),
         map(x_text.__getitem__, islice(table, 1, None, 4)),
         map(labels.__getitem__, islice(table, 2, None, 4)),
@@ -553,13 +660,13 @@ def _json_pieces(graph: BNCurveGraph) -> list[str]:
     return pieces
 
 
-def _dot_pieces(graph: BNCurveGraph) -> list[str]:
-    """The pieces of the DOT export, in order: constant strings between the
-    labels, and each node's edge label "x_offset/y_offset" as two texts,
-    each read from a table made once per distinct offset on its side.  Two
-    int-keyed tables cost less than one keyed by the offset pairs."""
-    labels = list(map(attrgetter("label"), graph.components))
-    table = graph.node_table
+def _dot_pieces(labels: list, table) -> list[str]:
+    """The pieces of the DOT export, in order, of a curve whose components,
+    in index order, have the given labels and whose nodes are the rows of
+    `table`, four ints per node: constant strings between the labels, and
+    each node's edge label "x_offset/y_offset" as two texts, each read from
+    a table made once per distinct offset on its side.  Two int-keyed
+    tables cost less than one keyed by the offset pairs."""
     x_text = _Texts('" [label="{}/'.format)
     y_text = _Texts('{}"];'.format)
     pieces = ["graph bn_curve {"]
@@ -568,7 +675,7 @@ def _dot_pieces(graph: BNCurveGraph) -> list[str]:
     )
     pieces += _lay_out(
         ('\n  "', None, '" -- "', None, None, None),
-        graph.delta,
+        len(table) // 4,
         map(labels.__getitem__, islice(table, 0, None, 4)),
         map(labels.__getitem__, islice(table, 2, None, 4)),
         map(x_text.__getitem__, islice(table, 1, None, 4)),
@@ -590,8 +697,10 @@ def export_graph(graph: BNCurveGraph, fmt: str) -> str:
     Nodes are read from the node table, each end's label by its index.
 
     Each layout is written once, as a private function that returns the
-    piece list of its text (:func:`_json_pieces`, :func:`_dot_pieces`),
-    and the text is its one join.  The list holds references to shared
+    piece list of its text (:func:`_json_pieces`, :func:`_dot_pieces`)
+    from the counts, the labels and the node table, so the `curve` command
+    lays out its stream (:func:`_curve_pieces`) through the same code; the
+    text is the list's one join.  The list holds references to shared
     strings, the constant layout between two fields and tables of field
     texts made once per export, so no string is built per component or per
     node and the join makes the only copy of the text.
@@ -601,5 +710,45 @@ def export_graph(graph: BNCurveGraph, fmt: str) -> str:
     # A label holds only the digits 1 and 2, "|" and the decimal marked
     # index, and a count only digits, so none needs JSON escaping: each is
     # written between quotes as it is.
-    pieces = _json_pieces if fmt == "json" else _dot_pieces
-    return "".join(pieces(graph))
+    comps = graph.components
+    labels = list(map(attrgetter("label"), comps))
+    if fmt == "dot":
+        return "".join(_dot_pieces(labels, graph.node_table))
+    return "".join(
+        _json_pieces(
+            graph.a,
+            genus_from_graph(graph),
+            labels,
+            map(attrgetter("sequence"), comps),
+            map(attrgetter("marked"), comps),
+            graph.node_table,
+        )
+    )
+
+
+def _curve_pieces(a: int, fmt: str, max_a: int) -> tuple[list[str], int]:
+    """(pieces, genus) of the `curve` command's export of the a curve in
+    fmt, "json" or "dot": the pieces are those of
+    ``export_graph(build_bn_curve(a, max_a=max_a), fmt)``, laid out from
+    the rows of :func:`_node_rows` with no graph, and the genus is
+    :func:`arithmetic_genus` of its counts, which the JSON header prints
+    and the caller checks.  Raises what :func:`build_bn_curve` raises, its
+    refusals first, before any enumeration.
+
+    The node table is one flat list of the rows in order, and each label
+    is a word's digits and a marked index's "|i", made once per component.
+    """
+    chain = _curve_chain(a, max_a)
+    marks = ["|" + str(i) for i in range(1, chain.g + 1)]
+    words, labels, table = [], [], []
+    for word, rows in _node_rows(chain):
+        words.append(word)
+        digits = "".join(map(str, word))
+        labels += [digits + mark for mark in marks]
+        table += rows
+    genus = arithmetic_genus([1] * len(labels), len(table) // 4)
+    if fmt == "dot":
+        return _dot_pieces(labels, table), genus
+    sequences = [word for word in words for _ in marks]
+    marked = list(range(1, chain.g + 1)) * len(words)
+    return _json_pieces(a, genus, labels, sequences, marked, table), genus

@@ -23,6 +23,7 @@ from .curve import (
     export_graph,
     genus_closed,
     genus_from_graph,
+    intersect,
 )
 from .gonality import gonality
 
@@ -121,6 +122,19 @@ def check_table_fidelity():
 
 
 def check_nodal_properties(graphs):
+    # each node of the a <= 3 graphs against intersect, whose offsets are
+    # counted by _slot_offset where the build reads propagate's walk
+    for graph in graphs[:3]:
+        chain, comps = ChainSpec.rho_one(graph.a), graph.components
+        rows = iter(graph.node_table)
+        for ix, x_offset, iy, y_offset in zip(rows, rows, rows, rows):
+            x, y = comps[ix], comps[iy]
+            node = intersect(chain, x, y)
+            if node is None or (node.x_offset, node.y_offset) != (x_offset, y_offset):
+                return False, (
+                    f"a={graph.a}: node {x.label} - {y.label} at "
+                    f"{x_offset}/{y_offset}, not where intersect puts it"
+                )
     for a, graph in enumerate(graphs, start=1):
         adjacency = 0
         for comp in graph.components:

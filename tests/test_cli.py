@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import io
 import json
@@ -117,10 +118,11 @@ class TestCurve:
     def test_size_budget_exits_1_before_enumerating(
         self, monkeypatch, capsys, a, lifted
     ):
-        def enumerated(chain):
+        def enumerated(*args):
             raise RuntimeError("enumerated")
 
-        monkeypatch.setattr(sys.modules["bncurve.curve"], "all_components", enumerated)
+        for name in ("all_components", "enumerate_ballot"):
+            monkeypatch.setattr(sys.modules["bncurve.curve"], name, enumerated)
         argv = ["curve", "--a", a] + (["--max-a", a] if lifted else [])
         assert main(argv) == 1
         captured = capsys.readouterr()
@@ -134,6 +136,85 @@ class TestCurve:
         first = capsys.readouterr().out
         main(["curve", "--a", "2"])
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    @pytest.mark.parametrize("a", range(1, 9))
+    def test_stdout_is_the_export_of_the_built_graph(self, capsys, a, fmt):
+        from bncurve.curve import build_bn_curve, export_graph
+
+        argv = ["curve", "--a", str(a), "--max-a", str(a), "--format", fmt]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == export_graph(build_bn_curve(a, max_a=a), fmt)
+
+    def test_writes_the_curve_with_no_graph(self, monkeypatch, capsys):
+        # the graph build, the walks of propagate, the component ids and the
+        # union-find all refuse to run, in every module that binds them
+        def refused(*args, **kwargs):
+            raise RuntimeError("the graph path ran")
+
+        for original in (
+            sys.modules["bncurve.curve"].build_bn_curve,
+            sys.modules["bncurve.chain"].propagate,
+            sys.modules["bncurve.chain"].all_components,
+            sys.modules["bncurve.curve"].edges_connect,
+        ):
+            for name, module in list(sys.modules.items()):
+                if name.startswith("bncurve") and getattr(
+                    module, original.__name__, None
+                ) is original:
+                    monkeypatch.setattr(module, original.__name__, refused)
+        assert main(["curve", "--a", "8", "--max-a", "8"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["nu"], payload["delta"]) == ("24310", "38896")
+
+
+def curve_with_moved(monkeypatch, capsys, a, refuses):
+    """`main(["curve", "--a", a])` with `curve._moved` answering None
+    wherever refuses(seq, p, q) holds: it exits 2 with nothing on stdout
+    and one line on stderr, returned."""
+    module = sys.modules["bncurve.curve"]
+    original = module._moved
+
+    def moved(seq, p, q):
+        return None if refuses(seq, p, q) else original(seq, p, q)
+
+    monkeypatch.setattr(module, "_moved", moved)
+    assert main(["curve", "--a", str(a)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    return captured.err
+
+
+def test_a_moved_that_refuses_every_2_move_exits_2(monkeypatch, capsys):
+    # the forward rows go missing, so the genus falls short of the closed form
+    err = curve_with_moved(monkeypatch, capsys, 3, lambda seq, p, q: seq[q] == 2)
+    assert err.startswith(
+        "internal failure: AssertionError('consistency failure: graph genus "
+    )
+
+
+def test_a_dropped_backward_candidate_exits_2(monkeypatch, capsys):
+    # 121212 moves either of its last two 1s forward; with the first move
+    # refused, the backward row of 112212 goes and 121122's still marks it
+    def refuses(seq, p, q):
+        return (bytes(seq), p, q) == (bytes((1, 2, 1, 2, 1, 2)), 1, 2)
+
+    err = curve_with_moved(monkeypatch, capsys, 3, refuses)
+    assert err == (
+        "internal failure: AssertionError('consistency failure: graph genus "
+        "42 != closed form 43')\n"
+    )
+
+
+def test_an_unmarked_word_exits_2_as_disconnected(monkeypatch, capsys):
+    # 1212's one 1-move lands on 1122; refused, no lower word reaches 1212
+    err = curve_with_moved(
+        monkeypatch, capsys, 2, lambda seq, p, q: bytes(seq) == bytes((1, 2, 1, 2))
+    )
+    assert err == (
+        "internal failure: AssertionError('Brill-Noether curve graph came out "
+        "disconnected')\n"
+    )
 
 
 class TestGonality5:
@@ -234,6 +315,25 @@ class TestSelftest:
             "[FAIL] node count delta, both forms: a=2: scan 10, closed 10, "
             "pre-simplification 10, per word 9"
         )
+
+    def test_nodal_properties_compares_the_small_nodes_with_intersect(
+        self, monkeypatch, capsys
+    ):
+        module = sys.modules["bncurve.selfcheck"]
+
+        def one_node_moved(chain, x, y, _original=module.intersect):
+            node = _original(chain, x, y)
+            if (x.label, y.label) == ("1122|1", "1122|2"):
+                return dataclasses.replace(node, y_offset=node.y_offset + 1)
+            return node
+
+        monkeypatch.setattr(module, "intersect", one_node_moved)
+        assert main(["selftest"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert [s for s in lines if s.startswith("[FAIL]")] == [
+            "[FAIL] nodal properties: a=2: node 1122|1 - 1122|2 at 0/1, "
+            "not where intersect puts it"
+        ]
 
     def test_max_a_bounds_the_graphs_built(self, monkeypatch, capsys):
         from bncurve.chain import DEFAULT_MAX_A
@@ -387,16 +487,22 @@ class TestParsing:
         assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
 
 
+@pytest.mark.parametrize("piece", [None, 1000, 999_983])
 @pytest.mark.parametrize("encoding", ["utf-8", "utf-16"])
 @pytest.mark.parametrize("extra", [-1, 0, 1])
-def test_stdout_slices_encode_as_the_whole_text(monkeypatch, encoding, extra):
+def test_stdout_slices_encode_as_the_whole_text(monkeypatch, encoding, extra, piece):
     # around two slices: one short, exactly two (the final encode is then
-    # of an empty slice), one over; a non-ASCII character sits on the seam
+    # of an empty slice), one over; a non-ASCII character sits on the seam.
+    # The text comes as one piece, longer than a slice, or cut into pieces
+    # of a length that divides the slice or that does not.
     cli = sys.modules["bncurve.cli"]
     text = "a" * (cli._SLICE - 1) + "é" + "b" * (cli._SLICE + extra)
+    pieces = [text] if piece is None else [
+        text[start : start + piece] for start in range(0, len(text), piece)
+    ]
     raw = io.BytesIO()
     monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding=encoding))
-    cli._write_stdout(text)
+    cli._write_stdout(pieces)
     sys.stdout.flush()
     assert raw.getvalue() == text.encode(encoding)
 
@@ -493,7 +599,7 @@ LIBRARY_CALLS = [
     (["castelnuovo", "--a", "2", "--r", "1"], "cli", "limit_series_census"),
     (["census", "--g", "5", "--r", "1", "--d", "4"], "cli", "limit_series_census"),
     (["tables", "--g", "5", "--d", "4"], "cli", "render_tables"),
-    (["curve", "--a", "2"], "curve", "build_bn_curve"),
+    (["curve", "--a", "2"], "curve", "_curve_pieces"),
     (["gonality5"], "gonality", "gonality"),
     (["gonality5", "--degree", "3"], "gonality", "build_w14_circuit"),
     (["selftest"], "selfcheck", "run_selftest"),

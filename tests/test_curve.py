@@ -1,4 +1,5 @@
 import json
+import runpy
 import sys
 import tracemalloc
 from collections import Counter
@@ -6,6 +7,7 @@ from dataclasses import fields
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,7 @@ from bncurve.curve import (
     BNCurveGraph,
     IntersectionNode,
     _moved,
+    _node_rows,
     _word_nodes,
     build_bn_curve,
     component_profile,
@@ -29,6 +32,11 @@ from bncurve.curve import (
     genus_from_graph,
     intersect,
 )
+
+# perfbench/plan.py, run from source so that nothing is written under
+# perfbench/: its meet rule and `neighbors` import nothing from bncurve
+ROOT = Path(__file__).resolve().parents[1]
+PLAN = runpy.run_path(str(ROOT / "perfbench" / "plan.py"))
 
 C1P = BNComponentId((1, 2, 1, 2), 1)
 C2P = BNComponentId((1, 2, 1, 2), 2)
@@ -645,7 +653,6 @@ class TestNodeTable:
 
     def test_no_node_record_is_built_until_asked(self, monkeypatch, capsys):
         from bncurve.cli import main
-        from bncurve.selfcheck import check_nodal_properties
 
         expected = {}
         for fmt in ("json", "dot"):
@@ -663,8 +670,6 @@ class TestNodeTable:
         graph = build_bn_curve(4)
         assert genus_from_graph(graph) == genus_closed(4)
         assert len(component_profile(graph, graph.components[0])) == 1
-        ok, _ = check_nodal_properties([build_bn_curve(a) for a in range(1, 6)])
-        assert ok
         with pytest.raises(RuntimeError, match="IntersectionNode"):
             graph.nodes
 
@@ -782,3 +787,73 @@ class TestMirror:
         fixed = [k for k, m in enumerate(self.mirror(graph)) if k == m]
         assert len(fixed) == comb(a, a // 2)
         assert {graph.components[k].marked for k in fixed} == {a + 1}
+
+
+def stream_rows(a):
+    """The words and the (x index, x_offset, y index, y_offset) rows of
+    :func:`_node_rows` for the a curve, in the order it yields them."""
+    words, rows = [], []
+    for word, table in _node_rows(ChainSpec.rho_one(a)):
+        words.append(word)
+        rows += zip(table[0::4], table[1::4], table[2::4], table[3::4])
+    return words, rows
+
+
+class TestNodeRows:
+    """The curve a word at a time from the meet rule, which the `curve`
+    command lays out with no graph."""
+
+    @pytest.mark.parametrize("a", range(1, 9))
+    def test_rows_are_the_built_node_table(self, a):
+        graph = build_bn_curve(a, max_a=a)
+        words, rows = stream_rows(a)
+        assert words == [bytes(c.sequence) for c in graph.components[:: graph.g]]
+        assert rows == table_rows(graph)
+
+    @pytest.mark.parametrize("a", range(1, 5))
+    def test_neighbour_sets_are_the_library_free_search(self, a):
+        words, rows = stream_rows(a)
+        comps = [(tuple(w), i) for w in words for i in range(1, 2 * a + 2)]
+        found = {comp: set() for comp in comps}
+        for ix, _, iy, _ in rows:
+            found[comps[ix]].add(comps[iy])
+            found[comps[iy]].add(comps[ix])
+        for comp in comps:
+            assert set(PLAN["neighbors"](comp)) == found[comp]
+
+    def test_mirror_maps_the_rows_onto_themselves_past_the_built_graphs(self):
+        # TestMirror's rule, (s, i) -> (s reversed with 1 <-> 2, g + 1 - i)
+        # and u -> d - u, in one pass over the a = 9 rows, past DEFAULT_MAX_A
+        # and past the a <= 8 graphs TestMirror builds
+        a = 9
+        chain = ChainSpec.rho_one(a)
+        g, d = chain.g, chain.d
+        words = [bytes(w.symbols) for w in enumerate_ballot(a)]
+        rank = {w: k for k, w in enumerate(words)}
+        image = [rank[bytes(3 - v for v in reversed(w))] for w in words]
+        seen, mirrored = set(), set()
+        for _, table in _node_rows(chain):
+            rows = iter(table)
+            for ix, x_offset, iy, y_offset in zip(rows, rows, rows, rows):
+                seen.add((ix, x_offset, iy, y_offset))
+                jx = image[ix // g] * g + g - 1 - ix % g
+                jy = image[iy // g] * g + g - 1 - iy % g
+                row = (jx, d - x_offset, jy, d - y_offset)
+                mirrored.add(row if jx < jy else row[2:] + row[:2])
+        assert len(seen) == delta_closed(a)
+        assert mirrored == seen
+
+    def test_every_word_after_the_first_is_reached_from_a_lower_word(self):
+        # the connectivity proof: every word s but 1^a 2^a holds a 1 right
+        # after a 2, and moving that 1 to the front of its run of 2s gives
+        # a lower ballot word t, whose rows meet s
+        for a in range(1, 9):
+            words, rows = stream_rows(a)
+            g = 2 * a + 1
+            rank = {w: k for k, w in enumerate(words)}
+            meets = {(ix // g, iy // g) for ix, _, iy, _ in rows}
+            for s in words[1:]:
+                q = s.index(b"\x02\x01") + 1
+                p = len(s[:q].rstrip(b"\x02"))  # the front of its run of 2s
+                t, _ = _moved(s, p, q)
+                assert rank[t] < rank[s] and (rank[t], rank[s]) in meets

@@ -110,11 +110,12 @@ MUTATIONS = [
         id="_walk shifted entry off by one",
     ),
     pytest.param(
-        # the tables read each word's walk alone, shifted by index
+        # the tables read each word's walk alone, shifted by index; the
+        # build reads it through propagate, and intersect counts instead
         (chain,),
         "_walk",
         walk_with_first_entry_off_by_one,
-        {"g=5 table fidelity"},
+        {"g=5 table fidelity", "nodal properties"},
         id="_walk entry off by one",
     ),
     pytest.param(
