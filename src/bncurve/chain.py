@@ -111,7 +111,7 @@ class BNComponentId:
 
     @cached_property
     def label(self) -> str:
-        return "".join(map(str, self.sequence)) + "|" + str(self.marked)
+        return _digits(self.sequence) + "|" + str(self.marked)
 
     def sort_key(self):
         return (self.sequence, self.marked)
@@ -119,6 +119,16 @@ class BNComponentId:
 
 # builds ids from a validated word and marked index
 _component = _unchecked(BNComponentId)
+
+_DIGITS = bytes.maketrans(b"\x01\x02", b"12")
+
+
+def _digits(word) -> str:
+    """The digits of an m = 2 word, a tuple of 1s and 2s or its bytes, by
+    one C-level translate: every label, table header and JSON sequence is
+    spelled here.  It is for m = 2 only: a symbol of 3 or more would pass
+    through untranslated, and the library never spells such a word."""
+    return bytes(word).translate(_DIGITS).decode()
 
 
 def _is_dyck(word: bytes) -> bool:
@@ -244,7 +254,7 @@ def all_components(chain: ChainSpec) -> list[BNComponentId]:
     components = []
     for seq in enumerate_ballot(chain.a, 2):
         symbols = seq.symbols
-        digits = "".join(map(str, symbols))
+        digits = _digits(symbols)
         # each label, digits + "|" + marked, is what the property computes
         components += [
             component(sequence=symbols, marked=i, label=digits + mark)
@@ -318,7 +328,7 @@ def _table_pieces(chain: ChainSpec, fmt: str) -> list[str]:
     marks = ["|" + str(i) for i in range(1, g + 1)]
     digits, walks = [], []
     for seq in enumerate_ballot(a, 2):
-        digits.append("".join(map(str, seq.symbols)))
+        digits.append(_digits(seq.symbols))
         walks.append(_walk(seq.symbols)[0])
     walk_slots = list(zip(*walks))  # slot k of every word's walk, in word order
     if fmt == "csv":

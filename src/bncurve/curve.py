@@ -78,6 +78,7 @@ from .chain import (
     DEFAULT_MAX_A,
     BNComponentId,
     ChainSpec,
+    _digits,
     _lay_out,
     _slot_offset,
     all_components,
@@ -620,11 +621,11 @@ def _json_pieces(
     once per export: the labels, one text per distinct sequence (with the
     key before it), one tail per distinct marked index (with the record's
     close), one text per distinct offset on each side (with the key after
-    it)."""
-    seq_text = _Texts(
-        lambda seq: '",\n      "sequence": '
-        + "".join(_json_array("      ", "", len(seq), map(str, seq)))
-    )
+    it).  A sequence's array is one join of its :func:`_digits`, between
+    the strings of the array [1, 2] (a word is never empty)."""
+    start, _, sep, _, end = _json_array("      ", "", 2, "12")
+    start = '",\n      "sequence": ' + start
+    seq_text = _Texts(lambda seq: start + sep.join(_digits(seq)) + end)
     marked_text = _Texts(',\n      "marked": {}\n    }}'.format)
     x_text = _Texts('",\n      "x_offset": {},\n      "y": "'.format)
     y_text = _Texts('",\n      "y_offset": {}\n    }}'.format)
@@ -669,11 +670,7 @@ def _dot_pieces(labels: list, table) -> list[str]:
     tables cost less than one keyed by the offset pairs."""
     x_text = _Texts('" [label="{}/'.format)
     y_text = _Texts('{}"];'.format)
-    pieces = ["graph bn_curve {"]
-    pieces += _lay_out(
-        ('\n  "', None, '" [label="', None, '"];'), len(labels), labels, labels
-    )
-    pieces += _lay_out(
+    pieces = _lay_out(
         ('\n  "', None, '" -- "', None, None, None),
         len(table) // 4,
         map(labels.__getitem__, islice(table, 0, None, 4)),
@@ -682,6 +679,10 @@ def _dot_pieces(labels: list, table) -> list[str]:
         map(y_text.__getitem__, islice(table, 3, None, 4)),
     )
     pieces.append("\n}\n")
+    # the header goes in front, as in _json_pieces, so no node list is copied
+    pieces[:0] = ["graph bn_curve {"] + _lay_out(
+        ('\n  "', None, '" [label="', None, '"];'), len(labels), labels, labels
+    )
     return pieces
 
 
@@ -743,7 +744,7 @@ def _curve_pieces(a: int, fmt: str, max_a: int) -> tuple[list[str], int]:
     words, labels, table = [], [], []
     for word, rows in _node_rows(chain):
         words.append(word)
-        digits = "".join(map(str, word))
+        digits = _digits(word)
         labels += [digits + mark for mark in marks]
         table += rows
     genus = arithmetic_genus([1] * len(labels), len(table) // 4)

@@ -19,6 +19,7 @@ from bncurve.chain import (
     Census,
     ChainSpec,
     UnsupportedShapeError,
+    _digits,
     _slot_offset,
     _walk,
     all_components,
@@ -258,6 +259,47 @@ class TestPropagate:
         chain = ChainSpec.rho_one(2)
         with pytest.raises(ValueError):
             propagate(chain, BNComponentId((1, 2), 1))
+
+
+class TestDigits:
+    @pytest.mark.parametrize("a", range(1, 9))
+    def test_spells_every_ballot_word_as_its_tuple_and_its_bytes(self, a):
+        for seq in enumerate_ballot(a, 2):
+            spelled = "".join(map(str, seq.symbols))
+            assert _digits(seq.symbols) == spelled
+            assert _digits(bytes(seq.symbols)) == spelled
+
+    def test_every_label_header_and_json_id_is_spelled_by_it(
+        self, monkeypatch, capsys
+    ):
+        from bncurve.cli import main
+
+        # a spelling that swaps 1 and 2, in every module that binds _digits
+        def swapped(word):
+            return "".join(str(3 - s) for s in word)
+
+        bound = [
+            name
+            for name, module in list(sys.modules.items())
+            if name.startswith("bncurve")
+            and getattr(module, "_digits", None) is _digits
+        ]
+        assert "bncurve.chain" in bound and "bncurve.curve" in bound
+        for name in bound:
+            monkeypatch.setattr(sys.modules[name], "_digits", swapped)
+        chain = ChainSpec.rho_one(2)
+        components = [(c.sequence, c.marked) for c in all_components(chain)]
+        expected = [swapped(s) + f"|{i}" for s, i in components]
+        assert BNComponentId((1, 1, 2, 2), 3).label == "2211|3"
+        assert [c.label for c in all_components(chain)] == expected
+        header = render_tables(chain, "csv").split("\n")[0]
+        assert header.split(",") == ["C_i", *expected]
+        assert main(["curve", "--a", "2", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [c["id"] for c in payload["components"]] == expected
+        assert [c["sequence"] for c in payload["components"]] == [
+            [3 - x for x in s] for s, _ in components
+        ]
 
 
 class TestComponentId:

@@ -21,6 +21,7 @@ SHARED_PRIVATE_NAMES = {
     ("chain", "combinatorics._unchecked"),
     ("cli", "chain._refuse_unprintable"),
     ("cli", "curve._curve_pieces"),
+    ("curve", "chain._digits"),
     ("curve", "chain._lay_out"),
     ("curve", "chain._slot_offset"),
     ("curve", "combinatorics._unchecked"),
