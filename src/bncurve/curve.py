@@ -34,29 +34,28 @@ is :func:`_moved`.  :func:`intersect` reads it one pair at a time: the two
 forward neighbours have different marked indices, so j fixes which one
 (t, j) can be, (s, i + 1) when j = i + 1 and the move of the run
 s[i-1:j-2] when j >= i + 2, and it tests that one candidate.
-:func:`build_bn_curve` scans the runs of each ballot word once, writes the
-word's path edges (s, i) - (s, i + 1) with no rule call, asks
-:func:`_moved` for every slot of every run but the last, keys each node by
-the int (x index) * nu + (y index) and sorts the ints; and
-:func:`_word_nodes` counts, from the same scan read as a proof, each
-word's nodes with no graph at all.
+:func:`_word_nodes` counts each word's nodes from a scan of its runs,
+read as a proof, with no graph at all.
 
-:func:`_node_rows` yields the same node table a word at a time, each node
-from the word that holds its smaller index, so the rows come out in
-order with no graph.  Moving a 2 forward keeps the head and then raises
-a 1 to a 2, so it lands on a higher word; moving a 1 forward lands on a
-lower one.  So a word t keeps its own 2-moves, and takes each 1-move
-that lands on it as a backward candidate: t reads head.1.2^R.tail, and
-the candidate s = head.2^r.1.2^(R-r).tail, r = 1..R, gives t when its 1
-moves to the front of its run of 2s.  Every 1-move of every word is one
-such candidate of its target, so no node is missed or found twice; a
+:func:`_node_rows` is the one producer of the node table.  It yields the
+table a word at a time, each node from the word that holds its smaller
+index, so the rows come out in order with no graph and no sort.  Moving
+a 2 forward keeps the head and then raises a 1 to a 2, so it lands on a
+higher word; moving a 1 forward lands on a lower one.  So a word t keeps
+its own 2-moves, and takes each 1-move that lands on it as a backward
+candidate: t reads head.1.2^R.tail, and the candidate
+s = head.2^r.1.2^(R-r).tail, r = 1..R, gives t when its 1 moves to the
+front of its run of 2s.  Every 1-move of every word is one such
+candidate of its target, so no node is missed or found twice; a
 candidate is kept only if it is a ballot word and :func:`_moved` maps it
 back to t.  The offsets are read off t's runs, and connectivity is one
 byte per word: every word but 1^a 2^a holds a 1 right after a 2, whose
 move lands lower, so each word after the first is reached by a backward
-row before its turn.  The `curve` command lays these rows out through
-the export's own layout (:func:`_curve_pieces`), with no BNCurveGraph,
-no :func:`propagate` and no union-find.
+row before its turn.  :func:`build_bn_curve` joins the rows into its
+graph, and checks the offsets of every row against the :func:`propagate`
+walk and its connectivity with the union-find.  The `curve` command lays
+the rows out through the export's own layout (:func:`_curve_pieces`),
+with no BNCurveGraph, no :func:`propagate` and no union-find.
 
 Two more nodal-curve rules are defined here once, for this graph and the
 genus-5 covers of :mod:`bncurve.gonality` alike: :func:`arithmetic_genus`
@@ -446,29 +445,22 @@ def _curve_chain(a: int, max_a: int) -> ChainSpec:
 def build_bn_curve(a: int, *, max_a: int = DEFAULT_MAX_A) -> BNCurveGraph:
     """Build the full curve graph from the local meet rule.
 
-    Each component (s, i) meets at most two components of larger marked
-    index (the module docstring has the rule and its proof sketch), so
-    every node is found once, from its endpoint of smaller marked index,
-    in one scan of each ballot word s:
+    The node table is the rows of :func:`_node_rows`, joined in order, the
+    table the `curve` command lays out.  Component (t, j) sits at index
+    (rank of t) * g + j - 1, so the components are those of
+    :func:`all_components`, in (sequence lex, marked) order.
 
-    * the path (s, 1) - (s, 2) - ... - (s, g) is one range of keys, with no
-      rule call;
-    * for each maximal run s[start:q] but the last, each slot i = p + 1
-      with start <= p < q meets the :func:`_moved` component of (s, p, q),
-      if any: the helper that :func:`intersect` calls too.
-
-    Component (t, j) sits at index (rank of t) * g + j - 1, and each node
-    joining indices ix < iy is keyed by the int ix * nu + iy.  The keys are
-    sorted as ints, and the node table is written column by column from
-    them: ix, the offset on ix, iy, the offset on iy, read from the
-    :func:`propagate` offsets of each component (component k is marked at
-    k % g + 1, so its node point is the other's entry k % g).  That is nu
-    propagate calls but catalan(a) walks, since the components come in
-    (sequence, marked) order and propagate keeps the last word's walk.  No
+    The rows count their offsets off each word's runs, so the build checks
+    them against the walk: the :func:`propagate` offsets of each component
+    (component k is marked at k % g + 1, so its node point is the other's
+    entry k % g) must give both offsets of every row.  That is nu propagate
+    calls but catalan(a) walks, since the components come in (sequence,
+    marked) order and propagate keeps the last word's walk.  No
     IntersectionNode is built; the graph, valid by construction, is built
-    by :func:`bncurve.combinatorics._unchecked`, without the table re-check,
-    and its connectivity is checked by the int union-find
-    :func:`edges_connect`.
+    by :func:`bncurve.combinatorics._unchecked`, without the table
+    re-check.  Its connectivity, which the rows prove one byte per word, is
+    checked again by the int union-find :func:`edges_connect`.  Either
+    check raises AssertionError when it fails.
 
     Raises ValueError, before any enumeration, for an a that is not an int
     >= 1, when nu + delta would exceed CURVE_SIZE_BUDGET, which max_a
@@ -477,43 +469,16 @@ def build_bn_curve(a: int, *, max_a: int = DEFAULT_MAX_A) -> BNCurveGraph:
     """
     chain = _curve_chain(a, max_a)
     g = chain.g
-    # ordered (sequence lex, marked), so index order is sort_key order and
-    # the component (t, j) sits at index (rank of t) * g + j - 1
     components = all_components(chain)
-    nu = len(components)
     offsets = [propagate(chain, c) for c in components]
-    words = [c.sequence for c in components[::g]]
-    rank = {t: k for k, t in enumerate(words)}
-
-    keys = []
-    for k, seq in enumerate(words):
-        first = k * g  # index of (seq, 1)
-        # the path edges (ix, ix + 1), ix = first..first+g-2, keyed
-        # ix * nu + ix + 1
-        keys += range(first * (nu + 1) + 1, (first + g - 1) * (nu + 1), nu + 1)
-        start = 0  # the run seq[start:q] ends where seq[q] differs
-        for q in range(1, g - 1):
-            if seq[q] == seq[q - 1]:
-                continue
-            for p in range(start, q):
-                moved = _moved(seq, p, q)
-                if moved is not None:
-                    t, j = moved
-                    ix, iy = first + p, rank[t] * g + j - 1
-                    keys.append(ix * nu + iy if ix < iy else iy * nu + ix)
-            start = q
-    keys.sort()
-
-    ints = list(range(nu))  # one int object per index, shared by its rows
-    ixs = [ints[key // nu] for key in keys]
-    iys = [ints[key % nu] for key in keys]
-    del keys
-    table = [0] * (4 * len(ixs))
-    table[0::4] = ixs
-    table[1::4] = [offsets[iy][ix % g] for ix, iy in zip(ixs, iys)]
-    table[2::4] = iys
-    table[3::4] = [offsets[ix][iy % g] for ix, iy in zip(ixs, iys)]
-    del ixs, iys, offsets
+    table = []
+    for _, word_rows in _node_rows(chain):
+        table += word_rows
+    rows = iter(table)
+    for ix, x_offset, iy, y_offset in zip(rows, rows, rows, rows):
+        if x_offset != offsets[iy][ix % g] or y_offset != offsets[ix][iy % g]:
+            raise AssertionError("node offsets differ from the propagate walk")
+    del offsets  # freed before the table is copied into the graph
     graph = _graph(a=a, components=tuple(components), node_table=tuple(table))
     if not graph.is_connected():
         raise AssertionError("Brill-Noether curve graph came out disconnected")
@@ -734,7 +699,8 @@ def _curve_pieces(a: int, fmt: str, max_a: int) -> tuple[list[str], int]:
     the rows of :func:`_node_rows` with no graph, and the genus is
     :func:`arithmetic_genus` of its counts, which the JSON header prints
     and the caller checks.  Raises what :func:`build_bn_curve` raises, its
-    refusals first, before any enumeration.
+    refusals first, before any enumeration, but for its offset check: the
+    offsets are written as the rows count them, with no :func:`propagate`.
 
     The node table is one flat list of the rows in order, and each label
     is a word's digits and a marked index's "|i", made once per component.

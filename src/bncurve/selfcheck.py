@@ -122,8 +122,9 @@ def check_table_fidelity():
 
 
 def check_nodal_properties(graphs):
-    # each node of the a <= 3 graphs against intersect, whose offsets are
-    # counted by _slot_offset where the build reads propagate's walk
+    # each node of the a <= 3 graphs against intersect, which tests one
+    # pair at a time where the build's rows come a word at a time from
+    # _node_rows, and whose offsets _slot_offset counts at one slot each
     for graph in graphs[:3]:
         chain, comps = ChainSpec.rho_one(graph.a), graph.components
         rows = iter(graph.node_table)

@@ -548,8 +548,9 @@ def selftest_with(monkeypatch, capsys, original, mutant):
 
 def test_a_lost_ballot_word_exits_2_in_one_line(monkeypatch, capsys):
     # the second word of every m = 2 shape with a >= 2 goes missing, so the
-    # up-front curve build looks up a word it never enumerated: each check
-    # that reads the graphs fails with that error in its one line
+    # up-front curve build looks up, in the rows' rank dict, the bytes of a
+    # word it never enumerated, as `curve --a 2` does: each check that
+    # reads the graphs fails with that error in its one line
     original = sys.modules["bncurve.combinatorics"].enumerate_ballot
 
     def one_word_lost(a, m=2):
@@ -565,7 +566,7 @@ def test_a_lost_ballot_word_exits_2_in_one_line(monkeypatch, capsys):
         "nodal properties",
         "property suite",
     } <= {name for status, name, detail in lines
-          if (status, detail) == ("FAIL", "KeyError: (1, 2, 1, 2)")}
+          if (status, detail) == ("FAIL", "KeyError: b'\\x01\\x02\\x01\\x02'")}
 
 
 def test_a_check_that_raises_fails_its_line_and_the_rest_print(monkeypatch, capsys):

@@ -24,7 +24,7 @@ chain = sys.modules["bncurve.chain"]
 curve = sys.modules["bncurve.curve"]
 gonality = sys.modules["bncurve.gonality"]
 selfcheck = sys.modules["bncurve.selfcheck"]
-_moved, _walk = curve._moved, chain._walk
+_moved, _walk, _node_rows = curve._moved, chain._walk, curve._node_rows
 _catalan, _export_graph = combinatorics.catalan, curve.export_graph
 _generalized_catalan = combinatorics.generalized_catalan
 _enumerate_ballot = combinatorics.enumerate_ballot
@@ -79,9 +79,23 @@ def catalan_3_one_too_large(a):
     return _catalan(a) + (a == 3)
 
 
+def node_rows_with_backward_y_offset_off_by_one(chain):
+    # a backward row joins (t, j) to (s, i) on a higher word s, i < j, so
+    # its x slot lies after its y slot; the build's propagate check then
+    # raises AssertionError, which fails every check that reads graphs
+    g = chain.g
+    for word, table in _node_rows(chain):
+        for k in range(0, len(table), 4):
+            if table[k] % g > table[k + 2] % g:
+                table[k + 3] += 1
+        yield word, table
+
+
 def enumerate_ballot_losing_a_word(a, m=2):
     # the second word of each m = 2 shape with a >= 2; the up-front graph
-    # build then raises KeyError, which fails every check that reads graphs
+    # build then looks its bytes up in the rows' rank dict and raises
+    # KeyError: b'\x01\x02\x01\x02', which fails every check that reads
+    # graphs
     for k, word in enumerate(_enumerate_ballot(a, m)):
         if not (a >= 2 and m == 2 and k == 1):
             yield word
@@ -111,11 +125,20 @@ MUTATIONS = [
     ),
     pytest.param(
         # the tables read each word's walk alone, shifted by index; the
-        # build reads it through propagate, and intersect counts instead
+        # build checks its rows against it through propagate and raises
+        # AssertionError, and intersect counts instead
         (chain,),
         "_walk",
         walk_with_first_entry_off_by_one,
-        {"g=5 table fidelity", "nodal properties"},
+        {
+            "component count nu = (2a+1) c_a",
+            "node count delta, both forms",
+            "genus, graph vs closed form",
+            "g=5 table fidelity",
+            "nodal properties",
+            "gonality pipeline",
+            "property suite",
+        },
         id="_walk entry off by one",
     ),
     pytest.param(
@@ -145,6 +168,20 @@ MUTATIONS = [
         json_export_without_its_last_newline,
         {"property suite"},
         id="json export drops its last newline",
+    ),
+    pytest.param(
+        (curve,),
+        "_node_rows",
+        node_rows_with_backward_y_offset_off_by_one,
+        {
+            "component count nu = (2a+1) c_a",
+            "node count delta, both forms",
+            "genus, graph vs closed form",
+            "nodal properties",
+            "gonality pipeline",
+            "property suite",
+        },
+        id="_node_rows backward row's y offset off by one",
     ),
     pytest.param(
         every_binding(_catalan),
