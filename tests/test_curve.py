@@ -313,12 +313,28 @@ class TestBuild:
         assert _walk.cache_info().misses == catalan(a)
 
     @pytest.mark.parametrize("column", [1, 3])
-    def test_an_offset_slip_in_the_rows_fails_the_build(self, monkeypatch, column):
+    @pytest.mark.parametrize("kind", ["path", "forward", "backward"])
+    def test_an_offset_slip_in_the_rows_fails_the_build(self, monkeypatch, kind, column):
         # the rows count their offsets off each word's runs; the build
-        # checks every one against the propagate walk
+        # checks every one against the propagate walk.  Each kind of row
+        # counts its offsets its own way: a path edge joins two slots of
+        # one word, a 2-move meets a higher word at a higher marked slot,
+        # and a backward candidate meets it at a lower one.  Only the
+        # first row of the kind slips.
+        g = ChainSpec.rho_one(3).g
+
+        def row_kind(ix, iy):
+            if ix // g == iy // g:
+                return "path"
+            return "forward" if iy % g > ix % g else "backward"
+
         def slipped(chain, _original=_node_rows):
+            done = False
             for word, table in _original(chain):
-                table[-4 + column] += 1  # the word's last row
+                for r in range(0, len(table), 4):
+                    if not done and row_kind(table[r], table[r + 2]) == kind:
+                        table[r + column] += 1
+                        done = True
                 yield word, table
 
         monkeypatch.setattr(curve_module, "_node_rows", slipped)
