@@ -246,21 +246,10 @@ def all_components(chain: ChainSpec) -> list[BNComponentId]:
     """Every component id for the chain, ordered (sequence lex, marked).
 
     Every word comes from `enumerate_ballot` and every marked index lies in
-    1..g, so the ids are built by `_unchecked`, without a re-check.  The g
-    ids of a word differ only in the marked slot, so its digit string is
-    formatted once and each id gets its label ready-made."""
-    marks = [(marked, "|" + str(marked)) for marked in range(1, chain.g + 1)]
-    component = _unchecked(BNComponentId, "label")
-    components = []
-    for seq in enumerate_ballot(chain.a, 2):
-        symbols = seq.symbols
-        digits = _digits(symbols)
-        # each label, digits + "|" + marked, is what the property computes
-        components += [
-            component(sequence=symbols, marked=i, label=digits + mark)
-            for i, mark in marks
-        ]
-    return components
+    1..g, so each id is built by `_component`, where the public constructor
+    ends, with no re-check and no label, which is made on its first read."""
+    marks, words = range(1, chain.g + 1), enumerate_ballot(chain.a, 2)
+    return [_component(word.symbols, i) for word in words for i in marks]
 
 
 TABLE_CELL_BUDGET = 10**7

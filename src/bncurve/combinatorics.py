@@ -15,16 +15,15 @@ from functools import cache
 
 
 @cache
-def _unchecked(cls, *extra):
-    """A function that builds `cls` records from their field values, then the
-    `extra` ones (cached_property values, such as an id's `label`), without
-    `__post_init__`: only for records the library made valid by construction;
-    the public constructors still validate outside input (`BNComponentId`'s
-    validates it, then builds through one).  It is generated,
-    as dataclasses generates `__init__`, so a record costs only its field
+def _unchecked(cls):
+    """A function that builds `cls` records from their field values alone,
+    without `__post_init__`, for records the library made valid by
+    construction (the public constructors validate outside input, and
+    `BNComponentId`'s then builds through one).  It is generated, as
+    dataclasses generates `__init__`, so a record costs only its field
     stores and keeps compact storage, unlike a `**fields` loop or a filled
     `__dict__`."""
-    names = [f.name for f in fields(cls)] + list(extra)
+    names = [f.name for f in fields(cls)]
     lines = [f"def build({', '.join(names)}):", "    self = new(cls)"]
     lines += [f"    setattr(self, {name!r}, {name})" for name in names]
     namespace = {"cls": cls, "new": object.__new__, "setattr": object.__setattr__}

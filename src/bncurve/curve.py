@@ -39,14 +39,14 @@ read as a proof, with no graph at all.
 
 :func:`_node_rows` is the one producer of the node table.  It yields the
 table a word at a time, each node from the word that holds its smaller
-index, so the rows come out in order with no graph and no sort.  Moving
-a 2 forward keeps the head and then raises a 1 to a 2, so it lands on a
-higher word; moving a 1 forward lands on a lower one.  So a word t keeps
-its own 2-moves, and takes each 1-move that lands on it as a backward
-candidate: t reads head.1.2^R.tail, and the candidate
-s = head.2^r.1.2^(R-r).tail, r = 1..R, gives t when its 1 moves to the
-front of its run of 2s.  Every 1-move of every word is one such
-candidate of its target, so no node is missed or found twice; a
+index, so the rows come out in order with no graph and no global sort,
+only each word's own.  Moving a 2 forward keeps the head and then raises
+a 1 to a 2, so it lands on a higher word; moving a 1 forward lands on a
+lower one.  So a word t keeps its own 2-moves, and takes each 1-move
+that lands on it as a backward candidate: t reads head.1.2^R.tail, and
+the candidate s = head.2^r.1.2^(R-r).tail, r = 1..R, gives t when its 1
+moves to the front of its run of 2s.  Every 1-move of every word is one
+such candidate of its target, so no node is missed or found twice; a
 candidate is kept only if it is a ballot word and :func:`_moved` maps it
 back to t.  The offsets are read off t's runs, and connectivity is one
 byte per word: every word but 1^a 2^a holds a 1 right after a 2, whose
@@ -190,13 +190,15 @@ class BNCurveGraph:
     @cached_property
     def nodes(self) -> tuple[IntersectionNode, ...]:
         """The node table as IntersectionNode records, in table order, built
-        by the public constructor."""
+        by the public constructor, each row's ends put in sort_key order."""
         comps = self.components
         rows = iter(self.node_table)
-        return tuple(
-            IntersectionNode(comps[ix], x_offset, comps[iy], y_offset)
-            for ix, x_offset, iy, y_offset in zip(rows, rows, rows, rows)
-        )
+        nodes = []
+        for ix, x_offset, iy, y_offset in zip(rows, rows, rows, rows):
+            if comps[iy].sort_key() < comps[ix].sort_key():
+                ix, x_offset, iy, y_offset = iy, y_offset, ix, x_offset
+            nodes.append(IntersectionNode(comps[ix], x_offset, comps[iy], y_offset))
+        return tuple(nodes)
 
 
 # builds graphs whose node table is valid by construction
@@ -654,22 +656,24 @@ def _dot_pieces(labels: list, table) -> list[str]:
 def export_graph(graph: BNCurveGraph, fmt: str) -> str:
     """Serialize the graph as DOT or JSON, deterministically.
 
-    Components appear in (sequence lex, marked) order; counts in JSON are
-    decimal strings.  The JSON text is byte for byte what
-    ``json.dumps(payload, indent=2) + "\n"`` gives for the payload
-    {a, g, d, nu, delta, genus, components: [{id, sequence, marked}],
-    nodes: [{x, x_offset, y, y_offset}]}, written with string joins because
-    json.dumps falls back to its pure-Python encoder whenever it indents.
-    Nodes are read from the node table, each end's label by its index.
+    Components appear in the graph's order, which is (sequence lex, marked)
+    for :func:`build_bn_curve`'s graphs; counts in JSON are decimal strings.
+    The JSON text is byte for byte ``json.dumps(payload, indent=2) + "\n"``
+    of the payload {a, g, d, nu, delta, genus, components: [{id, sequence,
+    marked}], nodes: [{x, x_offset, y, y_offset}]}, written with string
+    joins because json.dumps falls back to its pure-Python encoder whenever
+    it indents.  Nodes are read from the node table, each end's label by
+    its index.  Labels are spelled as the `curve` command spells them, not
+    read from the ids: a :func:`_digits` text made once per distinct
+    sequence (looked up once per run of ids that share its tuple, as a
+    word's ids do) and an "|i" text made once per marked index.
 
-    Each layout is written once, as a private function that returns the
-    piece list of its text (:func:`_json_pieces`, :func:`_dot_pieces`)
-    from the counts, the labels and the node table, so the `curve` command
-    lays out its stream (:func:`_curve_pieces`) through the same code; the
-    text is the list's one join.  The list holds references to shared
-    strings, the constant layout between two fields and tables of field
-    texts made once per export, so no string is built per component or per
-    node and the join makes the only copy of the text.
+    Each layout is one private function that returns the piece list of its
+    text (:func:`_json_pieces`, :func:`_dot_pieces`), which the `curve`
+    command's stream (:func:`_curve_pieces`) shares; the text is the
+    list's one join.  The list holds references to constant layout strings
+    and to field texts made once per export, so no string but a label is
+    built per component, none per node, and the join is the only copy.
     """
     if fmt not in ("json", "dot"):
         raise ValueError(f"unknown export format: {fmt!r}")
@@ -677,7 +681,12 @@ def export_graph(graph: BNCurveGraph, fmt: str) -> str:
     # index, and a count only digits, so none needs JSON escaping: each is
     # written between quotes as it is.
     comps = graph.components
-    labels = list(map(attrgetter("label"), comps))
+    digits, marks = _Texts(_digits), _Texts("|{}".format)
+    labels, seq = [], None
+    for c in comps:
+        if c.sequence is not seq:  # a word's ids share one tuple
+            seq, text = c.sequence, digits[c.sequence]
+        labels.append(text + marks[c.marked])
     if fmt == "dot":
         return "".join(_dot_pieces(labels, graph.node_table))
     return "".join(

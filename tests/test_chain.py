@@ -450,9 +450,11 @@ class TestComponentId:
     @pytest.mark.parametrize("a", range(1, 7))
     def test_all_components_pass_the_public_constructor(self, a):
         comps = all_components(ChainSpec.rho_one(a))
+        # each id holds its two fields and nothing else until its label is read
+        assert all(set(vars(c)) == {"sequence", "marked"} for c in comps)
         public = [BNComponentId(c.sequence, c.marked) for c in comps]
         assert comps == public
-        # the ready-made labels are the ones the label property computes
+        # the labels the property computes are the public ids' labels
         assert [c.label for c in comps] == [p.label for p in public]
         names = {f.name for f in fields(BNComponentId)} | {"label"}
         assert all(set(vars(c)) == names for c in comps)

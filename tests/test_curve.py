@@ -587,6 +587,22 @@ class TestExport:
         assert export_graph(graph, fmt) == reference(graph)
         assert export_graph(graph, fmt) != export_graph(built, fmt)
         assert genus_from_graph(graph) == genus_from_graph(built)
+        # the node records orient each row's ends by sort_key, so they are
+        # the built graph's nodes
+        nodes = [
+            {(n.x.label, n.x_offset, n.y.label, n.y_offset) for n in g.nodes}
+            for g in (graph, built)
+        ]
+        assert nodes[0] == nodes[1]
+
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    def test_leaves_each_id_holding_its_two_fields(self, fmt):
+        # the build stores no label on its ids and the export spells its own
+        graph = build_bn_curve(3)
+        text = export_graph(graph, fmt)
+        assert all(set(vars(c)) == {"sequence", "marked"} for c in graph.components)
+        reference = reference_json if fmt == "json" else reference_dot
+        assert text == reference(graph)
 
     @pytest.mark.parametrize("fmt", ["json", "dot"])
     def test_offsets_outside_0_to_d_export_as_given(self, fmt):

@@ -1,10 +1,12 @@
 """The private names that one module of the package imports from another,
-and the options that each CLI subcommand takes.
+the options that each CLI subcommand takes, and the arguments of every
+`_unchecked` call.
 
 Each such pair is a helper that two modules know, so a new one arrives only
 as a reviewed edit to SHARED_PRIVATE_NAMES; each option is a knob that the
 CLI documents and tests, so a new one arrives only as a reviewed edit to
-CLI_OPTIONS.
+CLI_OPTIONS; and an `_unchecked` builder stores a record's fields and
+nothing else, so a knob for more arrives only as a reviewed edit here.
 """
 
 import argparse
@@ -69,3 +71,18 @@ def test_cli_options_are_the_recorded_ones():
     }
     assert options == CLI_OPTIONS
     assert sum(map(len, options.values())) == 13
+
+
+def test_unchecked_calls_pass_only_the_class():
+    calls = [
+        (path.stem, node)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and "_unchecked" in (getattr(node.func, n, None) for n in ("id", "attr"))
+    ]
+    assert calls
+    for module, call in calls:
+        # one argument, the class: no extra field names, keywords or *args
+        args = [type(arg) for arg in call.args] + call.keywords
+        assert args == [ast.Name], f"{module}: {ast.unparse(call)}"
