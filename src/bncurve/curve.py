@@ -47,15 +47,21 @@ that lands on it as a backward candidate: t reads head.1.2^R.tail, and
 the candidate s = head.2^r.1.2^(R-r).tail, r = 1..R, gives t when its 1
 moves to the front of its run of 2s.  Every 1-move of every word is one
 such candidate of its target, so no node is missed or found twice; a
-candidate is kept only if it is a ballot word and :func:`_moved` maps it
-back to t.  The offsets are read off t's runs, and connectivity is one
-byte per word: every word but 1^a 2^a holds a 1 right after a 2, whose
-move lands lower, so each word after the first is reached by a backward
-row before its turn.  :func:`build_bn_curve` joins the rows into its
+candidate is kept when it is a ballot word, r at most the height of
+head.  The rows build no neighbour word: the rank of each target is
+read off a table of ballot numbers (:func:`_ballot_table`), as the rank
+of t changed at the few positions the move touches, and the offsets off
+t's runs.  A count per word of the rows that land on it from lower
+words checks those ranks and proves connectivity: it must equal the
+length from the word's first 2 to its last 1, which is positive for
+every word but 1^a 2^a.  :func:`build_bn_curve` joins the rows into its
 graph, and checks the offsets of every row against the :func:`propagate`
 walk and its connectivity with the union-find.  The `curve` command lays
 the rows out through the export's own layout (:func:`_curve_pieces`),
-with no BNCurveGraph, no :func:`propagate` and no union-find.
+with no BNCurveGraph, no :func:`propagate` and no union-find.  So
+:func:`_moved` is the meet rule that :func:`intersect` reads, and the
+rows are the same rule counted a word at a time; the tests check the
+rows against rows built from :func:`_moved` and a rank dict.
 
 Two more nodal-curve rules are defined here once, for this graph and the
 genus-5 covers of :mod:`bncurve.gonality` alike: :func:`arithmetic_genus`
@@ -70,7 +76,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, islice
-from math import factorial
+from math import comb, factorial
 from operator import attrgetter, eq
 
 from .chain import (
@@ -295,6 +301,30 @@ def _word_nodes(seq: tuple) -> int:
     return 4 * a - final - returns
 
 
+def _ballot_table(n: int) -> list[list[int]]:
+    """The ballot numbers a rank reads, for words of length n: entry
+    [pos][h] counts the ballot words that read a 1 at pos after a prefix of
+    height h (its count of 1s less its count of 2s), f(n - pos - 1, h + 1),
+    where f(L, m) = C(L, (L - m)/2) - C(L, (L - m)/2 - 1) is the number of
+    walks of L steps of +-1 from height m down to 0 that never dip below 0
+    (the reflection principle), and 0 when L - m is odd or negative.  A
+    prefix of a ballot word of length n is at most n/2 high, so h runs over
+    0..n/2.  Made once per :func:`_node_rows` call and not kept."""
+    table = []
+    for pos in range(n):
+        length = n - pos - 1
+        row = []
+        for h in range(n // 2 + 1):
+            down = length - h - 1  # the steps past the h + 1 the walk falls
+            if down < 0 or down % 2:
+                row.append(0)
+            else:
+                k = down // 2
+                row.append(comb(length, k) - (comb(length, k - 1) if k else 0))
+        table.append(row)
+    return table
+
+
 def _node_rows(chain: ChainSpec):
     """Yield (t, rows) for each ballot word t of the chain, in lex order,
     where rows are the node rows whose smaller index lies on t, four ints
@@ -305,12 +335,26 @@ def _node_rows(chain: ChainSpec):
 
     The rows of t, of rank k, are its g - 1 path edges; its 2-moves, which
     land above k: in each run of 1s t[start:q] followed by a 2, each slot
-    p with :func:`_moved` (t, p, q) = (t', q + 2); and its backward
-    candidates (the module docstring): for the 1 at p in front of a run of
-    2s, each s = t[:p] + 2^r + 1 + t[p + r + 1:], which ranks above k,
-    meets (t, p + r + 2) at (s, p + 1) when the rank dict knows s (it is a
-    ballot word) and :func:`_moved` (s, p, p + r) is (t, p + r + 2).  Once
-    a candidate dips below height 0, so do the longer ones.
+    p where t[:p] has positive height (the ballot condition of
+    :func:`_moved`) meets (t', q + 2) at (t, p + 1), t' being t with that
+    2 moved to p; and its backward candidates (the module docstring): for
+    the 1 at p in front of a run of 2s, each s = t[:p] + 2^r + 1 +
+    t[p + r + 1:], which ranks above k and whose 1 moves back onto t,
+    meets (t, p + r + 2) at (s, p + 1) when it is a ballot word, that is
+    for r up to the height of t[:p].
+
+    No target is built: its rank is read off :func:`_ballot_table`, F.
+    The rank of a ballot word w is the sum of F[pos][height of w[:pos]]
+    over the positions pos of its 2s, since the words below w are those
+    that first differ from it by a 1 where it reads a 2, and they number
+    the ballot completions of that prefix.  A 2-move changes the terms of
+    two positions alone: it adds the 2 at p, from the height h_p of
+    t[:p], and takes away the 2 at q, from the height h_q = h_p + q - p;
+    the prefixes past q hold the same counts.  So t' has rank
+    k + F[p][h_p] - F[q][h_q].  Likewise t's 2s at p + 1..p + r, from the
+    heights h_p + 1..h_p + 2 - r, become s's 2s at p..p + r - 1, from the
+    heights h_p..h_p + 1 - r, so each r adds one pair of F reads to the
+    rank of the candidate r - 1.
 
     The offsets are read as :func:`intersect` reads them, W_t[i - 1] on the
     lower end (s, i) and W_s[j - 2] + 1 on the higher one (t, j), all from
@@ -319,20 +363,29 @@ def _node_rows(chain: ChainSpec):
     t's head, so W_t'[p] = 1 + #1s in t[:p]; a candidate s reads its 1 at
     p + r after r more 2s than t, so W_s[p + r] = W_t[p] + r.
 
-    Connectivity is proved a word at a time.  Each word's g components
-    form a path, and a backward row from t marks its source, one byte per
-    word, so a word that arrives marked meets a lower word, and by
-    induction the curve is connected once every word after the first
-    does (the module docstring proves they all do).  A word after the
-    first that arrives unmarked raises the build's AssertionError.
+    The arithmetic ranks are checked, and connectivity proved, by a count
+    per word of the rows that land on it from lower words.  Those rows
+    are the word's 1-moves, each found as a backward candidate of its
+    target, and the 2-moves of lower words onto it.  Where a run of 2s of
+    length A is followed by a run of 1s of length B, the word has A
+    1-moves, one from each slot of the run of 2s, and is the target of B
+    2-moves, the last 2 of the run moved back behind 1..B of the 1s (a
+    2-move leaves its 2 right in front of a 1, and moving a 2 later keeps
+    a word ballot).  So the count is the sum of A + B, the length from the
+    word's first 2 to its last 1, and 0 only for the first word 1^a 2^a.
+    When a word comes up with another count, the build's AssertionError
+    is raised; with none, every word after the first meets a lower word,
+    and by induction the curve is connected.
     """
     g, n = chain.g, chain.g - 1
     words = [bytes(w.symbols) for w in enumerate_ballot(chain.a)]
-    rank = {t: k for k, t in enumerate(words)}
-    reached = bytearray(len(words))  # marked by a backward row
+    passed = _ballot_table(n)
+    landed = [0] * len(words)  # rows that land on each word from lower words
     for k, t in enumerate(words):
-        if k and not reached[k]:
-            raise AssertionError("Brill-Noether curve graph came out disconnected")
+        if landed[k] != t.rindex(1) + 1 - t.index(2):
+            if not landed[k]:
+                raise AssertionError("Brill-Noether curve graph came out disconnected")
+            raise AssertionError("node rows that land on a word differ from its runs")
         base = k * g
         rows = []  # (x index, y index, x_offset, y_offset), sorted below
         ones = twos = 0  # #1s and #2s in t[:start]
@@ -344,26 +397,26 @@ def _node_rows(chain: ChainSpec):
             if end < 0:
                 end = n
             w1, w2 = twos, 1 + ones + q - start  # W along each run
+            hq = ones - twos + q - start  # the height of t[:q]
+            lift = k - passed[q][hq]  # the rank of a 2-move less F[p][h_p]
+            hp = hq - q + start
             for p in range(start, q):
                 ix = base + p
                 rows.append((ix, ix + 1, w1, w1 + 1))
-                moved = _moved(t, p, q)
-                if moved is not None:
-                    target, j = moved
-                    rows.append(
-                        (ix, rank[target] * g + j - 1, 1 + ones + p - start, w2 + 1)
-                    )
+                if hp:
+                    kt = lift + passed[p][hp]
+                    rows.append((ix, kt * g + q + 1, 1 + w1 + hp, w2 + 1))
+                    landed[kt] += 1
+                hp += 1
             for ix in range(base + q, base + end):
                 rows.append((ix, ix + 1, w2, w2 + 1))
-            p = q - 1  # the 1 in front of the run of 2s
-            for r in range(1, end - q + 1):
-                s = t[:p] + t[q : q + r] + t[p:q] + t[q + r :]
-                ks = rank.get(s)
-                if ks is None:
-                    break
-                if _moved(s, p, p + r) == (t, p + r + 2):
-                    rows.append((base + q + r, ks * g + p, w1 + r + 1, w1))
-                    reached[ks] = 1
+            # the 1 in front of the run of 2s sits at q - 1, from height
+            # hq - 1, and ks is the rank of the candidate of r 2s
+            ks = k
+            for r in range(1, min(end - q, hq - 1) + 1):
+                ks += passed[q + r - 2][hq - r] - passed[q + r - 1][hq + 1 - r]
+                rows.append((base + q + r, ks * g + q - 1, w1 + r + 1, w1))
+                landed[ks] += 1
             ones += q - start
             twos += end - q
             start = end
@@ -452,17 +505,18 @@ def build_bn_curve(a: int, *, max_a: int = DEFAULT_MAX_A) -> BNCurveGraph:
     (rank of t) * g + j - 1, so the components are those of
     :func:`all_components`, in (sequence lex, marked) order.
 
-    The rows count their offsets off each word's runs, so the build checks
-    them against the walk: the :func:`propagate` offsets of each component
-    (component k is marked at k % g + 1, so its node point is the other's
-    entry k % g) must give both offsets of every row.  That is nu propagate
-    calls but catalan(a) walks, since the components come in (sequence,
-    marked) order and propagate keeps the last word's walk.  No
-    IntersectionNode is built; the graph, valid by construction, is built
+    The rows count their offsets off each word's runs, and their target
+    ranks off ballot numbers, which their landing counts check; the build
+    checks the offsets against the walk: the :func:`propagate` offsets of
+    each component (component k is marked at k % g + 1, so its node point
+    is the other's entry k % g) must give both offsets of every row.  That
+    is nu propagate calls but catalan(a) walks, since the components come
+    in (sequence, marked) order and propagate keeps the last word's walk.
+    No IntersectionNode is built; the graph, valid by construction, is built
     by :func:`bncurve.combinatorics._unchecked`, without the table
-    re-check.  Its connectivity, which the rows prove one byte per word, is
-    checked again by the int union-find :func:`edges_connect`.  Either
-    check raises AssertionError when it fails.
+    re-check.  Its connectivity, which the rows prove by their landing
+    counts, is checked again by the int union-find :func:`edges_connect`.
+    Each check raises AssertionError when it fails.
 
     Raises ValueError, before any enumeration, for an a that is not an int
     >= 1, when nu + delta would exceed CURVE_SIZE_BUDGET, which max_a
@@ -577,6 +631,17 @@ class _Texts(dict):
         return text
 
 
+def _per_run(texts: _Texts, keys):
+    """texts[key] for each of the keys, looked up once per run of keys that
+    are one object, as a word's ids share one sequence tuple: a tuple does
+    not keep its hash, so a lookup per key would hash each one again."""
+    key = text = None
+    for k in keys:
+        if k is not key:
+            key, text = k, texts[k]
+        yield text
+
+
 def _json_pieces(
     a: int, genus: int, labels: list, sequences, marks, table
 ) -> list[str]:
@@ -589,7 +654,9 @@ def _json_pieces(
     key before it), one tail per distinct marked index (with the record's
     close), one text per distinct offset on each side (with the key after
     it).  A sequence's array is one join of its :func:`_digits`, between
-    the strings of the array [1, 2] (a word is never empty)."""
+    the strings of the array [1, 2] (a word is never empty), and it is
+    looked up once per run of components that share one sequence object
+    (:func:`_per_run`)."""
     start, _, sep, _, end = _json_array("      ", "", 2, "12")
     start = '",\n      "sequence": ' + start
     seq_text = _Texts(lambda seq: start + sep.join(_digits(seq)) + end)
@@ -602,7 +669,7 @@ def _json_pieces(
         '{\n      "id": "',
         nu,
         labels,
-        map(seq_text.__getitem__, sequences),
+        _per_run(seq_text, sequences),
         map(marked_text.__getitem__, marks),
     )
     components[0] = (
@@ -666,7 +733,8 @@ def export_graph(graph: BNCurveGraph, fmt: str) -> str:
     its index.  Labels are spelled as the `curve` command spells them, not
     read from the ids: a :func:`_digits` text made once per distinct
     sequence (looked up once per run of ids that share its tuple, as a
-    word's ids do) and an "|i" text made once per marked index.
+    word's ids do, and so is the JSON sequence column) and an "|i" text
+    made once per marked index.
 
     Each layout is one private function that returns the piece list of its
     text (:func:`_json_pieces`, :func:`_dot_pieces`), which the `curve`
@@ -725,6 +793,6 @@ def _curve_pieces(a: int, fmt: str, max_a: int) -> tuple[list[str], int]:
     genus = arithmetic_genus([1] * len(labels), len(table) // 4)
     if fmt == "dot":
         return _dot_pieces(labels, table), genus
-    sequences = [word for word in words for _ in marks]
+    sequences = (word for word in words for _ in marks)
     marked = list(range(1, chain.g + 1)) * len(words)
     return _json_pieces(a, genus, labels, sequences, marked, table), genus

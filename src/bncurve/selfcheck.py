@@ -122,10 +122,11 @@ def check_table_fidelity():
 
 
 def check_nodal_properties(graphs):
-    # each node of the a <= 3 graphs against intersect, which tests one
-    # pair at a time where the build's rows come a word at a time from
-    # _node_rows, and whose offsets _slot_offset counts at one slot each
-    for graph in graphs[:3]:
+    # each node of the a <= 4 graphs against intersect, which tests one
+    # pair at a time by _moved where the build's rows come a word at a time
+    # from _node_rows, and whose offsets _slot_offset counts at one slot
+    # each; a = 4 is the first curve with a run of three
+    for graph in graphs[:4]:
         chain, comps = ChainSpec.rho_one(graph.a), graph.components
         rows = iter(graph.node_table)
         for ix, x_offset, iy, y_offset in zip(rows, rows, rows, rows):

@@ -168,52 +168,94 @@ class TestCurve:
         assert (payload["nu"], payload["delta"]) == ("24310", "38896")
 
 
-def curve_with_moved(monkeypatch, capsys, a, refuses):
-    """`main(["curve", "--a", a])` with `curve._moved` answering None
-    wherever refuses(seq, p, q) holds: it exits 2 with nothing on stdout
-    and one line on stderr, returned."""
-    module = sys.modules["bncurve.curve"]
-    original = module._moved
-
-    def moved(seq, p, q):
-        return None if refuses(seq, p, q) else original(seq, p, q)
-
-    monkeypatch.setattr(module, "_moved", moved)
+def curve_exits_2(capsys, a):
+    """`main(["curve", "--a", a])` exits 2 with nothing on stdout and one
+    line on stderr, returned."""
     assert main(["curve", "--a", str(a)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
     return captured.err
 
 
-def test_a_moved_that_refuses_every_2_move_exits_2(monkeypatch, capsys):
-    # the forward rows go missing, so the genus falls short of the closed form
-    err = curve_with_moved(monkeypatch, capsys, 3, lambda seq, p, q: seq[q] == 2)
+def curve_without_rows(monkeypatch, capsys, a, drops):
+    """`curve_exits_2` with the rows of `curve._node_rows` for which
+    drops(word, ix, iy) holds left out of its table, after the rows' own
+    landing check; ix and iy are the row's two component indices."""
+    module = sys.modules["bncurve.curve"]
+    original = module._node_rows
+
+    def rows_dropped(chain):
+        for word, table in original(chain):
+            kept = []
+            for k in range(0, len(table), 4):
+                if not drops(word, table[k], table[k + 2]):
+                    kept += table[k : k + 4]
+            yield word, kept
+
+    monkeypatch.setattr(module, "_node_rows", rows_dropped)
+    return curve_exits_2(capsys, a)
+
+
+def curve_with_table_slip(monkeypatch, capsys, a, pos, h, slip):
+    """`curve_exits_2` with entry [pos][h] of `curve._ballot_table`, the
+    ballot numbers the rows read their target ranks off, moved by slip."""
+    module = sys.modules["bncurve.curve"]
+    original = module._ballot_table
+
+    def slipped(n):
+        table = original(n)
+        table[pos][h] += slip
+        return table
+
+    monkeypatch.setattr(module, "_ballot_table", slipped)
+    return curve_exits_2(capsys, a)
+
+
+def test_rows_missing_every_2_move_exit_2(monkeypatch, capsys):
+    # a 2-move joins a word to a higher word at a higher marked slot; with
+    # them gone, the genus falls short of the closed form
+    g = 7
+
+    def forward(word, ix, iy):
+        return ix // g != iy // g and iy % g > ix % g
+
+    err = curve_without_rows(monkeypatch, capsys, 3, forward)
     assert err.startswith(
         "internal failure: AssertionError('consistency failure: graph genus "
     )
 
 
-def test_a_dropped_backward_candidate_exits_2(monkeypatch, capsys):
-    # 121212 moves either of its last two 1s forward; with the first move
-    # refused, the backward row of 112212 goes and 121122's still marks it
-    def refuses(seq, p, q):
-        return (bytes(seq), p, q) == (bytes((1, 2, 1, 2, 1, 2)), 1, 2)
-
-    err = curve_with_moved(monkeypatch, capsys, 3, refuses)
+def test_a_dropped_backward_row_exits_2(monkeypatch, capsys):
+    # 121212 moves either of its last two 1s forward; the move of the first
+    # is the backward row of (112212, 4), index 2 * 7 + 3, onto (121212, 2),
+    # index 4 * 7 + 1, and with that row gone the genus is one short
+    err = curve_without_rows(
+        monkeypatch, capsys, 3, lambda word, ix, iy: (ix, iy) == (17, 29)
+    )
     assert err == (
         "internal failure: AssertionError('consistency failure: graph genus "
         "42 != closed form 43')\n"
     )
 
 
-def test_an_unmarked_word_exits_2_as_disconnected(monkeypatch, capsys):
-    # 1212's one 1-move lands on 1122; refused, no lower word reaches 1212
-    err = curve_with_moved(
-        monkeypatch, capsys, 2, lambda seq, p, q: bytes(seq) == bytes((1, 2, 1, 2))
-    )
+def test_an_unreached_word_exits_2_as_disconnected(monkeypatch, capsys):
+    # 1122's 2-move and backward candidate both read 1212's rank as
+    # 0 + F[1][1] - F[2][2] = 1; with F[1][1] one too small they land on
+    # 1122 itself, and 1212 comes up with no row from a lower word
+    err = curve_with_table_slip(monkeypatch, capsys, 2, 1, 1, -1)
     assert err == (
         "internal failure: AssertionError('Brill-Noether curve graph came out "
         "disconnected')\n"
+    )
+
+
+def test_a_ballot_table_slip_exits_2_before_any_byte(monkeypatch, capsys):
+    # at a = 3 the slipped ranks land on other words, so a word comes up
+    # with more or fewer rows landed on it than its runs count
+    err = curve_with_table_slip(monkeypatch, capsys, 3, 1, 1, -1)
+    assert err == (
+        "internal failure: AssertionError('node rows that land on a word "
+        "differ from its runs')\n"
     )
 
 
@@ -547,9 +589,9 @@ def selftest_with(monkeypatch, capsys, original, mutant):
 
 
 def test_a_lost_ballot_word_exits_2_in_one_line(monkeypatch, capsys):
-    # the second word of every m = 2 shape with a >= 2 goes missing, so the
-    # up-front curve build looks up, in the rows' rank dict, the bytes of a
-    # word it never enumerated, as `curve --a 2` does: each check that
+    # the second word of every m = 2 shape with a >= 2 goes missing, so in
+    # the up-front curve build the rows of 1122 count a landing on rank 1,
+    # past the one word enumerated, as `curve --a 2` does: each check that
     # reads the graphs fails with that error in its one line
     original = sys.modules["bncurve.combinatorics"].enumerate_ballot
 
@@ -566,7 +608,7 @@ def test_a_lost_ballot_word_exits_2_in_one_line(monkeypatch, capsys):
         "nodal properties",
         "property suite",
     } <= {name for status, name, detail in lines
-          if (status, detail) == ("FAIL", "KeyError: b'\\x01\\x02\\x01\\x02'")}
+          if (status, detail) == ("FAIL", "IndexError: list index out of range")}
 
 
 def test_a_check_that_raises_fails_its_line_and_the_rest_print(monkeypatch, capsys):

@@ -5,7 +5,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, groupby
 from math import comb
 from pathlib import Path
 
@@ -18,6 +18,7 @@ from bncurve.curve import (
     CURVE_SIZE_BUDGET,
     BNCurveGraph,
     IntersectionNode,
+    _ballot_table,
     _moved,
     _node_rows,
     _word_nodes,
@@ -895,3 +896,81 @@ class TestNodeRows:
                 p = len(s[:q].rstrip(b"\x02"))  # the front of its run of 2s
                 t, _ = _moved(s, p, q)
                 assert rank[t] < rank[s] and (rank[t], rank[s]) in meets
+
+
+def moved_rows(chain):
+    """Oracle: the rows of :func:`_node_rows`, word by word, from the
+    targets themselves: each 2-move's target built by :func:`_moved` and
+    each backward candidate as a word, both ranked by a dict of the words'
+    bytes, each candidate kept when the dict knows it and :func:`_moved`
+    maps it back onto t.  The offsets are read off t's runs as the rows
+    read them."""
+    g, n = chain.g, chain.g - 1
+    words = [bytes(w.symbols) for w in enumerate_ballot(chain.a)]
+    rank = {t: k for k, t in enumerate(words)}
+    for k, t in enumerate(words):
+        base, rows = k * g, []
+        ones = twos = start = 0
+        while start < n:
+            q = t.index(2, start)
+            end = t.find(1, q)
+            if end < 0:
+                end = n
+            w1, w2 = twos, 1 + ones + q - start
+            for p in range(start, q):
+                rows.append((base + p, base + p + 1, w1, w1 + 1))
+                moved = _moved(t, p, q)
+                if moved is not None:
+                    target, j = moved
+                    ix, iy = base + p, rank[target] * g + j - 1
+                    rows.append((ix, iy, 1 + ones + p - start, w2 + 1))
+            rows += [(ix, ix + 1, w2, w2 + 1) for ix in range(base + q, base + end)]
+            p = q - 1
+            for r in range(1, end - q + 1):
+                s = t[:p] + t[q : q + r] + t[p:q] + t[q + r :]
+                if s not in rank:
+                    break
+                if _moved(s, p, p + r) == (t, p + r + 2):
+                    rows.append((base + q + r, rank[s] * g + p, w1 + r + 1, w1))
+            ones, twos, start = ones + q - start, twos + end - q, end
+        rows.sort()
+        yield t, [v for ix, iy, xo, yo in rows for v in (ix, xo, iy, yo)]
+
+
+class TestRanks:
+    """The rows rank each target off :func:`_ballot_table` with no word
+    built, and count the rows that land on each word."""
+
+    @pytest.mark.parametrize("a", range(1, 9))
+    def test_a_word_ranks_at_the_table_entries_of_its_2s(self, a):
+        table = _ballot_table(2 * a)
+        for k, word in enumerate(enumerate_ballot(a)):
+            heights = accumulate((1 if v == 1 else -1 for v in word.symbols), initial=0)
+            assert k == sum(
+                table[pos][h]
+                for pos, (v, h) in enumerate(zip(word.symbols, heights))
+                if v == 2
+            )
+
+    @pytest.mark.parametrize("a", range(1, 10))
+    def test_rows_equal_those_of_moved_and_a_rank_dict(self, a):
+        chain = ChainSpec.rho_one(a)
+        for got, want in zip(_node_rows(chain), moved_rows(chain), strict=True):
+            assert got == want
+
+    @pytest.mark.parametrize("a", range(1, 10))
+    def test_rows_landing_on_a_word_are_its_1_moves_and_reverse_2_moves(self, a):
+        # where a run of 2s of length A is followed by a run of 1s of
+        # length B, A rows and B rows land, from lower words
+        g = 2 * a + 1
+        words, rows = stream_rows(a)
+        across = [(ix // g, iy // g) for ix, _, iy, _ in rows if ix // g != iy // g]
+        assert all(kx < ky for kx, ky in across)
+        landed = Counter(ky for _, ky in across)
+        for k, word in enumerate(words):
+            # the runs alternate 1s, 2s, ..., so each run of 2s but the last
+            # sits at an odd place, followed by a run of 1s
+            runs = [len(list(run)) for _, run in groupby(word)]
+            expected = sum(runs[i] + runs[i + 1] for i in range(1, len(runs) - 1, 2))
+            assert landed[k] == expected
+

@@ -25,6 +25,7 @@ curve = sys.modules["bncurve.curve"]
 gonality = sys.modules["bncurve.gonality"]
 selfcheck = sys.modules["bncurve.selfcheck"]
 _moved, _walk, _node_rows = curve._moved, chain._walk, curve._node_rows
+_ballot_table = curve._ballot_table
 _catalan, _export_graph = combinatorics.catalan, curve.export_graph
 _generalized_catalan = combinatorics.generalized_catalan
 _enumerate_ballot = combinatorics.enumerate_ballot
@@ -91,11 +92,20 @@ def node_rows_with_backward_y_offset_off_by_one(chain):
         yield word, table
 
 
+def ballot_table_with_an_entry_one_too_small(n):
+    # entry [1][1], which each word that starts 11 reads for a 2-move from
+    # slot 2 or a backward candidate at slot 3; the rows then land on other
+    # words, and the build's landing count raises AssertionError, which
+    # fails every check that reads graphs
+    table = _ballot_table(n)
+    table[1][1] -= 1
+    return table
+
+
 def enumerate_ballot_losing_a_word(a, m=2):
     # the second word of each m = 2 shape with a >= 2; the up-front graph
-    # build then looks its bytes up in the rows' rank dict and raises
-    # KeyError: b'\x01\x02\x01\x02', which fails every check that reads
-    # graphs
+    # build's rows then count a landing on a rank past the words it has
+    # and raise IndexError, which fails every check that reads graphs
     for k, word in enumerate(_enumerate_ballot(a, m)):
         if not (a >= 2 and m == 2 and k == 1):
             yield word
@@ -106,14 +116,14 @@ MUTATIONS = [
         (curve,),
         "_moved",
         moved_one_slot_later,
-        {"nodal properties", "gonality pipeline"},
+        {"nodal properties"},
         id="_moved marks one slot later",
     ),
     pytest.param(
         (curve,),
         "_moved",
         moved_without_runs_of_three,
-        {"node count delta, both forms", "genus, graph vs closed form"},
+        {"nodal properties"},
         id="_moved drops runs of length >= 3",
     ),
     pytest.param(
@@ -182,6 +192,20 @@ MUTATIONS = [
             "property suite",
         },
         id="_node_rows backward row's y offset off by one",
+    ),
+    pytest.param(
+        (curve,),
+        "_ballot_table",
+        ballot_table_with_an_entry_one_too_small,
+        {
+            "component count nu = (2a+1) c_a",
+            "node count delta, both forms",
+            "genus, graph vs closed form",
+            "nodal properties",
+            "gonality pipeline",
+            "property suite",
+        },
+        id="ballot-number table entry off by one",
     ),
     pytest.param(
         every_binding(_catalan),
