@@ -14,10 +14,10 @@ output is exact decimal text.
 `curve` holds no graph: it lays its export out a ballot word at a time
 from the meet rule (`curve._curve_pieces`), with the refusals of
 `build_bn_curve` first and the same bytes as `export_graph` of the built
-graph.  It checks the genus, counted from the rows, against the closed
-form before it writes a byte, so a failure leaves stdout empty; then it
-writes the pieces a slice of about 1 MiB at a time, with no join of the
-whole text.
+graph.  That call checks the genus it counts from the rows against the
+closed form, so a failure raises before a byte is written and leaves
+stdout empty; the command then writes the pieces a slice of about 1 MiB
+at a time, with no join of the whole text.
 
 `main(argv)` may be called many times in one process, as the benchmark
 worker and the test suite do.  The argparse parser is built on the first
@@ -201,12 +201,8 @@ def _cmd_curve(args) -> int:
     from .curve import _curve_pieces, eh_formula, eh_formula_corrected
     from .curve import genus_closed
 
-    pieces, genus = _curve_pieces(args.a, args.format, args.max_a)
+    pieces = _curve_pieces(args.a, args.format, args.max_a)
     closed = genus_closed(args.a)
-    if genus != closed:  # an internal failure: main exits 2
-        raise AssertionError(
-            f"consistency failure: graph genus {genus} != closed form {closed}"
-        )
     chain = ChainSpec.rho_one(args.a)
     eh = eh_formula(chain.g, 1, chain.d)
     eh_r1 = eh_formula_corrected(chain.g, 1, chain.d)

@@ -375,11 +375,19 @@ def _node_rows(chain: ChainSpec):
     word's first 2 to its last 1, and 0 only for the first word 1^a 2^a.
     When a word comes up with another count, the build's AssertionError
     is raised; with none, every word after the first meets a lower word,
-    and by induction the curve is connected.
+    and by induction the curve is connected.  A rank read off F indexes
+    the word list, so before the first row the words are counted against
+    F[0][0], the number of all ballot words, and the same AssertionError
+    is raised when they differ.
     """
     g, n = chain.g, chain.g - 1
     words = [bytes(w.symbols) for w in enumerate_ballot(chain.a)]
     passed = _ballot_table(n)
+    if len(words) != passed[0][0]:
+        raise AssertionError(
+            f"the ballot words ({len(words)}) and the ballot numbers "
+            f"({passed[0][0]}) disagree"
+        )
     landed = [0] * len(words)  # rows that land on each word from lower words
     for k, t in enumerate(words):
         if landed[k] != t.rindex(1) + 1 - t.index(2):
@@ -548,12 +556,30 @@ def delta_closed(a: int) -> int:
 
 
 def genus_closed(a: int) -> int:
-    """Closed-form genus 1 + 2a(2a+1)/(a+2) * c_a; the division is exact."""
+    """Closed-form genus 1 + 2 C(2a+1, a-1), with no division.
+
+    The genus is delta + 1, and the nodes sort by their gap, |x_offset -
+    y_offset|: a path edge of :func:`_node_rows` has gap 1, and a move over
+    r symbols (:func:`_moved`, q - p = r) has gap r + 1.  Gap 1 holds the
+    (g - 1) c_a = 2 C(2a, a-1) path edges.  Gap k >= 2 holds the 1-moves
+    over k - 1 2s, one per factor 2^(k-1) 1 of a Dyck word, which the Dyck
+    words of semilength a read C(2a+1-k, a-k) times in all (a ballot
+    count; at k = 1 it counts their a c_a 1s), and as many 2-moves over
+    k - 1 1s, which the mirror, s reversed with 1 and 2 swapped, sends one
+    to one onto the 1-moves.  So gap k holds 2 C(2a+1-k, a-k) nodes, for
+    k = 1..a, and the hockey stick sums them: with j = a - k, the sum of
+    C(a+1+j, j) over j = 0..a-1 is C(2a+1, a-1), by Pascal's rule
+    C(n, j-1) + C(n, j) = C(n+1, j) applied a - 1 times from
+    C(a+1, 0) = C(a+2, 0).  So delta = 2 C(2a+1, a-1), which shares no
+    arithmetic with the Catalan form of :func:`delta_closed`.
+    tests/test_curve.py checks the gap classes node for node, and the
+    palindrome of the offsets, for a <= 9 in
+    test_gap_classes_are_binomial_and_offsets_a_palindrome, and the sum
+    against :func:`delta_closed` in exact integers for a < 400 in
+    test_ballot_numbers_sum_to_delta_closed_far_past_enumeration.
+    """
     ChainSpec.rho_one(a)  # refuses an a that is not an int >= 1
-    num = 2 * a * (2 * a + 1) * catalan(a)
-    if num % (a + 2):
-        raise ArithmeticError("genus formula did not divide exactly")
-    return 1 + num // (a + 2)
+    return 1 + 2 * comb(2 * a + 1, a - 1)
 
 
 def genus_from_graph(graph: BNCurveGraph) -> int:
@@ -586,7 +612,9 @@ def eh_formula_corrected(g: int, r: int, d: int) -> Fraction:
     1 + (r+1)(g-d+r)/(g-d+2r+1) * prod_{i=0}^r i!/(g-d+r+i)! * g!.
 
     For the rho = 1 chain (g, r, d) = (2a+1, 1, a+2) this reduces to
-    1 + 2a(2a+1)c_a/(a+2) = :func:`genus_closed`, the genus of the graph.
+    1 + 2a(2a+1)c_a/(a+2), which is 1 + 2 C(2a+1, a-1) =
+    :func:`genus_closed`, the genus of the graph, since
+    C(2a+1, a-1) = (2a+1)! / ((a-1)! (a+2)!) = a(2a+1) c_a / (a+2).
     """
     return 1 + (r + 1) * (eh_formula(g, r, d) - 1)
 
@@ -631,35 +659,23 @@ class _Texts(dict):
         return text
 
 
-def _per_run(texts: _Texts, keys):
-    """texts[key] for each of the keys, looked up once per run of keys that
-    are one object, as a word's ids share one sequence tuple: a tuple does
-    not keep its hash, so a lookup per key would hash each one again."""
-    key = text = None
-    for k in keys:
-        if k is not key:
-            key, text = k, texts[k]
-        yield text
-
-
 def _json_pieces(
-    a: int, genus: int, labels: list, sequences, marks, table
+    a: int, genus: int, labels: list, spelled, marks, table
 ) -> list[str]:
     """The pieces of the JSON export, in order, of a curve of the given a
     and genus: its components, in index order, have the given labels,
-    sequences and marked indices, and its nodes are the rows of `table`,
-    four ints per node as in BNCurveGraph.node_table.  Between two fields
-    sits one constant string, and each field is read from a table made
-    once per export: the labels, one text per distinct sequence (with the
-    key before it), one tail per distinct marked index (with the record's
-    close), one text per distinct offset on each side (with the key after
-    it).  A sequence's array is one join of its :func:`_digits`, between
-    the strings of the array [1, 2] (a word is never empty), and it is
-    looked up once per run of components that share one sequence object
-    (:func:`_per_run`)."""
+    sequences spelled by their :func:`_digits` and marked indices, and its
+    nodes are the rows of `table`, four ints per node as in
+    BNCurveGraph.node_table.  Between two fields sits one constant string,
+    and each field is read from a table made once per export: the labels,
+    one text per distinct sequence (with the key before it), one tail per
+    distinct marked index (with the record's close), one text per distinct
+    offset on each side (with the key after it).  A sequence's array is one
+    join of its digits, between the strings of the array [1, 2] (a word is
+    never empty), keyed by the digit string, whose hash a str keeps."""
     start, _, sep, _, end = _json_array("      ", "", 2, "12")
     start = '",\n      "sequence": ' + start
-    seq_text = _Texts(lambda seq: start + sep.join(_digits(seq)) + end)
+    seq_text = _Texts(lambda digits: start + sep.join(digits) + end)
     marked_text = _Texts(',\n      "marked": {}\n    }}'.format)
     x_text = _Texts('",\n      "x_offset": {},\n      "y": "'.format)
     y_text = _Texts('",\n      "y_offset": {}\n    }}'.format)
@@ -669,7 +685,7 @@ def _json_pieces(
         '{\n      "id": "',
         nu,
         labels,
-        _per_run(seq_text, sequences),
+        map(seq_text.__getitem__, spelled),
         map(marked_text.__getitem__, marks),
     )
     components[0] = (
@@ -733,8 +749,8 @@ def export_graph(graph: BNCurveGraph, fmt: str) -> str:
     its index.  Labels are spelled as the `curve` command spells them, not
     read from the ids: a :func:`_digits` text made once per distinct
     sequence (looked up once per run of ids that share its tuple, as a
-    word's ids do, and so is the JSON sequence column) and an "|i" text
-    made once per marked index.
+    word's ids do) and an "|i" text made once per marked index.  The JSON
+    sequence column is read by that same digit text.
 
     Each layout is one private function that returns the piece list of its
     text (:func:`_json_pieces`, :func:`_dot_pieces`), which the `curve`
@@ -750,11 +766,12 @@ def export_graph(graph: BNCurveGraph, fmt: str) -> str:
     # written between quotes as it is.
     comps = graph.components
     digits, marks = _Texts(_digits), _Texts("|{}".format)
-    labels, seq = [], None
+    labels, spelled, seq = [], [], None
     for c in comps:
         if c.sequence is not seq:  # a word's ids share one tuple
             seq, text = c.sequence, digits[c.sequence]
         labels.append(text + marks[c.marked])
+        spelled.append(text)
     if fmt == "dot":
         return "".join(_dot_pieces(labels, graph.node_table))
     return "".join(
@@ -762,20 +779,21 @@ def export_graph(graph: BNCurveGraph, fmt: str) -> str:
             graph.a,
             genus_from_graph(graph),
             labels,
-            map(attrgetter("sequence"), comps),
+            spelled,
             map(attrgetter("marked"), comps),
             graph.node_table,
         )
     )
 
 
-def _curve_pieces(a: int, fmt: str, max_a: int) -> tuple[list[str], int]:
-    """(pieces, genus) of the `curve` command's export of the a curve in
-    fmt, "json" or "dot": the pieces are those of
-    ``export_graph(build_bn_curve(a, max_a=max_a), fmt)``, laid out from
-    the rows of :func:`_node_rows` with no graph, and the genus is
-    :func:`arithmetic_genus` of its counts, which the JSON header prints
-    and the caller checks.  Raises what :func:`build_bn_curve` raises, its
+def _curve_pieces(a: int, fmt: str, max_a: int) -> list[str]:
+    """The pieces of the `curve` command's export of the a curve in fmt,
+    "json" or "dot": those of ``export_graph(build_bn_curve(a,
+    max_a=max_a), fmt)``, laid out from the rows of :func:`_node_rows` with
+    no graph.  The genus is :func:`arithmetic_genus` of the rows' counts,
+    which the JSON header prints; it is checked against
+    :func:`genus_closed` before any piece is laid out, and a mismatch
+    raises AssertionError.  Raises what :func:`build_bn_curve` raises, its
     refusals first, before any enumeration, but for its offset check: the
     offsets are written as the rows count them, with no :func:`propagate`.
 
@@ -784,15 +802,20 @@ def _curve_pieces(a: int, fmt: str, max_a: int) -> tuple[list[str], int]:
     """
     chain = _curve_chain(a, max_a)
     marks = ["|" + str(i) for i in range(1, chain.g + 1)]
-    words, labels, table = [], [], []
+    spelled, labels, table = [], [], []
     for word, rows in _node_rows(chain):
-        words.append(word)
         digits = _digits(word)
+        spelled.append(digits)
         labels += [digits + mark for mark in marks]
         table += rows
     genus = arithmetic_genus([1] * len(labels), len(table) // 4)
+    closed = genus_closed(a)
+    if genus != closed:
+        raise AssertionError(
+            f"consistency failure: graph genus {genus} != closed form {closed}"
+        )
     if fmt == "dot":
-        return _dot_pieces(labels, table), genus
-    sequences = (word for word in words for _ in marks)
-    marked = list(range(1, chain.g + 1)) * len(words)
-    return _json_pieces(a, genus, labels, sequences, marked, table), genus
+        return _dot_pieces(labels, table)
+    sequences = (digits for digits in spelled for _ in marks)
+    marked = list(range(1, chain.g + 1)) * len(spelled)
+    return _json_pieces(a, genus, labels, sequences, marked, table)

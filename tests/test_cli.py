@@ -249,6 +249,23 @@ def test_an_unreached_word_exits_2_as_disconnected(monkeypatch, capsys):
     )
 
 
+def test_a_lost_ballot_word_stops_the_rows_before_the_first(monkeypatch, capsys):
+    # 1212 goes missing, so 1122's 2-move would read rank 1 past the one
+    # word left; the rows first count the words against F[0][0] = c_2
+    module = sys.modules["bncurve.curve"]
+    original = module.enumerate_ballot
+    monkeypatch.setattr(
+        module,
+        "enumerate_ballot",
+        lambda a: (w for w in original(a) if w.symbols != (1, 2, 1, 2)),
+    )
+    err = curve_exits_2(capsys, 2)
+    assert err == (
+        "internal failure: AssertionError('the ballot words (1) and the ballot "
+        "numbers (2) disagree')\n"
+    )
+
+
 def test_a_ballot_table_slip_exits_2_before_any_byte(monkeypatch, capsys):
     # at a = 3 the slipped ranks land on other words, so a word comes up
     # with more or fewer rows landed on it than its runs count
@@ -590,8 +607,8 @@ def selftest_with(monkeypatch, capsys, original, mutant):
 
 def test_a_lost_ballot_word_exits_2_in_one_line(monkeypatch, capsys):
     # the second word of every m = 2 shape with a >= 2 goes missing, so in
-    # the up-front curve build the rows of 1122 count a landing on rank 1,
-    # past the one word enumerated, as `curve --a 2` does: each check that
+    # the up-front curve build the a = 2 rows find one word where the
+    # ballot numbers count two, as `curve --a 2` does: each check that
     # reads the graphs fails with that error in its one line
     original = sys.modules["bncurve.combinatorics"].enumerate_ballot
 
@@ -608,20 +625,30 @@ def test_a_lost_ballot_word_exits_2_in_one_line(monkeypatch, capsys):
         "nodal properties",
         "property suite",
     } <= {name for status, name, detail in lines
-          if (status, detail) == ("FAIL", "IndexError: list index out of range")}
+          if (status, detail) == (
+              "FAIL",
+              "AssertionError: the ballot words (1) and the ballot numbers "
+              "(2) disagree",
+          )}
 
 
 def test_a_check_that_raises_fails_its_line_and_the_rest_print(monkeypatch, capsys):
-    # catalan(3) one too large: the genus closed form no longer divides
-    # exactly, so check_genus raises, and the seven lines after it print too
-    original = sys.modules["bncurve.combinatorics"].catalan
+    # generalized_catalan(3, 3) raises its inexact-division error, so
+    # check_castelnuovo raises at (a, r) = (3, 2): its line fails with the
+    # error, and the five lines after it print and pass
+    original = sys.modules["bncurve.combinatorics"].generalized_catalan
 
-    def catalan_3_one_too_large(a):
-        return original(a) + (a == 3)
+    def raises_at_3_3(a, m):
+        if (a, m) == (3, 3):
+            raise ArithmeticError("generalized Catalan formula did not divide exactly")
+        return original(a, m)
 
-    lines = selftest_with(monkeypatch, capsys, original, catalan_3_one_too_large)
-    assert ("FAIL", "genus, graph vs closed form",
-            "ArithmeticError: genus formula did not divide exactly") in lines
+    lines = selftest_with(monkeypatch, capsys, original, raises_at_3_3)
+    k = [name for _, name, _ in lines].index("Castelnuovo counts vs enumeration")
+    assert lines[k][::2] == (
+        "FAIL", "ArithmeticError: generalized Catalan formula did not divide exactly"
+    )
+    assert [status for status, _, _ in lines[k + 1 :]] == ["PASS"] * 5
 
 
 def test_a_failing_double_cover_fails_only_the_gonality_line(monkeypatch, capsys):

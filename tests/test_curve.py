@@ -787,15 +787,31 @@ class TestWordNodes:
         assert Counter(map(final_run, words)) == expected
         assert Counter(map(returns, words)) == expected
 
+    @pytest.mark.parametrize("a", range(1, 10))
+    def test_gap_classes_are_binomial_and_offsets_a_palindrome(self, a):
+        # the rows alone, no graph: gap k = |x_offset - y_offset| holds
+        # 2 C(2a+1-k, a-k) nodes, and an offset u on a node end occurs as
+        # often as d - u
+        gaps, offsets = Counter(), Counter()
+        for _, table in _node_rows(ChainSpec.rho_one(a)):
+            gaps.update(map(abs, map(int.__sub__, table[1::4], table[3::4])))
+            offsets.update(table[1::4])
+            offsets.update(table[3::4])
+        assert gaps == {k: 2 * comb(2 * a + 1 - k, a - k) for k in range(1, a + 1)}
+        assert offsets == {a + 2 - u: n for u, n in offsets.items()}
+
     def test_ballot_numbers_sum_to_delta_closed_far_past_enumeration(self):
         # exact integers, no words: each word has g - 1 + 2a = 4a slots less
-        # D + R, and D and R each have mean 3a / (a + 2)
+        # D + R, and D and R each have mean 3a / (a + 2); and the gap
+        # classes sum, by the hockey stick, to genus_closed's one binomial
         for a in range(1, 400):
             b = [ballot_number(a, k) for k in range(1, a + 1)]
             moment = sum(k * n for k, n in enumerate(b, start=1))
             assert sum(b) == catalan(a)
             assert (a + 2) * moment == 3 * a * catalan(a)
             assert 4 * a * catalan(a) - 2 * moment == delta_closed(a)
+            gaps = [2 * comb(2 * a + 1 - k, a - k) for k in range(1, a + 1)]
+            assert sum(gaps) == 2 * comb(2 * a + 1, a - 1) == delta_closed(a)
             assert delta_closed(a) + 1 == genus_closed(a)
 
 

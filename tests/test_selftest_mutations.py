@@ -75,8 +75,6 @@ def catalan_7_one_too_large(a):
 
 
 def catalan_3_one_too_large(a):
-    # the genus closed form then no longer divides exactly: check_genus
-    # raises ArithmeticError, which fails its line
     return _catalan(a) + (a == 3)
 
 
@@ -104,8 +102,8 @@ def ballot_table_with_an_entry_one_too_small(n):
 
 def enumerate_ballot_losing_a_word(a, m=2):
     # the second word of each m = 2 shape with a >= 2; the up-front graph
-    # build's rows then count a landing on a rank past the words it has
-    # and raise IndexError, which fails every check that reads graphs
+    # build's rows then find fewer words than the ballot numbers count and
+    # raise AssertionError, which fails every check that reads graphs
     for k, word in enumerate(_enumerate_ballot(a, m)):
         if not (a >= 2 and m == 2 and k == 1):
             yield word
@@ -225,7 +223,6 @@ MUTATIONS = [
         {
             "component count nu = (2a+1) c_a",
             "node count delta, both forms",
-            "genus, graph vs closed form",
             "nodal properties",
             "property suite",
         },
